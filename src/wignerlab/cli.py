@@ -19,7 +19,13 @@ import numpy as np
 from . import __version__
 from .ensemble import EnsembleParams, sample
 from .errors import ConfigError, ParameterError, WignerlabError
-from .freeconv import AtomicMeasure, density as density_at
+from .freeconv import (
+    AtomicMeasure,
+    density as density_at,
+    integrate_against_rho,
+    solve_pastur_array,
+    support_window,
+)
 from .infinitesimal import (
     diag_pm1,
     infinitesimal_check,
@@ -33,14 +39,15 @@ from .montecarlo import (
     variance_bound_check,
 )
 from .spectral import eigenvalues, trace_resolvent, verify_resolvent_identity, verify_schur
-from .freeconv import integrate_against_rho
 from .theory import (
     FluctuationParams,
+    _beta,
+    _beta_tilde,
+    _bias_bound,
+    _gamma_from_solutions,
     bao_xie_b0,
     bao_xie_c0,
     beta,
-    beta_tilde,
-    bias_bound,
     gamma_kernel,
 )
 from . import testfn
@@ -103,7 +110,10 @@ def _write_json(path: Path, cfg: dict, seed, payload: dict) -> None:
 
 
 def _parse_z(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+    z = complex(float(pair[0]), float(pair[1]))
+    if z.imag == 0.0:
+        raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
+    return z
 
 
 def _z_grid(cfg: dict, key: str = "z_grid") -> list[complex]:
@@ -121,10 +131,7 @@ def _fluctuation_params(cfg: dict) -> FluctuationParams:
         return FluctuationParams.from_ensemble(
             EnsembleParams.from_config(block["from_ensemble"])
         )
-    nu_cfg = block.get("nu")
-    if nu_cfg is None or "atoms" not in nu_cfg:
-        raise ConfigError("fluctuation block needs nu.atoms")
-    nu = AtomicMeasure.from_atoms(nu_cfg["atoms"])
+    nu = _atomic_measure(block, "fluctuation")
     return FluctuationParams(
         sigma2=float(block.get("sigma2", 1.0)),
         s2=float(block.get("s2", 1.0)),
@@ -134,6 +141,16 @@ def _fluctuation_params(cfg: dict) -> FluctuationParams:
         mode=block.get("mode", "limit"),
         n=block.get("n"),
     )
+
+
+def _atomic_measure(block: dict, name: str) -> AtomicMeasure:
+    nu_cfg = block.get("nu")
+    if not isinstance(nu_cfg, dict) or "atoms" not in nu_cfg:
+        raise ConfigError(f"{name} block needs nu.atoms")
+    try:
+        return AtomicMeasure.from_atoms(nu_cfg["atoms"])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad {name}.nu.atoms: {exc}") from exc
 
 
 def _ensemble_params(cfg: dict) -> EnsembleParams:
@@ -155,13 +172,22 @@ def _single_atom(nu: AtomicMeasure) -> float | None:
 def cmd_theory(cfg: dict, args) -> int:
     params = _fluctuation_params(cfg)
     zs = _z_grid(cfg)
+    pairs = cfg.get("pairs")
+    if pairs is None:
+        pairs = [(z1, z2) for i, z1 in enumerate(zs) for z2 in zs[i:]]
+    else:
+        pairs = [(_parse_z(p[0]), _parse_z(p[1])) for p in pairs]
+    # one fixed-point solve per distinct z serves every table entry
+    distinct = list(dict.fromkeys([*zs, *(z for pair in pairs for z in pair)]))
+    solved = solve_pastur_array(params.nu, params.sigma2, distinct)
+    sols = {z: solved.at(k) for k, z in enumerate(distinct)}
     out_dir = Path(args.out_dir)
     shift = _single_atom(params.nu)
     rows = []
     for z in zs:
-        b = beta(params, z)
-        bt = beta_tilde(params, z)
-        bound = bias_bound(params, z) if params.mode == "finite_N" else float("nan")
+        b = _beta(params, sols[z])
+        bt = _beta_tilde(params, sols[z])
+        bound = _bias_bound(params, sols[z]) if params.mode == "finite_N" else float("nan")
         if shift is not None:
             b0 = bao_xie_b0(params.sigma2, params.s2, params.tau, params.kappa, z - shift)
             residual = abs(b - b0) / max(1.0, abs(b0))
@@ -171,14 +197,9 @@ def cmd_theory(cfg: dict, args) -> int:
     header = ["re_z", "im_z", "re_beta", "im_beta", "re_beta_tilde", "im_beta_tilde",
               "bias_bound", "bao_xie_residual"]
 
-    pairs = cfg.get("pairs")
-    if pairs is None:
-        pairs = [[ [z1.real, z1.imag], [z2.real, z2.imag] ]
-                 for i, z1 in enumerate(zs) for z2 in zs[i:]]
     krows = []
-    for p in pairs:
-        z1, z2 = _parse_z(p[0]), _parse_z(p[1])
-        kv = gamma_kernel(params, z1, z2)
+    for z1, z2 in pairs:
+        kv = _gamma_from_solutions(params, sols[z1], sols[z2])
         krow = [z1.real, z1.imag, z2.real, z2.imag, kv.gamma.real, kv.gamma.imag,
                 kv.branch_margin]
         if shift is not None:
@@ -311,18 +332,20 @@ def cmd_density(cfg: dict, args) -> int:
     block = cfg.get("density")
     if block is None:
         raise ConfigError("missing 'density' block")
-    nu = AtomicMeasure.from_atoms(block["nu"]["atoms"])
+    nu = _atomic_measure(block, "density")
+    if "v" not in block:
+        raise ConfigError("density block needs v")
     v = float(block["v"])
+    if not v > 0.0:
+        raise ConfigError("density.v must be positive")
     xg = block.get("x_grid")
     if xg is None:
-        from .freeconv import support_window
-
         lo, hi = support_window(nu, v)
-        xg = np.linspace(lo, hi, int(block.get("points", 201))).tolist()
-    rows = []
-    for x in xg:
-        est = density_at(nu, v, float(x))
-        rows.append([float(x), est.value, est.error, int(est.warning)])
+        xg = np.linspace(lo, hi, int(block.get("points", 201)))
+    est = density_at(nu, v, np.atleast_1d(np.asarray(xg, dtype=float)))
+    # the warning column is always 0: the density is exact, not extrapolated
+    rows = [[x, value, error, 0]
+            for x, value, error in zip(est.x.tolist(), est.value.tolist(), est.error.tolist())]
     out_dir = Path(args.out_dir)
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "density.csv", cfg, args.seed,

@@ -1,20 +1,20 @@
 """Free additive convolution of a semicircular law with an atomic measure.
 
-Everything here works with the scalar subordination fixed point
+Everything here works with the subordination fixed point
 
     G(z) = G_nu(z - v*G(z)),        omega(z) = z - v*G(z),
 
-solved off the real axis, plus Stieltjes inversion for the density of the
-convolution and quadrature against it.
+solved off the real axis for whole arrays of z at once, plus the exact
+real-axis parametrisation of the convolution's density (P. Biane, Indiana
+Univ. Math. J. 46, 1997) and quadrature against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, EdgeSingularityError, PoleError, SolverError
 
@@ -24,10 +24,11 @@ __all__ = [
     "DensityEstimate",
     "stieltjes",
     "solve_pastur",
+    "solve_pastur_array",
     "density",
     "integrate_against_rho",
+    "gauss_kronrod",
     "is_in_omega",
-    "default_eta_schedule",
     "support_window",
 ]
 
@@ -36,7 +37,10 @@ _PASTUR_TOL = 1e-13
 _NEWTON_SWITCH = 1e-3
 _MAX_ITER = 10_000
 _EDGE_GUARD = 1e-10
-
+_SECTIONS = 16  # interior points per round of root bracketing
+_ROUNDS = 16  # 17**16 > 2**64: enough rounds to shrink a bracket to rounding
+_PSI_ROUNDING = 16 * np.finfo(float).eps  # relative rounding bound on psi_t
+_MAX_NEWTON = 100
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
@@ -119,11 +123,13 @@ def stieltjes(nu: AtomicMeasure, w: complex, order: int = 0) -> complex:
 
 @dataclass(frozen=True)
 class SubordinationSolution:
-    """Pastur fixed point at one spectral parameter, with derivatives.
+    """Pastur fixed point at a spectral parameter, with derivatives.
 
     Fields G1/G2 and omega1/omega2 are first and second z-derivatives of the
     transform G and the subordination map omega, filled by the closed-form
-    chain rule, never by numerical differentiation.
+    chain rule, never by numerical differentiation. ``solve_pastur`` fills
+    every field but ``v`` with a scalar, ``solve_pastur_array`` with an array
+    of the shape of its z; ``at(k)`` takes the scalar solution at index k.
     """
 
     z: complex
@@ -137,51 +143,122 @@ class SubordinationSolution:
     iterations: int
     residual: float
 
-    def conjugate(self) -> "SubordinationSolution":
-        return SubordinationSolution(
-            z=self.z.conjugate(),
-            v=self.v,
-            G=self.G.conjugate(),
-            omega=self.omega.conjugate(),
-            G1=self.G1.conjugate(),
-            G2=self.G2.conjugate(),
-            omega1=self.omega1.conjugate(),
-            omega2=self.omega2.conjugate(),
-            iterations=self.iterations,
-            residual=self.residual,
+    def at(self, k: int) -> "SubordinationSolution":
+        """Scalar solution at index k of an array-valued solution."""
+        picked = {f.name: getattr(self, f.name)[k].item() for f in fields(self) if f.name != "v"}
+        return SubordinationSolution(v=self.v, **picked)
+
+
+def _transform(nu: AtomicMeasure, omega: np.ndarray, power: int) -> np.ndarray:
+    """sum_i w_i (omega - d_i)^-power at every point of a 1-d array omega."""
+    return np.sum(nu.weights / (omega[:, None] - nu.locations) ** power, axis=1)
+
+
+def _pastur_upper(nu: AtomicMeasure, v: float, z: np.ndarray, g: np.ndarray):
+    """Solve G = G_nu(z - vG) at every point of a 1-d array z with Im z > 0.
+
+    Starts from g and runs each point's own iteration: damped fixed-point
+    steps until the residual |G - G_nu(z - vG)| drops below _NEWTON_SWITCH,
+    then Newton steps for as long as each one lowers it, with a damped step
+    whenever one does not. Returns (G, iterations, residual) arrays.
+    """
+    g = np.where(g.imag > 0.0, g.conj(), g)
+
+    def fixed_map(idx, gg):
+        return _transform(nu, z[idx] - v * gg, 1)
+
+    residual = np.abs(g - fixed_map(slice(None), g))
+    iterations = np.zeros(z.size, dtype=int)
+    newton = np.zeros(z.size, dtype=bool)
+    active = np.flatnonzero(residual > _PASTUR_TOL)
+    for _ in range(_MAX_ITER):
+        if active.size == 0:
+            break
+        tried = newton[active] | (residual[active] < _NEWTON_SWITCH)
+        accepted = np.zeros(active.size, dtype=bool)
+        if tried.any():
+            idx = active[tried]
+            omega = z[idx] - v * g[idx]
+            deriv = 1.0 - v * _transform(nu, omega, 2)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                g_new = g[idx] - (g[idx] - _transform(nu, omega, 1)) / deriv
+            r_new = np.full(idx.size, np.inf)
+            ok = (np.abs(deriv) > 1e-14) & (g_new.imag < 0.0)
+            r_new[ok] = np.abs(g_new[ok] - fixed_map(idx[ok], g_new[ok]))
+            better = r_new < residual[idx]
+            g[idx[better]], residual[idx[better]] = g_new[better], r_new[better]
+            newton[idx] = better
+            accepted[tried] = better
+        idx = active[~accepted]
+        g[idx] = 0.5 * g[idx] + 0.5 * fixed_map(idx, g[idx])
+        residual[idx] = np.abs(g[idx] - fixed_map(idx, g[idx]))
+        iterations[active] += 1
+        active = active[residual[active] > _PASTUR_TOL]
+    if active.size:
+        k = active[np.argmax(residual[active])]
+        raise SolverError(
+            f"Pastur iteration did not converge at z={z[k]} (residual {residual[k]:.3e})",
+            residual=float(residual[k]),
         )
+    return g, iterations, residual
 
 
-def _pastur_upper(nu: AtomicMeasure, v: float, z: complex, g0: complex | None) -> tuple[complex, int, float]:
-    """Solve G = G_nu(z - vG) for z in the open upper half-plane."""
-    g = g0 if g0 is not None else 1.0 / z
-    if g.imag > 0.0:
-        g = g.conjugate()
+def solve_pastur_array(nu: AtomicMeasure, v: float, z, warm_start=None) -> SubordinationSolution:
+    """Solve the subordination fixed point at every point of an array of z.
 
-    def fixed_map(gg: complex) -> complex:
-        return stieltjes(nu, z - v * gg, 0)
+    Returns one SubordinationSolution whose fields are arrays of the shape
+    of z. Points below the real axis are solved at their conjugate and
+    reflected, so G(conj z) = conj G(z) holds exactly. Without a warm start,
+    points with Im z < 0.05 first walk their height down from 0.2, halving
+    it and warm-starting each solve from the last, so the iteration never
+    leaves the basin near a spectral edge. Any failing point raises:
+    SolverError when its iteration does not converge, EdgeSingularityError
+    when 1 + v*G_nu'(omega) vanishes there.
+    """
+    if v <= 0:
+        raise ValueError("semicircular variance v must be positive")
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
+    if np.any(z.imag == 0.0):
+        raise DomainError("solve_pastur requires Im z != 0")
+    lower = z.imag < 0.0
+    zu = np.where(lower, z.conj(), z)
+    if warm_start is None:
+        g = 1.0 / zu
+        walk = np.flatnonzero(zu.imag < 0.05)
+        chain = 1.0 / (zu.real[walk] + 0.2j)
+        eta = 0.2
+        while walk.size:
+            chain, _, _ = _pastur_upper(nu, v, zu.real[walk] + 1j * eta, chain)
+            g[walk] = chain
+            eta *= 0.5
+            still = eta > zu.imag[walk]
+            walk, chain = walk[still], chain[still]
+    else:
+        g = np.asarray(warm_start, dtype=complex).ravel()
+        g = np.where(lower, g.conj(), g)
 
-    residual = abs(g - fixed_map(g))
-    newton = False
-    for it in range(1, _MAX_ITER + 1):
-        if residual <= _PASTUR_TOL:
-            return g, it - 1, residual
-        if newton or residual < _NEWTON_SWITCH:
-            omega = z - v * g
-            deriv = 1.0 + v * stieltjes(nu, omega, 1)
-            step_ok = abs(deriv) > 1e-14
-            if step_ok:
-                g_new = g - (g - stieltjes(nu, omega, 0)) / deriv
-                r_new = abs(g_new - fixed_map(g_new)) if g_new.imag < 0.0 else math.inf
-                if r_new < residual:
-                    g, residual, newton = g_new, r_new, True
-                    continue
-            newton = False  # Newton stalled; fall through to damped step
-        g = 0.5 * g + 0.5 * fixed_map(g)
-        residual = abs(g - fixed_map(g))
-    raise SolverError(
-        f"Pastur iteration did not converge at z={z} (residual {residual:.3e})",
-        residual=residual,
+    g, iterations, residual = _pastur_upper(nu, v, zu, g)
+    omega = zu - v * g
+    g1_nu = -_transform(nu, omega, 2)
+    denom = 1.0 + v * g1_nu
+    edge = np.abs(denom) < _EDGE_GUARD
+    if edge.any():
+        raise EdgeSingularityError(f"1 + v*G_nu'(omega) ~ 0 at z={z[edge][0]}")
+    omega1 = 1.0 / denom
+    g1 = g1_nu * omega1
+    g2_nu = 2.0 * _transform(nu, omega, 3)
+    omega2 = -v * g2_nu * omega1**3
+    g2 = g2_nu * omega1**2 + g1_nu * omega2
+
+    def reflect(a):
+        return np.where(lower, a.conj(), a).reshape(shape)
+
+    return SubordinationSolution(
+        z=z.reshape(shape), v=v, G=reflect(g), omega=reflect(omega), G1=reflect(g1),
+        G2=reflect(g2), omega1=reflect(omega1), omega2=reflect(omega2),
+        iterations=iterations.reshape(shape), residual=residual.reshape(shape),
     )
 
 
@@ -191,45 +268,13 @@ def solve_pastur(
     z: complex,
     warm_start: complex | None = None,
 ) -> SubordinationSolution:
-    """Solve the subordination fixed point at z and fill all derivatives.
+    """Solve the subordination fixed point at one z and fill all derivatives.
 
-    Solutions in the lower half-plane are obtained by Schwarz reflection, so
-    the symmetry G(conj z) = conj G(z) holds exactly by construction.
+    ``solve_pastur_array`` at a single point: the same iteration, reflection
+    and errors.
     """
-    if v <= 0:
-        raise ValueError("semicircular variance v must be positive")
-    z = complex(z)
-    if z.imag == 0.0:
-        raise DomainError("solve_pastur requires Im z != 0")
-    if z.imag < 0.0:
-        ws = warm_start.conjugate() if warm_start is not None else None
-        return solve_pastur(nu, v, z.conjugate(), ws).conjugate()
-
-    # near the real axis, walk eta down from a safe height with warm starts
-    # so the iteration never leaves the basin near a spectral edge
-    if warm_start is None and z.imag < 0.05:
-        eta = 0.2
-        g_chain = None
-        while eta > z.imag:
-            g_chain, _, _ = _pastur_upper(nu, v, complex(z.real, eta), g_chain)
-            eta *= 0.5
-        warm_start = g_chain
-
-    g, iterations, residual = _pastur_upper(nu, v, z, warm_start)
-    omega = z - v * g
-    g1_nu = stieltjes(nu, omega, 1)
-    denom = 1.0 + v * g1_nu
-    if abs(denom) < _EDGE_GUARD:
-        raise EdgeSingularityError(f"1 + v*G_nu'(omega) ~ 0 at z={z}")
-    omega1 = 1.0 / denom
-    g1 = g1_nu * omega1
-    g2_nu = stieltjes(nu, omega, 2)
-    omega2 = -v * g2_nu * omega1**3
-    g2 = g2_nu * omega1**2 + g1_nu * omega2
-    return SubordinationSolution(
-        z=z, v=v, G=g, omega=omega, G1=g1, G2=g2,
-        omega1=omega1, omega2=omega2, iterations=iterations, residual=residual,
-    )
+    ws = None if warm_start is None else [warm_start]
+    return solve_pastur_array(nu, v, [z], ws).at(0)
 
 
 def is_in_omega(nu: AtomicMeasure, v: float, w: complex) -> bool:
@@ -241,93 +286,146 @@ def is_in_omega(nu: AtomicMeasure, v: float, w: complex) -> bool:
     return h.imag > 0.0
 
 
-def default_eta_schedule(eta_max: float = 1e-2, eta_min: float = 5e-7, ratio: float = 0.4):
-    """Geometric schedule of imaginary offsets for Stieltjes inversion."""
-    etas = []
-    eta = eta_max
-    while eta > eta_min:
-        etas.append(eta)
-        eta *= ratio
-    etas.append(eta_min)
-    return tuple(etas)
+# --------------------------------------------------------------- Biane
+
+def _bracket(fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Final bracket (lo, hi) of the solution of fn(u) = target, elementwise.
+
+    fn is increasing and maps a 1-d array of points to its values. Each
+    round evaluates fn at _SECTIONS equispaced interior points of every
+    bracket in one call and keeps the section that holds the solution.
+    """
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    rows = np.arange(lo.size)
+    for _ in range(_ROUNDS):
+        inner = lo[:, None] + (hi - lo)[:, None] * frac
+        below = fn(inner.ravel()).reshape(inner.shape) < target[:, None]
+        grid = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
+        k = below.sum(axis=1)
+        lo, hi = grid[rows, k], grid[rows, k + 1]
+    return lo, hi
+
+
+def _biane_v2(nu: AtomicMeasure, t: float, u: np.ndarray) -> np.ndarray:
+    """v_t(u)^2 at every point of a 1-d array u.
+
+    v_t(u) is the root v > 0 of sum_i w_i / ((u - d_i)^2 + v^2) = 1/t, and 0
+    where sum_i w_i / (u - d_i)^2 <= 1/t. In s = v^2 the map
+    q(s) = 1 / sum_i w_i / ((u - d_i)^2 + s) is increasing and concave, so
+    Newton's method for q(s) = t, started below the root, climbs to it
+    without overshooting. The start is the largest one-atom lower bound,
+    max(0, max_i (w_i t - (u - d_i)^2)).
+    """
+    a2 = (u[:, None] - nu.locations) ** 2
+    s = np.maximum(np.max(nu.weights * t - a2, axis=1), 0.0)
+    # where s = 0 no atom sits at u, so the sum below is finite
+    inside = (s > 0.0) | (np.sum(nu.weights / (a2 + s[:, None]), axis=1) > 1.0 / t)
+    idx = np.flatnonzero(inside)
+    for _ in range(_MAX_NEWTON):
+        if idx.size == 0:
+            return s
+        r = a2[idx] + s[idx, None]
+        f = np.sum(nu.weights / r, axis=1)
+        step = f * (t * f - 1.0) / np.sum(nu.weights / (r * r), axis=1)
+        climbs = s[idx] + step > s[idx]
+        idx = idx[climbs]
+        s[idx] += step[climbs]
+    raise SolverError(f"v_t(u) did not converge at u={u[idx[0]]}")
+
+
+def _biane_psi(nu: AtomicMeasure, t: float, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """psi_t(u) = u + t sum_i w_i (u - d_i) / ((u - d_i)^2 + v_t(u)^2), s = v_t(u)^2."""
+    a = u[:, None] - nu.locations
+    return u + t * np.sum(nu.weights * a / (a * a + s[:, None]), axis=1)
 
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Density value recovered by extrapolating -Im G/pi to the real axis."""
+    """Density of the free convolution at x, from Biane's parametrisation.
+
+    ``error`` is the largest change of the density over the root-finding
+    bracket of the preimage u of x, widened to the u that rounding of psi_t
+    cannot tell from it. Fields are floats for a scalar x and arrays of its
+    shape otherwise.
+    """
 
     x: float
     value: float
     error: float
-    warning: bool = False
-    etas_used: int = 0
 
     def __float__(self):
-        return self.value
+        return float(self.value)
 
 
-def _extrapolate_to_zero(steps, values):
-    """Neville extrapolation of values(step) to step -> 0.
+def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
+    """Density of nu boxplus sigma_v at real x (a float or an array).
 
-    ``steps`` must be strictly decreasing. Returns (limit, error_estimate,
-    monotone_flag); the estimate sequence is anchored at the smallest steps,
-    and the error estimate is the change produced by the last refinement.
+    psi_t is an increasing bijection of the real line with
+    |psi_t(u) - u| <= sqrt(t), and the density at psi_t(u) is v_t(u)/(pi t)
+    (P. Biane, Indiana Univ. Math. J. 46, 1997). The preimage of x is found
+    by bracketing on [x - sqrt(t), x + sqrt(t)], so the value is exact to
+    rounding in the bulk and vanishes outside the support. Near a cusp,
+    where the density grows like |x - x_c|^(1/3), rounding of psi_t leaves
+    u uncertain, and the error says by how much that moves the density.
     """
-    n = len(values)
-    p = list(values)
-    estimates = [p[-1]]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            s_i, s_prev = steps[i], steps[i - level]
-            p[i] = (s_prev * p[i] - s_i * p[i - 1]) / (s_prev - s_i)
-        estimates.append(p[-1])
-    corrections = [abs(estimates[k] - estimates[k - 1]) for k in range(1, n)]
-    err = corrections[-1] if corrections else 0.0
-    monotone = all(
-        corrections[k] <= 4.0 * corrections[k - 1] + 1e-15 for k in range(1, len(corrections))
-    )
-    return estimates[-1], err, monotone
+    if v <= 0:
+        raise ValueError("v must be positive")
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    n = flat.size
+    reach = math.sqrt(v) * (1.0 + 1e-9)
+    # psi_t(u) = u + t S with |t S| <= sqrt(t), so its rounding is below slack
+    slack = _PSI_ROUNDING * (np.abs(flat) + 2.0 * math.sqrt(v))
+    targets = np.concatenate([flat - slack, flat, flat + slack])
+
+    def psi(u):
+        return _biane_psi(nu, v, u, _biane_v2(nu, v, u))
+
+    lo, hi = _bracket(psi, targets, targets - reach, targets + reach)
+    u = 0.5 * (lo[n:2 * n] + hi[n:2 * n])
+    spread = lo[:n, None] + (hi[2 * n:] - lo[:n])[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
+    rho = np.sqrt(_biane_v2(nu, v, np.concatenate([u, spread.ravel()]))) / (math.pi * v)
+    value = rho[:n].reshape(xs.shape)
+    error = np.max(np.abs(rho[n:].reshape(n, -1) - rho[:n, None]), axis=1).reshape(xs.shape)
+    if xs.ndim == 0:
+        return DensityEstimate(x=float(xs), value=float(value), error=float(error))
+    return DensityEstimate(x=xs, value=value, error=error)
 
 
-def density(
-    nu: AtomicMeasure,
-    v: float,
-    x: float,
-    eta_schedule=None,
-) -> DensityEstimate:
-    """Density of the free convolution at a real point x.
+def _support_in_u(nu: AtomicMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the intervals of u where v_t(u) > 0.
 
-    Evaluates -Im G(x + i*eta)/pi down the schedule with warm-started solves
-    and extrapolates to eta = 0 in the variable sqrt(eta), which also captures
-    the square-root behaviour at spectral edges.
+    That is where f(u) = sum_i w_i / (u - d_i)^2 exceeds 1/t. Left of the
+    first atom f increases from 0 and f(d_1 - sqrt t) <= 1/t, so the support
+    starts in [d_1 - sqrt t, d_1); it ends symmetrically right of the last
+    atom. Between consecutive atoms f is convex and infinite at both ends:
+    where its minimum falls below 1/t the support has a gap between the two
+    roots around that minimum.
     """
-    etas = tuple(eta_schedule) if eta_schedule is not None else default_eta_schedule()
-    if any(e2 >= e1 for e1, e2 in zip(etas, etas[1:])) or etas[-1] > 1e-6:
-        raise ValueError("eta schedule must decrease, with tail <= 1e-6")
-    vals = []
-    warm = None
-    warning = False
-    for eta in etas:
-        try:
-            sol = solve_pastur(nu, v, complex(x, eta), warm_start=warm)
-        except (SolverError, EdgeSingularityError):
-            warning = True
-            break
-        warm = sol.G
-        vals.append(-sol.G.imag / math.pi)
-    if len(vals) < 3:
-        raise SolverError(f"density solve failed near x={x}")
-    steps = [math.sqrt(e) for e in etas[: len(vals)]]
-    value, err, monotone = _extrapolate_to_zero(steps, vals)
-    if not monotone:
-        warning = True
-    return DensityEstimate(
-        x=float(x),
-        value=max(value, 0.0),
-        error=err,
-        warning=warning,
-        etas_used=len(vals),
-    )
+    d, w = nu.locations, nu.weights
+    inv_t = 1.0 / t
+    reach = math.sqrt(t) * (1.0 + 1e-9)
+
+    def f(u):
+        return np.sum(w / (u[:, None] - d) ** 2, axis=1)
+
+    def root(fn, target, lo, hi):
+        lo, hi = _bracket(fn, np.full(lo.size, target), lo, hi)
+        return 0.5 * (lo + hi)
+
+    def neg_f(u):
+        return -f(u)
+
+    first = root(f, inv_t, d[:1] - reach, d[:1])
+    last = root(neg_f, -inv_t, d[-1:], d[-1:] + reach)
+    left, right = d[:-1], d[1:]
+    # f' = -2 sum_i w_i / (u - d_i)^3 increases across each gap
+    lowest = root(lambda u: -np.sum(w / (u[:, None] - d) ** 3, axis=1), 0.0, left, right)
+    gap = f(lowest) < inv_t
+    left, right, lowest = left[gap], right[gap], lowest[gap]
+    gap_start = root(neg_f, -inv_t, left, lowest)
+    gap_end = root(f, inv_t, lowest, right)
+    return np.concatenate([first, gap_end]), np.concatenate([gap_start, last])
 
 
 def support_window(nu: AtomicMeasure, v: float) -> tuple[float, float]:
@@ -341,26 +439,110 @@ def integrate_against_rho(
     nu: AtomicMeasure,
     v: float,
     phi,
-    eta_schedule=None,
     rtol: float = 1e-8,
 ) -> float:
-    """Quadrature of a test function against the free-convolution density.
+    """Integral of phi against the density of the free convolution.
 
-    Uses adaptive quadrature over the support window, with atom locations
-    supplied as break points.
+    Integrates in Biane's variable u over the exact support intervals, with
+    x = psi_t(u) and, by implicit differentiation of v_t,
+    rho(x) dx = (2/pi) v_t (v_t^2 S_2 + S_a^2 / S_2) du, where
+    S_2 = sum_i w_i / r_i^2, S_a = sum_i w_i (u - d_i) / r_i^2 and
+    r_i = (u - d_i)^2 + v_t^2. ``phi`` is called on arrays of points.
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    a, b = support_window(nu, v)
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise DomainError("support window detection failed")
-    breaks = [float(d) for d in nu.locations if a < d < b]
 
-    def integrand(x: float) -> float:
-        return float(phi(x)) * density(nu, v, x, eta_schedule).value
+    def integrand(u):
+        s = _biane_v2(nu, v, u)
+        a = u[:, None] - nu.locations
+        r2 = (a * a + s[:, None]) ** 2
+        s_2 = np.sum(nu.weights / r2, axis=1)
+        s_a = np.sum(nu.weights * a / r2, axis=1)
+        weight = (2.0 / math.pi) * np.sqrt(s) * (s * s_2 + s_a * s_a / s_2)
+        return weight * np.asarray(phi(_biane_psi(nu, v, u, s)), dtype=float)
 
-    value, _ = integrate.quad(
-        integrand, a, b, points=breaks[:80] or None, limit=250,
-        epsabs=1e-8, epsrel=rtol,
-    )
-    return float(value)
+    value, _ = gauss_kronrod(integrand, *_support_in_u(nu, v), epsabs=1e-8, epsrel=rtol, limit=250)
+    return value
+
+
+# --------------------------------------------------------------- quadrature
+
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983), the rule
+# SciPy's adaptive integrator applies: nodes on [0, 1] and their Kronrod
+# weights; the odd entries are the positive nodes of the 10-point Gauss rule,
+# weighted _WG.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208034046080, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11:20:2] = _WG[::-1]
+
+
+def _gk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's qk21 on every interval [a_k, b_k]: (integrals, error estimates)."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = f((centre[:, None] + half[:, None] * _NODES).ravel()).reshape(a.size, 21)
+    resk = np.sum(fx * _KRONROD, axis=1)
+    resg = np.sum(fx * _GAUSS, axis=1)
+    resabs = np.sum(np.abs(fx) * _KRONROD, axis=1) * np.abs(half)
+    resasc = np.sum(np.abs(fx - 0.5 * resk[:, None]) * _KRONROD, axis=1) * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    err[scaled] = resasc[scaled] * np.minimum(1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return resk * half, err
+
+
+def gauss_kronrod(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+    """Adaptive 21-point Gauss-Kronrod quadrature over the intervals [a_k, b_k].
+
+    ``f`` maps a 1-d array of points to the array of its values. Each
+    interval gets QUADPACK's rule and error estimate; each round then
+    bisects together the fewest largest-error intervals whose errors must go
+    for the rest to meet max(epsabs, epsrel * |integral|), so that ``f``
+    sees all new nodes of a round in one call. Rounds stop when the summed
+    error meets that tolerance or there are ``limit`` intervals. Returns the
+    integral over the union of the intervals and its error estimate.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    value, err = _gk21(f, a, b)
+    while a.size < limit:
+        tol = max(epsabs, epsrel * abs(value.sum()))
+        total = err.sum()
+        if total <= tol:
+            break
+        order = np.argsort(-err, kind="stable")
+        left_over = total - np.cumsum(err[order])
+        count = int(np.argmax(left_over <= tol)) + 1 if left_over[-1] <= tol else order.size
+        pick = order[: min(count, limit - a.size)]
+        keep = np.ones(a.size, dtype=bool)
+        keep[pick] = False
+        mid = 0.5 * (a[pick] + b[pick])
+        new_a, new_b = np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]])
+        new_value, new_err = _gk21(f, new_a, new_b)
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        value = np.concatenate([value[keep], new_value])
+        err = np.concatenate([err[keep], new_err])
+    return float(value.sum()), float(err.sum())

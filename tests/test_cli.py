@@ -172,6 +172,24 @@ class TestConfigErrors:
         cfg = write(tmp_path, "cfg.json", {"z_grid": [[0.0, 2.0]]})
         assert main(["theory", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
+    def test_density_without_nu(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {"density": {"v": 1.0}})
+        assert main(["density", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_density_without_v(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {"density": {"nu": {"atoms": [[0.0, 1.0]]}}})
+        assert main(["density", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_theory_real_axis_z(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "fluctuation": {"nu": {"atoms": [[0.0, 1.0]]}},
+            "z_grid": [[0.0, 2.0], [1.0, 0.0]],
+        })
+        assert main(["theory", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_bad_ensemble_params(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", {
             "ensemble": {"n": 10, "sigma2": -1.0, "entry_law": "gaussian_complex",

@@ -3,18 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from wignerlab.errors import DomainError, PoleError
 from wignerlab.freeconv import (
+    _GAUSS,
+    _KRONROD,
+    _NODES,
     AtomicMeasure,
     density,
+    gauss_kronrod,
     integrate_against_rho,
     is_in_omega,
     solve_pastur,
+    solve_pastur_array,
     stieltjes,
     support_window,
 )
+
+CUSP = AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])  # (d-1 + d1)/2 boxplus s1 has a cusp at 0
 
 
 def semicircle_g(z, v=1.0):
@@ -159,6 +167,100 @@ class TestSolvePastur:
         assert sol.G1 == pytest.approx(g1_nu * sol.omega1, rel=1e-10)
 
 
+def _reference_upper(nu, v, z, g0):
+    """The scalar Pastur iteration that solve_pastur_array runs per point."""
+    g = g0 if g0 is not None else 1.0 / z
+    if g.imag > 0.0:
+        g = g.conjugate()
+
+    def fixed_map(gg):
+        return stieltjes(nu, z - v * gg, 0)
+
+    residual = abs(g - fixed_map(g))
+    newton = False
+    for _ in range(10_000):
+        if residual <= 1e-13:
+            return g
+        if newton or residual < 1e-3:
+            omega = z - v * g
+            deriv = 1.0 + v * stieltjes(nu, omega, 1)
+            if abs(deriv) > 1e-14:
+                g_new = g - (g - stieltjes(nu, omega, 0)) / deriv
+                r_new = abs(g_new - fixed_map(g_new)) if g_new.imag < 0.0 else math.inf
+                if r_new < residual:
+                    g, residual, newton = g_new, r_new, True
+                    continue
+            newton = False
+        g = 0.5 * g + 0.5 * fixed_map(g)
+        residual = abs(g - fixed_map(g))
+    raise AssertionError(f"reference iteration did not converge at z={z}")
+
+
+def reference_g(nu, v, z):
+    """Reference G(z): reflection, the eta walk below Im z = 0.05, then the loop."""
+    if z.imag < 0.0:
+        return reference_g(nu, v, z.conjugate()).conjugate()
+    warm = None
+    if z.imag < 0.05:
+        eta = 0.2
+        while eta > z.imag:
+            warm = _reference_upper(nu, v, complex(z.real, eta), warm)
+            eta *= 0.5
+    return _reference_upper(nu, v, z, warm)
+
+
+@st.composite
+def measures(draw):
+    n = draw(st.integers(1, 6))
+    locations = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return AtomicMeasure(np.array(locations), weights / weights.sum())
+
+
+variances = st.floats(0.1, 3.0)
+
+
+@st.composite
+def points(draw):
+    """z above the real axis, near it (inside the eta walk) or below it."""
+    height = draw(st.one_of(st.floats(0.05, 5.0), st.floats(1e-4, 0.05)))
+    z = complex(draw(st.floats(-5.0, 5.0)), height)
+    return z.conjugate() if draw(st.booleans()) else z
+
+
+class TestSolverProperties:
+    @given(measures(), variances, points())
+    def test_matches_reference_iteration(self, nu, v, z):
+        ref = reference_g(nu, v, z)
+        assert abs(solve_pastur(nu, v, z).G - ref) <= 1e-12 * abs(ref)
+
+    @given(measures(), variances, points())
+    def test_transform_maps_upper_to_lower_half_plane(self, nu, v, z):
+        g = solve_pastur(nu, v, z).G
+        assert math.copysign(1.0, g.imag) == -math.copysign(1.0, z.imag)
+
+    @given(measures(), variances, points())
+    def test_norm_bound(self, nu, v, z):
+        assert abs(solve_pastur(nu, v, z).G) <= (1.0 + 1e-12) / abs(z.imag)
+
+    @given(measures(), variances, points())
+    def test_reflection_exact(self, nu, v, z):
+        assert solve_pastur(nu, v, z.conjugate()).G == solve_pastur(nu, v, z).G.conjugate()
+
+    @given(measures(), variances, points())
+    def test_fixed_point_residual(self, nu, v, z):
+        sol = solve_pastur(nu, v, z)
+        assert sol.residual <= 1e-13
+        assert abs(sol.G - stieltjes(nu, z - v * sol.G)) <= 1e-13
+
+    @given(measures(), variances, st.lists(points(), min_size=1, max_size=8))
+    def test_array_solver_matches_scalar(self, nu, v, zs):
+        batch = solve_pastur_array(nu, v, zs)
+        assert batch.G.shape == (len(zs),)
+        for k, z in enumerate(zs):
+            assert batch.at(k) == solve_pastur(nu, v, z)
+
+
 class TestDensity:
     def test_semicircle_center(self):
         est = density(AtomicMeasure.point_mass(0.0), 1.0, 0.0)
@@ -183,9 +285,59 @@ class TestDensity:
         )
         assert total == pytest.approx(1.0, abs=1e-4)
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            density(AtomicMeasure.point_mass(0.0), 1.0, 0.0, eta_schedule=[1e-2, 1e-3])
+
+class TestBianeDensity:
+    def test_cusp_regression(self):
+        # the exact density vanishes at the cusp; the error must cover the value
+        est = density(CUSP, 1.0, 0.0)
+        assert est.value <= 1e-5
+        assert est.value <= est.error
+
+    @pytest.mark.parametrize("x", [-1.6, -0.7, 0.4, 1.3])
+    def test_poisson_smoothing_is_stieltjes_inversion(self, x):
+        # integral of rho(y) * eta / (pi ((y - x)^2 + eta^2)) dy = -Im G(x + i eta) / pi
+        eta = 1e-2
+
+        def kernel(y):
+            return eta / math.pi / ((y - x) ** 2 + eta**2)
+
+        g = solve_pastur(CUSP, 1.0, complex(x, eta)).G
+        assert integrate_against_rho(CUSP, 1.0, kernel) == pytest.approx(-g.imag / math.pi, abs=1e-8)
+
+    @pytest.mark.parametrize("v", [1.0, 0.5])  # one interval with a cusp; two intervals
+    def test_total_mass(self, v):
+        assert integrate_against_rho(CUSP, v, lambda x: 1.0) == pytest.approx(1.0, abs=1e-8)
+
+    def test_array_matches_scalar(self):
+        xs = np.linspace(-3.0, 3.0, 13)
+        est = density(CUSP, 0.5, xs)
+        assert est.value.shape == xs.shape
+        for x, value, error in zip(xs, est.value, est.error):
+            scalar = density(CUSP, 0.5, x)
+            assert (scalar.value, scalar.error) == (value, error)
+
+
+class TestGaussKronrod:
+    def test_kronrod_rule_exact_to_degree_31(self):
+        for k in range(32):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert np.sum(_KRONROD * _NODES**k) == pytest.approx(exact, abs=1e-14)
+
+    def test_embedded_rule_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        embedded = _GAUSS > 0.0
+        np.testing.assert_allclose(_NODES[embedded], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_GAUSS[embedded], weights, rtol=0, atol=1e-15)
+
+    def test_adaptive_endpoint_singularity(self):
+        value, error = gauss_kronrod(np.sqrt, [0.0], [1.0], epsabs=1e-10, epsrel=1e-10, limit=300)
+        assert abs(value - 2.0 / 3.0) <= 1e-10
+        assert error <= 1e-10
+
+    def test_union_of_intervals(self):
+        value, _ = gauss_kronrod(np.cos, [0.0, 2.0], [1.0, 3.0], epsabs=1e-12, epsrel=1e-12,
+                                 limit=50)
+        assert value == pytest.approx(math.sin(1.0) + math.sin(3.0) - math.sin(2.0), abs=1e-12)
 
 
 class TestIntegrateAgainstRho:
