@@ -29,7 +29,7 @@ from .freeconv import (
 from .infinitesimal import (
     diag_pm1,
     infinitesimal_check,
-    monte_carlo_cross_check,
+    monte_carlo_cross_checks,
     parse_word,
 )
 from .montecarlo import (
@@ -235,10 +235,12 @@ def cmd_simulate(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else plan_cfg.get("master_seed")
     if seed is None:
         raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
+    if "n_samples" not in plan_cfg:
+        raise ConfigError("plan needs n_samples")
     plan = ExperimentPlan(
         params=params,
         n_samples=int(plan_cfg["n_samples"]),
-        z_grid=tuple(_parse_z(p) for p in plan_cfg["z_grid"]),
+        z_grid=tuple(_z_grid(plan_cfg)),
         master_seed=int(seed),
         test_functions=_build_test_functions(plan_cfg.get("test_functions")),
         truncation=plan_cfg.get("truncation"),
@@ -394,12 +396,13 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
     v = float(block.get("v", 1.0))
     factory = _generator_factory(block.get("generators"))
     mc_cfg = block.get("mc")
+    # each word is parsed once, so its pairing cycles are enumerated once
+    parsed = [parse_word(text) for text in words]
     violations = 0
     results = []
-    for text in words:
-        word = parse_word(text)
+    for text, word in zip(words, parsed):
         rep = infinitesimal_check(word, dims, v, factory)
-        entry = {
+        results.append({
             "word": text,
             "exact": rep.exact,
             "slope": rep.slope,
@@ -410,13 +413,15 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
                  "correction": [r.correction.real, r.correction.imag]}
                 for r in rep.results
             ],
-        }
-        if mc_cfg:
-            n_dim = int(mc_cfg.get("n_dim", 50))
-            cc = monte_carlo_cross_check(
-                word, n_dim, int(mc_cfg.get("n_samples", 5000)), v / n_dim,
-                factory(n_dim), seed=int(args.seed or 0),
-            )
+        })
+        violations += 0 if rep.ok else 1
+    if mc_cfg:
+        n_dim = int(mc_cfg.get("n_dim", 50))
+        checks = monte_carlo_cross_checks(
+            parsed, n_dim, int(mc_cfg.get("n_samples", 5000)), v / n_dim,
+            factory(n_dim), seed=int(args.seed or 0),
+        )
+        for entry, cc in zip(results, checks):
             entry["mc"] = {
                 "mean": [cc.mc_mean.real, cc.mc_mean.imag],
                 "se": cc.mc_se,
@@ -424,8 +429,6 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
                 "ok": cc.ok,
             }
             violations += 0 if cc.ok else 1
-        violations += 0 if rep.ok else 1
-        results.append(entry)
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "moments.json", cfg, args.seed, {"words": results})
     if args.format in ("csv", "both"):

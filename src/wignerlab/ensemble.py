@@ -327,6 +327,8 @@ def deformation_from_config(spec, n: int) -> np.ndarray:
     if kind == "two_point":
         a, b = float(q["a"]), float(q["b"])
         wa = float(q.get("weight_a", 0.5))
+        if not 0.0 <= wa <= 1.0:
+            raise ParameterError(f"two_point weight_a must lie in [0, 1], got {wa}")
         count_a = int(round(wa * n))
         return np.sort(np.concatenate([np.full(count_a, a), np.full(n - count_a, b)]))
     if kind == "uniform":

@@ -9,13 +9,21 @@ moment, and the difference decays like 1/N^2 (the genus term
 n/2 + 1 - |pi gamma| is even, positive exactly for crossing pairings).
 
 Enumeration is exhaustive and exact; n is capped (default 16) since the
-point is correctness at desk scale, not asymptotic speed.
+point is correctness at desk scale, not asymptotic speed. Each word
+enumerates its pairings and their cycles once (``PairedWord.pairing_cycles``);
+every dimension and both sums reuse them.
+
+The Monte Carlo cross-check draws each sample's GUE matrices once for all
+words and shares the products of common word prefixes; each word still gets
+bitwise the value it would get if checked alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +45,7 @@ __all__ = [
     "free_moment",
     "infinitesimal_check",
     "monte_carlo_cross_check",
+    "monte_carlo_cross_checks",
     "diag_pm1",
     "sample_gue",
 ]
@@ -91,6 +100,16 @@ class PairedWord:
 
     def generator_names(self) -> set[str]:
         return {g for sep in self.separators for g in sep}
+
+    @cached_property
+    def pairing_cycles(self) -> tuple:
+        """(cycles of pi*gamma, non-crossing) for each color-respecting
+        pairing, in ``enumerate_pairings`` order; computed once per word."""
+        out = []
+        for pairing in enumerate_pairings(self.n, self.colors):
+            cycles = tuple(cycle_structure(pairing))
+            out.append((cycles, self.n // 2 + 1 == len(cycles)))
+        return tuple(out)
 
 
 def parse_word(text: str) -> PairedWord:
@@ -250,14 +269,28 @@ def xi_exact(
     pi*gamma of the trace of the ordered separator product.
     """
     mats = _separator_matrices(word, generators or {}, n_dim)
-    n = word.n
+    total = _sum_over_pairings(
+        word, lambda cycle: _cycle_product_trace(cycle, mats, n_dim), noncrossing_only=False
+    )
+    return sigma_n2 ** (word.n / 2) / n_dim * total
+
+
+def _sum_over_pairings(word: PairedWord, cycle_value, noncrossing_only: bool) -> complex:
+    """Sum over the word's pairings of the product of ``cycle_value`` over
+    the cycles of pi*gamma, each distinct cycle evaluated once."""
+    values: dict[tuple[int, ...], complex] = {}
     total = 0.0 + 0.0j
-    for pairing in enumerate_pairings(n, word.colors):
+    for cycles, noncrossing in word.pairing_cycles:
+        if noncrossing_only and not noncrossing:
+            continue
         contrib = 1.0 + 0.0j
-        for cycle in cycle_structure(pairing):
-            contrib *= _cycle_product_trace(cycle, mats, n_dim)
+        for cycle in cycles:
+            value = values.get(cycle)
+            if value is None:
+                value = values[cycle] = cycle_value(cycle)
+            contrib *= value
         total += contrib
-    return sigma_n2 ** (n / 2) / n_dim * total
+    return total
 
 
 def free_moment(
@@ -293,16 +326,7 @@ def free_moment(
                 word_out.extend(word.separators[t])
             return complex(trace_functional(tuple(word_out)))
 
-    n = word.n
-    total = 0.0 + 0.0j
-    for pairing in enumerate_pairings(n, word.colors):
-        if not is_noncrossing(pairing):
-            continue
-        contrib = 1.0 + 0.0j
-        for cycle in cycle_structure(pairing):
-            contrib *= phi_cycle(cycle)
-        total += contrib
-    return v ** (n / 2) * total
+    return v ** (word.n / 2) * _sum_over_pairings(word, phi_cycle, noncrossing_only=True)
 
 
 @dataclass(frozen=True)
@@ -361,16 +385,17 @@ def infinitesimal_check(
 
 def sample_gue(n_dim: int, sigma_n2: float, rng: np.random.Generator) -> np.ndarray:
     """GUE matrix: complex Gaussian off-diagonal, real Gaussian diagonal,
-    every entry with E|X_ij|^2 = sigma_n2."""
+    every entry with E|X_ij|^2 = sigma_n2.
+
+    Draws the real parts, the imaginary parts (both n x n, of which the
+    strict upper triangle is used) and then the diagonal, in that order.
+    """
     scale = math.sqrt(sigma_n2)
     re = rng.standard_normal((n_dim, n_dim))
     im = rng.standard_normal((n_dim, n_dim))
-    x = scale * (re + 1j * im) / math.sqrt(2.0)
-    out = np.zeros((n_dim, n_dim), dtype=complex)
-    iu = np.triu_indices(n_dim, k=1)
-    out[iu] = x[iu]
-    out[(iu[1], iu[0])] = np.conj(x[iu])
-    out[np.diag_indices(n_dim)] = scale * rng.standard_normal(n_dim)
+    out = np.triu(scale * (re + 1j * im) / math.sqrt(2.0), 1)
+    out += out.conj().T
+    np.fill_diagonal(out, scale * rng.standard_normal(n_dim))
     return out
 
 
@@ -394,25 +419,70 @@ def monte_carlo_cross_check(
     generators: Mapping[str, np.ndarray] | None = None,
     seed: int = 0,
 ) -> CrossCheckResult:
-    """Sample mean of (1/N) Tr(word) over independent GUE draws vs xi_exact."""
+    """Sample mean of (1/N) Tr(word) over independent GUE draws vs xi_exact;
+    ``monte_carlo_cross_checks`` for a single word."""
+    return monte_carlo_cross_checks([word], n_dim, n_samples, sigma_n2, generators, seed)[0]
+
+
+def monte_carlo_cross_checks(
+    words: Sequence[PairedWord],
+    n_dim: int,
+    n_samples: int,
+    sigma_n2: float,
+    generators: Mapping[str, np.ndarray] | None = None,
+    seed: int = 0,
+) -> list[CrossCheckResult]:
+    """Sample means of (1/N) Tr(word) over independent GUE draws vs xi_exact,
+    one result per word.
+
+    Sample m draws its GUE matrices from a Philox stream keyed by
+    (seed, m); a word takes the i-th draw for its i-th color in sorted
+    order, so its result does not depend on the other words. Each sample's
+    draws are shared by all words, and so are the products of common
+    prefixes (same draw slots, same separators) of the left-to-right fold.
+    """
     if n_samples < 1000:
         raise ParameterError("cross-check needs at least 1000 samples")
-    mats = _separator_matrices(word, generators or {}, n_dim)
-    exact = xi_exact(word, n_dim, sigma_n2, generators)
-    color_set = sorted(set(word.colors))
-    values = np.empty(n_samples, dtype=complex)
+    gens = generators or {}
+    separators: dict[tuple[str, ...], np.ndarray] = {}
+    plans = []  # per word: the factors of its product, a draw slot or separator names
+    for word in words:
+        mats = _separator_matrices(word, gens, n_dim)
+        slot = {c: i for i, c in enumerate(sorted(set(word.colors)))}
+        factors: list = []
+        for color, names, mat in zip(word.colors, word.separators, mats):
+            factors.append(slot[color])
+            if mat is not None:
+                factors.append(names)
+                separators[names] = mat
+        plans.append(tuple(factors))
+    # only prefixes that more than one product starts with are kept
+    uses = Counter(plan[:k] for plan in plans for k in range(1, len(plan) + 1))
+    exacts = [xi_exact(word, n_dim, sigma_n2, gens) for word in words]
+    n_draws = max((len(set(word.colors)) for word in words), default=0)
+    values = [np.empty(n_samples, dtype=complex) for _ in words]
     for m in range(n_samples):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
-        gaussians = {c: sample_gue(n_dim, sigma_n2, rng) for c in color_set}
-        prod = np.eye(n_dim, dtype=complex)
-        for t in range(word.n):
-            prod = prod @ gaussians[word.colors[t]]
-            if mats[t] is not None:
-                prod = prod @ mats[t]
-        values[m] = np.trace(prod) / n_dim
-    mean = complex(values.mean())
-    se = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n_samples - 1) / n_samples))
-    return CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples)
+        draws = [sample_gue(n_dim, sigma_n2, rng) for _ in range(n_draws)]
+        prefixes: dict[tuple, np.ndarray] = {}
+        for plan, out in zip(plans, values):
+            prod = None
+            for k, factor in enumerate(plan):
+                key = plan[: k + 1]
+                known = prefixes.get(key)
+                if known is None:
+                    mat = draws[factor] if isinstance(factor, int) else separators[factor]
+                    known = mat if prod is None else prod @ mat
+                    if uses[key] > 1:
+                        prefixes[key] = known
+                prod = known
+            out[m] = np.trace(prod) / n_dim
+    results = []
+    for exact, vals in zip(exacts, values):
+        mean = complex(vals.mean())
+        se = float(np.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n_samples - 1) / n_samples))
+        results.append(CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples))
+    return results
 
 
 def diag_pm1(n_dim: int) -> np.ndarray:

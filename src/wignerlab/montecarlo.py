@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import __version__ as _version
 from .ensemble import EnsembleParams, choose_delta, sample, truncate_center_homogenize
@@ -260,6 +259,9 @@ def _jackknife_se(theta: np.ndarray) -> float:
 
 
 def _normality_summary(stat_id: str, x: np.ndarray) -> NormalitySummary:
+    # imported here: scipy.stats costs about a second at import, and only this uses it
+    from scipy import stats as sstats
+
     m = x.shape[0]
     mean = float(x.mean())
     c2 = float(np.mean((x - mean) ** 2))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,3 +200,33 @@ class TestConfigErrors:
             "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
         })
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["n_samples", "z_grid"])
+    def test_simulate_plan_missing_key(self, tmp_path, capsys, key):
+        plan = {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1}
+        del plan[key]
+        cfg = write(tmp_path, "cfg.json", {"ensemble": gue_ensemble(10), "plan": plan})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("weight", [2.0, -0.5, 1.5])
+    def test_two_point_weight_outside_unit_interval(self, tmp_path, capsys, weight):
+        ensemble = gue_ensemble(10)
+        ensemble["deformation"]["quantile_spec"]["weight_a"] = weight
+        cfg = write(tmp_path, "cfg.json", {
+            "ensemble": ensemble,
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        })
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only the normality summary needs it
+    code = "import sys, wignerlab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wignerlab.infinitesimal as infinitesimal
 from wignerlab.errors import ParameterError
 from wignerlab.infinitesimal import (
     MAX_LETTERS,
@@ -16,7 +18,9 @@ from wignerlab.infinitesimal import (
     genus_term,
     infinitesimal_check,
     is_noncrossing,
+    CrossCheckResult,
     monte_carlo_cross_check,
+    monte_carlo_cross_checks,
     parse_word,
     sample_gue,
     xi_exact,
@@ -339,3 +343,176 @@ def test_non_hermitian_generator_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ParameterError):
         xi_exact(parse_word("w1 a w1 a"), 2, 0.1, {"a": bad})
+
+
+# Reference implementations: the straightforward per-word, per-call code the
+# library computes bitwise the same values as, kept to pin that equality.
+
+
+def _reference_separators(word, generators):
+    out = []
+    for sep in word.separators:
+        if not sep:
+            out.append(None)
+        else:
+            prod = generators[sep[0]]
+            for name in sep[1:]:
+                prod = prod @ generators[name]
+            out.append(prod)
+    return out
+
+
+def _reference_cycle_trace(cycle, mats, n_dim):
+    prod = None
+    for t in cycle:
+        if mats[t] is not None:
+            prod = mats[t] if prod is None else prod @ mats[t]
+    return complex(n_dim) if prod is None else complex(np.trace(prod))
+
+
+def reference_xi_exact(word, n_dim, sigma_n2, generators):
+    mats = _reference_separators(word, generators)
+    total = 0.0 + 0.0j
+    for pairing in enumerate_pairings(word.n, word.colors):
+        contrib = 1.0 + 0.0j
+        for cycle in cycle_structure(pairing):
+            contrib *= _reference_cycle_trace(cycle, mats, n_dim)
+        total += contrib
+    return sigma_n2 ** (word.n / 2) / n_dim * total
+
+
+def reference_free_moment(word, v, phi_cycle):
+    total = 0.0 + 0.0j
+    for pairing in enumerate_pairings(word.n, word.colors):
+        if not is_noncrossing(pairing):
+            continue
+        contrib = 1.0 + 0.0j
+        for cycle in cycle_structure(pairing):
+            contrib *= phi_cycle(cycle)
+        total += contrib
+    return v ** (word.n / 2) * total
+
+
+def reference_sample_gue(n_dim, sigma_n2, rng):
+    scale = math.sqrt(sigma_n2)
+    re = rng.standard_normal((n_dim, n_dim))
+    im = rng.standard_normal((n_dim, n_dim))
+    x = scale * (re + 1j * im) / math.sqrt(2.0)
+    out = np.zeros((n_dim, n_dim), dtype=complex)
+    iu = np.triu_indices(n_dim, k=1)
+    out[iu] = x[iu]
+    out[(iu[1], iu[0])] = np.conj(x[iu])
+    out[np.diag_indices(n_dim)] = scale * rng.standard_normal(n_dim)
+    return out
+
+
+def reference_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
+    mats = _reference_separators(word, generators)
+    exact = reference_xi_exact(word, n_dim, sigma_n2, generators)
+    color_set = sorted(set(word.colors))
+    values = np.empty(n_samples, dtype=complex)
+    for m in range(n_samples):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
+        gaussians = {c: reference_sample_gue(n_dim, sigma_n2, rng) for c in color_set}
+        prod = np.eye(n_dim, dtype=complex)
+        for t in range(word.n):
+            prod = prod @ gaussians[word.colors[t]]
+            if mats[t] is not None:
+                prod = prod @ mats[t]
+        values[m] = np.trace(prod) / n_dim
+    mean = complex(values.mean())
+    se = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n_samples - 1) / n_samples))
+    return CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples)
+
+
+def random_hermitian(n_dim, rng):
+    h = rng.standard_normal((n_dim, n_dim)) + 1j * rng.standard_normal((n_dim, n_dim))
+    return 0.5 * (h + h.conj().T)
+
+
+class TestReferenceEquivalence:
+    def test_sample_gue_matches_reference_assembly(self):
+        for n_dim in (1, 2, 7, 50):
+            rng_new = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, n_dim))))
+            rng_ref = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, n_dim))))
+            for _ in range(3):
+                new = sample_gue(n_dim, 0.3, rng_new)
+                ref = reference_sample_gue(n_dim, 0.3, rng_ref)
+                assert new.dtype == ref.dtype and np.array_equal(new, ref)
+            # both consumed the same stream
+            assert rng_new.standard_normal() == rng_ref.standard_normal()
+
+    def test_cross_checks_match_per_word_reference(self):
+        n_dim, n_samples, seed = 6, 1000, 13
+        rng = np.random.default_rng(5)
+        gens = {"a": random_hermitian(n_dim, rng), "b": diag_pm1(n_dim)}
+        texts = [
+            "w2 w2",  # only color 2: takes the first draw, as when checked alone
+            "w1 w1",
+            "w1 w1 w1 w1",  # shares its prefixes with the word above
+            "w1 w2 w1 w2",
+            "w2 a w1 a w2 a w1 a",
+            "w1 a w1 a",
+            "w1 a w1 a w1 a w1 a",
+            "w1 a b w1 b a",
+        ]
+        words = [parse_word(t) for t in texts]
+        got = monte_carlo_cross_checks(words, n_dim, n_samples, 0.2, gens, seed)
+        assert len(got) == len(words)
+        for text, word, res in zip(texts, words, got):
+            ref = reference_cross_check(word, n_dim, n_samples, 0.2, gens, seed)
+            assert res == ref, text
+            assert monte_carlo_cross_check(word, n_dim, n_samples, 0.2, gens, seed) == ref
+
+    def test_pairings_enumerated_once_per_word(self, monkeypatch):
+        calls = []
+        original = infinitesimal.enumerate_pairings
+
+        def counting(n, colors=None):
+            calls.append(n)
+            return original(n, colors)
+
+        monkeypatch.setattr(infinitesimal, "enumerate_pairings", counting)
+        factory = lambda n: {"a": diag_pm1(n)}
+        for _ in range(2):
+            word = parse_word("w1 a w1 w1 a w1")
+            infinitesimal_check(word, [8, 16, 32], 1.0, factory)
+            xi_exact(word, 10, 0.1, factory(10))
+            free_moment(word, 1.0, trace_functional=lambda names: 1.0)
+        # one enumeration per word object, none carried over to a fresh parse
+        assert calls == [4, 4]
+
+
+_separator = st.lists(st.sampled_from(["a", "b"]), max_size=2).map(tuple)
+
+
+@st.composite
+def _words(draw):
+    # every color an even number of times, so that pairings exist
+    half = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4))
+    colors = draw(st.permutations(half + half))
+    seps = draw(st.lists(_separator, min_size=len(colors), max_size=len(colors)))
+    return PairedWord(colors=tuple(colors), separators=tuple(seps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=_words(), n_dim=st.integers(min_value=1, max_value=5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_exact_sums_match_reference(word, n_dim, seed):
+    rng = np.random.default_rng(seed)
+    gens = {"a": random_hermitian(n_dim, rng), "b": random_hermitian(n_dim, rng)}
+    mats = _reference_separators(word, gens)
+    assert xi_exact(word, n_dim, 0.3, gens) == reference_xi_exact(word, n_dim, 0.3, gens)
+    assert free_moment(word, 1.7, gens, n_dim) == reference_free_moment(
+        word, 1.7, lambda cycle: _reference_cycle_trace(cycle, mats, n_dim) / n_dim
+    )
+
+    def table(names):
+        return complex(len(names) % 3, names.count("a"))
+
+    def phi_table(cycle):
+        return complex(table(tuple(g for t in cycle for g in word.separators[t])))
+
+    assert free_moment(word, 1.7, trace_functional=table) == reference_free_moment(
+        word, 1.7, phi_table
+    )
