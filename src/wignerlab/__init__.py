@@ -29,14 +29,12 @@ from .freeconv import (  # noqa: F401
     stieltjes,
 )
 from .ensemble import (  # noqa: F401
-    CustomDiscrete,
+    Discrete,
     EnsembleParams,
-    GaussianComplex,
-    GaussianReal,
-    RademacherComplexFourPoint,
-    RademacherReal,
+    Gaussian,
     WignerSample,
     choose_delta,
+    law_from_config,
     sample,
     truncate_center_homogenize,
 )

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +81,25 @@ def _meta_lines(cfg: dict, seed) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, cfg: dict, seed, header: list[str], rows: list[list]) -> None:
+@dataclass
+class _Table:
+    """One output table: a CSV file and a list of JSON records."""
+
+    header: list[str]
+    rows: list[list]
+
+    def records(self, **rename) -> list[dict]:
+        """One dict per row, keyed by the header with ``rename`` applied."""
+        keys = [rename.get(h, h) for h in self.header]
+        return [dict(zip(keys, row)) for row in self.rows]
+
+
+def _write_csv(path: Path, cfg: dict, seed, table: _Table) -> None:
     with open(path, "w") as fh:
         for line in _meta_lines(cfg, seed):
             fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(table.header) + "\n")
+        for row in table.rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
@@ -109,8 +123,16 @@ def _write_json(path: Path, cfg: dict, seed, payload: dict) -> None:
         fh.write("\n")
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)`` for a config value; a value it rejects is a config error."""
+    try:
+        return kind(value)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
+
+
 def _parse_z(pair) -> complex:
-    z = complex(float(pair[0]), float(pair[1]))
+    z = _number(pair, "z", lambda p: complex(float(p[0]), float(p[1])))
     if z.imag == 0.0:
         raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
     return z
@@ -129,17 +151,17 @@ def _fluctuation_params(cfg: dict) -> FluctuationParams:
         raise ConfigError("missing 'fluctuation' block")
     if "from_ensemble" in block:
         return FluctuationParams.from_ensemble(
-            EnsembleParams.from_config(block["from_ensemble"])
+            _ensemble_from(block["from_ensemble"], "fluctuation.from_ensemble")
         )
     nu = _atomic_measure(block, "fluctuation")
     return FluctuationParams(
-        sigma2=float(block.get("sigma2", 1.0)),
-        s2=float(block.get("s2", 1.0)),
-        tau=float(block.get("tau", 0.0)),
-        kappa=float(block.get("kappa", 0.0)),
+        sigma2=_number(block.get("sigma2", 1.0), "fluctuation.sigma2"),
+        s2=_number(block.get("s2", 1.0), "fluctuation.s2"),
+        tau=_number(block.get("tau", 0.0), "fluctuation.tau"),
+        kappa=_number(block.get("kappa", 0.0), "fluctuation.kappa"),
         nu=nu,
         mode=block.get("mode", "limit"),
-        n=block.get("n"),
+        n=None if block.get("n") is None else _number(block["n"], "fluctuation.n", int),
     )
 
 
@@ -157,10 +179,14 @@ def _ensemble_params(cfg: dict) -> EnsembleParams:
     block = cfg.get("ensemble")
     if block is None:
         raise ConfigError("missing 'ensemble' block")
+    return _ensemble_from(block, "ensemble")
+
+
+def _ensemble_from(block: dict, name: str) -> EnsembleParams:
     try:
         return EnsembleParams.from_config(block)
-    except (KeyError, ParameterError) as exc:
-        raise ConfigError(f"bad ensemble block: {exc}") from exc
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
 def _single_atom(nu: AtomicMeasure) -> float | None:
@@ -194,8 +220,8 @@ def cmd_theory(cfg: dict, args) -> int:
         else:
             residual = float("nan")
         rows.append([z.real, z.imag, b.real, b.imag, bt.real, bt.imag, bound, residual])
-    header = ["re_z", "im_z", "re_beta", "im_beta", "re_beta_tilde", "im_beta_tilde",
-              "bias_bound", "bao_xie_residual"]
+    betas = _Table(["re_z", "im_z", "re_beta", "im_beta", "re_beta_tilde", "im_beta_tilde",
+                    "bias_bound", "bao_xie_residual"], rows)
 
     krows = []
     for z1, z2 in pairs:
@@ -209,22 +235,25 @@ def cmd_theory(cfg: dict, args) -> int:
         else:
             krow.append(float("nan"))
         krows.append(krow)
-    kheader = ["re_z1", "im_z1", "re_z2", "im_z2", "re_gamma", "im_gamma",
-               "branch_margin", "bao_xie_residual"]
+    gammas = _Table(["re_z1", "im_z1", "re_z2", "im_z2", "re_gamma", "im_gamma",
+                     "branch_margin", "bao_xie_residual"], krows)
 
     if args.format in ("csv", "both"):
-        _write_csv(out_dir / "beta.csv", cfg, args.seed, header, rows)
-        _write_csv(out_dir / "gamma.csv", cfg, args.seed, kheader, krows)
+        _write_csv(out_dir / "beta.csv", cfg, args.seed, betas)
+        _write_csv(out_dir / "gamma.csv", cfg, args.seed, gammas)
     if args.format in ("json", "both"):
         _write_json(out_dir / "theory.json", cfg, args.seed, {
-            "beta": [dict(zip(header, r)) for r in rows],
-            "gamma": [dict(zip(kheader, r)) for r in krows],
+            "beta": betas.records(),
+            "gamma": gammas.records(),
         })
     return EXIT_OK
 
 
 def _build_test_functions(specs) -> tuple:
-    return tuple(testfn.from_spec(s) for s in (specs or []))
+    try:
+        return tuple(testfn.from_spec(s) for s in (specs or []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad test_functions entry: {exc!r}") from exc
 
 
 def cmd_simulate(cfg: dict, args) -> int:
@@ -237,13 +266,18 @@ def cmd_simulate(cfg: dict, args) -> int:
         raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
     if "n_samples" not in plan_cfg:
         raise ConfigError("plan needs n_samples")
+    truncation = plan_cfg.get("truncation")
+    if truncation not in (None, "auto"):
+        truncation = _number(truncation, "plan.truncation")
+        if not truncation > 0.0:
+            raise ConfigError(f"plan.truncation must be positive or 'auto', got {truncation}")
     plan = ExperimentPlan(
         params=params,
-        n_samples=int(plan_cfg["n_samples"]),
+        n_samples=_number(plan_cfg["n_samples"], "plan.n_samples", int),
         z_grid=tuple(_z_grid(plan_cfg)),
-        master_seed=int(seed),
+        master_seed=_number(seed, "plan.master_seed", int),
         test_functions=_build_test_functions(plan_cfg.get("test_functions")),
-        truncation=plan_cfg.get("truncation"),
+        truncation=truncation,
     )
     report = run_plan(plan, threads=args.threads)
     out_dir = Path(args.out_dir)
@@ -261,12 +295,11 @@ def cmd_simulate(cfg: dict, args) -> int:
                 s.var_hat, kv.gamma.real,
                 min(brow["bound_crude"], brow["bound_refined"]),
             ])
-        _write_csv(
-            out_dir / "per_z.csv", cfg, seed,
+        _write_csv(out_dir / "per_z.csv", cfg, seed, _Table(
             ["re_z", "im_z", "re_mean_tr", "im_mean_tr", "re_bias_hat", "im_bias_hat",
              "re_beta_theory", "im_beta_theory", "se", "var_hat", "gamma_theory", "bound"],
             rows,
-        )
+        ))
     return EXIT_OK
 
 
@@ -290,20 +323,22 @@ def cmd_compare(cfg: dict, args) -> int:
             raise ConfigError("configured z grid does not match the report grid")
 
     thresholds = block.get("thresholds", {})
-    bias_band = float(thresholds.get("bias_band", 3.0))
-    cov_band = float(thresholds.get("cov_band", 3.0))
+    bias_band = _number(thresholds.get("bias_band", 3.0), "compare.thresholds.bias_band")
+    cov_band = _number(thresholds.get("cov_band", 3.0), "compare.thresholds.cov_band")
     violations = 0
-    rows = []
+    bias = _Table(["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta", "im_beta",
+                   "se", "discrepancy_over_se", "ok"], [])
     for s in report.per_z:
         th = beta(params, s.z)
         ratio = abs(s.bias_hat - th) / s.se_mean if s.se_mean > 0 else float("inf")
         ok = ratio <= bias_band
         violations += 0 if ok else 1
-        rows.append([s.z.real, s.z.imag, s.bias_hat.real, s.bias_hat.imag,
-                     th.real, th.imag, s.se_mean, ratio, int(ok)])
-    cov_rows = []
+        bias.rows.append([s.z.real, s.z.imag, s.bias_hat.real, s.bias_hat.imag,
+                          th.real, th.imag, s.se_mean, ratio, int(ok)])
+    cov = _Table(["re_z1", "im_z1", "re_z2", "im_z2", "re_cov", "im_cov",
+                  "re_gamma", "im_gamma", "se", "discrepancy_over_se", "ok"], [])
     for row in covariance_check(report, params, band=cov_band):
-        cov_rows.append([
+        cov.rows.append([
             row["z1"].real, row["z1"].imag, row["z2"].real, row["z2"].imag,
             row["cov_nc"].real, row["cov_nc"].imag, row["gamma"].real, row["gamma"].imag,
             row["se"], row["ratio"], int(row["ok"]),
@@ -311,20 +346,12 @@ def cmd_compare(cfg: dict, args) -> int:
         violations += 0 if row["ok"] else 1
     out_dir = Path(args.out_dir)
     if args.format in ("csv", "both"):
-        _write_csv(out_dir / "compare_bias.csv", cfg, report.master_seed,
-                   ["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta", "im_beta",
-                    "se", "discrepancy_over_se", "ok"], rows)
-        _write_csv(out_dir / "compare_cov.csv", cfg, report.master_seed,
-                   ["re_z1", "im_z1", "re_z2", "im_z2", "re_cov", "im_cov",
-                    "re_gamma", "im_gamma", "se", "discrepancy_over_se", "ok"], cov_rows)
+        _write_csv(out_dir / "compare_bias.csv", cfg, report.master_seed, bias)
+        _write_csv(out_dir / "compare_cov.csv", cfg, report.master_seed, cov)
     if args.format in ("json", "both"):
         _write_json(out_dir / "compare.json", cfg, report.master_seed, {
-            "bias": [dict(zip(["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta",
-                               "im_beta", "se", "discrepancy_over_se", "ok"], r))
-                     for r in rows],
-            "covariance": [dict(zip(["re_z1", "im_z1", "re_z2", "im_z2", "re_cov", "im_cov",
-                                     "re_gamma", "im_gamma", "se", "discrepancy_over_se",
-                                     "ok"], r)) for r in cov_rows],
+            "bias": bias.records(),
+            "covariance": cov.records(),
             "violations": violations,
         })
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
@@ -337,22 +364,24 @@ def cmd_density(cfg: dict, args) -> int:
     nu = _atomic_measure(block, "density")
     if "v" not in block:
         raise ConfigError("density block needs v")
-    v = float(block["v"])
+    v = _number(block["v"], "density.v")
     if not v > 0.0:
         raise ConfigError("density.v must be positive")
     xg = block.get("x_grid")
     if xg is None:
         lo, hi = support_window(nu, v)
-        xg = np.linspace(lo, hi, int(block.get("points", 201)))
-    est = density_at(nu, v, np.atleast_1d(np.asarray(xg, dtype=float)))
+        xg = np.linspace(lo, hi, _number(block.get("points", 201), "density.points", int))
+    xs = _number(xg, "density.x_grid", lambda g: np.atleast_1d(np.asarray(g, dtype=float)))
+    est = density_at(nu, v, xs)
     # the warning column is always 0: the density is exact, not extrapolated
-    rows = [[x, value, error, 0]
-            for x, value, error in zip(est.x.tolist(), est.value.tolist(), est.error.tolist())]
+    table = _Table(["x", "density", "error_estimate", "warning"], [
+        [x, value, error, 0]
+        for x, value, error in zip(est.x.tolist(), est.value.tolist(), est.error.tolist())
+    ])
     out_dir = Path(args.out_dir)
     if args.format in ("csv", "both"):
-        _write_csv(out_dir / "density.csv", cfg, args.seed,
-                   ["x", "density", "error_estimate", "warning"], rows)
-    payload = {"density": [dict(zip(["x", "density", "error", "warning"], r)) for r in rows]}
+        _write_csv(out_dir / "density.csv", cfg, args.seed, table)
+    payload = {"density": table.records(error_estimate="error")}
     fns = _build_test_functions(block.get("test_functions"))
     if fns:
         payload["integrals"] = {
@@ -369,11 +398,14 @@ def _generator_factory(spec: dict):
     def factory(n_dim: int):
         out = {}
         for name, g in kinds.items():
-            kind = g.get("kind")
+            kind = g.get("kind") if isinstance(g, dict) else None
             if kind == "diag_pm1":
                 out[name] = diag_pm1(n_dim)
             elif kind == "diag_values":
-                vals = np.asarray(g["values"], dtype=float)
+                if not g.get("values"):
+                    raise ConfigError(f"generator {name!r} needs a nonempty values list")
+                vals = _number(g["values"], f"generator {name!r} values",
+                               lambda x: np.asarray(x, dtype=float))
                 reps = int(np.ceil(n_dim / vals.size))
                 out[name] = np.diag(np.tile(vals, reps)[:n_dim])
             elif kind == "identity":
@@ -392,8 +424,8 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
     words = block.get("words")
     if not words:
         raise ConfigError("infinitesimal.words must be a nonempty list")
-    dims = [int(d) for d in block.get("dims", [8, 16, 32, 64])]
-    v = float(block.get("v", 1.0))
+    dims = [_number(d, "infinitesimal.dims", int) for d in block.get("dims", [8, 16, 32, 64])]
+    v = _number(block.get("v", 1.0), "infinitesimal.v")
     factory = _generator_factory(block.get("generators"))
     mc_cfg = block.get("mc")
     # each word is parsed once, so its pairing cycles are enumerated once
@@ -416,9 +448,10 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
         })
         violations += 0 if rep.ok else 1
     if mc_cfg:
-        n_dim = int(mc_cfg.get("n_dim", 50))
+        n_dim = _number(mc_cfg.get("n_dim", 50), "infinitesimal.mc.n_dim", int)
+        n_samples = _number(mc_cfg.get("n_samples", 5000), "infinitesimal.mc.n_samples", int)
         checks = monte_carlo_cross_checks(
-            parsed, n_dim, int(mc_cfg.get("n_samples", 5000)), v / n_dim,
+            parsed, n_dim, n_samples, v / n_dim,
             factory(n_dim), seed=int(args.seed or 0),
         )
         for entry, cc in zip(results, checks):
@@ -438,9 +471,9 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
                 rows.append([entry["word"], mres["n"], mres["xi"][0], mres["xi"][1],
                              mres["free"][0], mres["free"][1],
                              mres["correction"][0], mres["correction"][1]])
-        _write_csv(out_dir / "moments.csv", cfg, args.seed,
-                   ["word", "n", "re_xi", "im_xi", "re_free", "im_free",
-                    "re_correction", "im_correction"], rows)
+        _write_csv(out_dir / "moments.csv", cfg, args.seed, _Table(
+            ["word", "n", "re_xi", "im_xi", "re_free", "im_free",
+             "re_correction", "im_correction"], rows))
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
@@ -450,13 +483,14 @@ def cmd_identities(cfg: dict, args) -> int:
         raise ConfigError("missing 'identities' block")
     params = _ensemble_params(cfg)
     seed = args.seed if args.seed is not None else block.get("seed", 0)
-    count = int(block.get("count", 20))
+    count = _number(block.get("count", 20), "identities.count", int)
+    master_seed = _number(seed, "identities.seed", int)
     zs = [_parse_z(p) for p in block.get("z_grid", [[0.0, 1.0]])]
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(master_seed)
     rows = []
     violations = 0
     for i in range(count):
-        smp = sample(params, int(seed), i)
+        smp = sample(params, master_seed, i)
         spec = eigenvalues(smp)
         z = zs[i % len(zs)]
         k = int(rng.integers(0, params.n))
@@ -465,7 +499,7 @@ def cmd_identities(cfg: dict, args) -> int:
         tr = trace_resolvent(spec, z)
         im_identity = abs(tr.imag + z.imag * np.sum(1.0 / np.abs(z - spec.eigenvalues) ** 2))
         im_ok = im_identity <= 1e-10 * abs(tr.imag)
-        other = sample(params, int(seed) + 1, i)
+        other = sample(params, master_seed + 1, i)
         res_id = verify_resolvent_identity(smp.matrix, other.matrix, z, z + 0.5j)
         res_ok = res_id <= 1e-9 / (abs(z.imag) * abs(z.imag + 0.5))
         ok = rep.ok and norm_ok and im_ok and res_ok
@@ -474,10 +508,10 @@ def cmd_identities(cfg: dict, args) -> int:
                      rep.trace_gap, res_id, int(ok)])
     out_dir = Path(args.out_dir)
     if args.format in ("csv", "both"):
-        _write_csv(out_dir / "identities.csv", cfg, seed,
-                   ["sample", "re_z", "im_z", "k", "schur_diag_residual",
-                    "schur_trace_residual", "trace_gap", "resolvent_identity_residual",
-                    "ok"], rows)
+        _write_csv(out_dir / "identities.csv", cfg, seed, _Table(
+            ["sample", "re_z", "im_z", "k", "schur_diag_residual",
+             "schur_trace_residual", "trace_gap", "resolvent_identity_residual",
+             "ok"], rows))
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 

@@ -5,6 +5,11 @@ diagonal at per-entry scale sigma_n = sqrt(sigma2/n), a real diagonal at
 scale s_n = sqrt(s2/n), and a deterministic diagonal deformation D stored in
 sorted order. Sampling is a pure function of (params, master_seed, index)
 through a counter-keyed Philox stream, so parallel reruns are bitwise stable.
+
+An entry law is data: ``Gaussian`` (real or complex) or ``Discrete`` (a
+finite support with weights). ``law_from_config`` builds either from a preset
+name (gaussian_complex, gaussian_real, rademacher_real,
+rademacher_complex_four_point) or from a ``custom_discrete`` spec.
 """
 
 from __future__ import annotations
@@ -21,12 +26,8 @@ from .errors import DegenerateTruncationError, ParameterError
 from .freeconv import AtomicMeasure
 
 __all__ = [
-    "EntryLaw",
-    "GaussianComplex",
-    "GaussianReal",
-    "RademacherReal",
-    "RademacherComplexFourPoint",
-    "CustomDiscrete",
+    "Gaussian",
+    "Discrete",
     "EnsembleParams",
     "WignerSample",
     "sample",
@@ -53,263 +54,178 @@ def _gauss_trunc_second_moment(c: float) -> float:
     return (2.0 * _norm_cdf(c) - 1.0) - 2.0 * c * _norm_pdf(c)
 
 
-class EntryLaw:
-    """Entry distribution at unit scale.
+@dataclass(frozen=True)
+class Gaussian:
+    """Gaussian entries at unit scale, real Gaussian on the diagonal.
 
-    Off-diagonal variables u satisfy E u = 0 and E|u|^2 = 1; the matrix entry
-    is sigma_n * u. Diagonal variables v are real with E v = 0, E v^2 = 1 and
-    enter as s_n * v. Subclasses provide exact (law-level, never sampled)
-    moments and truncated moments.
+    Off the diagonal u is complex Gaussian with E u^2 = 0 (GUE type) when
+    ``is_complex``, real Gaussian (GOE type) otherwise. Truncated moments are
+    in closed form.
     """
 
-    name: str = "abstract"
-    is_complex: bool = False
+    is_complex: bool
 
-    # normalized moments of the off-diagonal u
+    @property
+    def name(self) -> str:
+        return "gaussian_complex" if self.is_complex else "gaussian_real"
+
     def offdiag_sq(self) -> float:
-        raise NotImplementedError
+        return 0.0 if self.is_complex else 1.0
 
     def offdiag_abs4(self) -> float:
-        raise NotImplementedError
+        return 2.0 if self.is_complex else 3.0
 
     def sample_offdiag(self, rng: np.random.Generator, size) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_diag(self, rng: np.random.Generator, size) -> np.ndarray:
-        raise NotImplementedError
-
-    def truncated_offdiag(self, sigma_n: float, delta: float) -> tuple[complex, float]:
-        """(mean, variance) of sigma_n*u restricted to |entry| <= delta."""
-        raise NotImplementedError
-
-    def truncated_diag(self, s_n: float, delta: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def config(self) -> dict:
-        return {"name": self.name}
-
-    # scaled views used by EnsembleParams
-    def implied_tau(self, sigma2: float) -> float:
-        return sigma2 * self.offdiag_sq()
-
-    def implied_kappa(self, sigma2: float) -> float:
-        return sigma2**2 * (self.offdiag_abs4() - 2.0 - self.offdiag_sq() ** 2)
-
-
-class GaussianComplex(EntryLaw):
-    """GUE-type entries: complex Gaussian off-diagonal, real Gaussian diagonal."""
-
-    name = "gaussian_complex"
-    is_complex = True
-
-    def offdiag_sq(self) -> float:
-        return 0.0
-
-    def offdiag_abs4(self) -> float:
-        return 2.0
-
-    def sample_offdiag(self, rng, size):
+        if not self.is_complex:
+            return rng.standard_normal(size)
         re = rng.standard_normal(size)
         im = rng.standard_normal(size)
         return (re + 1j * im) / math.sqrt(2.0)
 
-    def sample_diag(self, rng, size):
+    def sample_diag(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.standard_normal(size)
 
-    def truncated_offdiag(self, sigma_n, delta):
+    def truncated_offdiag(self, sigma_n: float, delta: float) -> tuple[complex, float]:
+        """(mean, variance) of sigma_n*u restricted to |entry| <= delta."""
+        if not self.is_complex:
+            return 0.0 + 0.0j, sigma_n**2 * _gauss_trunc_second_moment(delta / sigma_n)
         u0 = (delta / sigma_n) ** 2
-        second = sigma_n**2 * (1.0 - math.exp(-u0) * (1.0 + u0))
-        return 0.0 + 0.0j, second
+        return 0.0 + 0.0j, sigma_n**2 * (1.0 - math.exp(-u0) * (1.0 + u0))
 
-    def truncated_diag(self, s_n, delta):
+    def truncated_diag(self, s_n: float, delta: float) -> tuple[float, float]:
         return 0.0, s_n**2 * _gauss_trunc_second_moment(delta / s_n)
 
-
-class GaussianReal(EntryLaw):
-    """GOE-type entries: real Gaussian everywhere."""
-
-    name = "gaussian_real"
-    is_complex = False
-
-    def offdiag_sq(self) -> float:
-        return 1.0
-
-    def offdiag_abs4(self) -> float:
-        return 3.0
-
-    def sample_offdiag(self, rng, size):
-        return rng.standard_normal(size)
-
-    def sample_diag(self, rng, size):
-        return rng.standard_normal(size)
-
-    def truncated_offdiag(self, sigma_n, delta):
-        return 0.0 + 0.0j, sigma_n**2 * _gauss_trunc_second_moment(delta / sigma_n)
-
-    def truncated_diag(self, s_n, delta):
-        return 0.0, s_n**2 * _gauss_trunc_second_moment(delta / s_n)
+    def config(self) -> dict:
+        return {"name": self.name}
 
 
-class RademacherReal(EntryLaw):
-    """Two-point entries +-sigma_n off-diagonal, +-s_n diagonal."""
+class Discrete:
+    """Finite-support law at unit scale.
 
-    name = "rademacher_real"
-    is_complex = False
-
-    def offdiag_sq(self) -> float:
-        return 1.0
-
-    def offdiag_abs4(self) -> float:
-        return 1.0
-
-    def sample_offdiag(self, rng, size):
-        return rng.choice(np.array([-1.0, 1.0]), size=size)
-
-    def sample_diag(self, rng, size):
-        return rng.choice(np.array([-1.0, 1.0]), size=size)
-
-    def _trunc(self, scale, delta):
-        if delta >= scale:
-            return 0.0, scale**2
-        raise DegenerateTruncationError(
-            f"truncation level {delta} removes the whole two-point support {scale}"
-        )
-
-    def truncated_offdiag(self, sigma_n, delta):
-        mean, var = self._trunc(sigma_n, delta)
-        return complex(mean), var
-
-    def truncated_diag(self, s_n, delta):
-        return self._trunc(s_n, delta)
-
-
-class RademacherComplexFourPoint(EntryLaw):
-    """Off-diagonal uniform on {+-sigma_n, +-i sigma_n}; diagonal +-s_n."""
-
-    name = "rademacher_complex_four_point"
-    is_complex = True
-
-    def offdiag_sq(self) -> float:
-        return 0.0
-
-    def offdiag_abs4(self) -> float:
-        return 1.0
-
-    def sample_offdiag(self, rng, size):
-        return rng.choice(np.array([1.0 + 0j, -1.0 + 0j, 1j, -1j]), size=size)
-
-    def sample_diag(self, rng, size):
-        return rng.choice(np.array([-1.0, 1.0]), size=size)
-
-    def truncated_offdiag(self, sigma_n, delta):
-        if delta >= sigma_n:
-            return 0.0 + 0.0j, sigma_n**2
-        raise DegenerateTruncationError(
-            f"truncation level {delta} removes the whole four-point support {sigma_n}"
-        )
-
-    def truncated_diag(self, s_n, delta):
-        if delta >= s_n:
-            return 0.0, s_n**2
-        raise DegenerateTruncationError(
-            f"truncation level {delta} removes the diagonal support {s_n}"
-        )
-
-
-class CustomDiscrete(EntryLaw):
-    """Finite-support law given at unit scale.
-
-    Off-diagonal support may be complex; weights must give E u = 0,
-    E|u|^2 = 1 and real E u^2. The diagonal support is real with E v = 0,
-    E v^2 = 1.
+    ``offdiag`` is the support of u and may be complex; ``diag`` is the real
+    support of v. ``weights`` is the pair (offdiag weights, diag weights),
+    which must give E u = 0, E|u|^2 = 1, real E u^2, E v = 0 and E v^2 = 1.
+    ``weights=None`` marks a named preset: uniform weights on points of
+    modulus 1, drawn with ``rng.choice(support)`` and truncated in closed
+    form. Moments, truncated moments and ``is_complex`` all come from the
+    support and the weights.
     """
 
-    name = "custom_discrete"
-
-    def __init__(self, offdiag_atoms: Iterable, diag_atoms: Iterable):
-        self.off_support = np.array([complex(a[0]) for a in offdiag_atoms])
-        self.off_weights = np.array([float(a[1]) for a in offdiag_atoms])
-        self.diag_support = np.array([float(a[0]) for a in diag_atoms])
-        self.diag_weights = np.array([float(a[1]) for a in diag_atoms])
+    def __init__(self, name: str, offdiag: Iterable, diag: Iterable, weights=None):
+        self.name = name
+        self.offdiag = np.array(offdiag, dtype=complex)
+        self.diag = np.array(diag, dtype=float)
+        self.weighted = weights is not None
+        if not self.weighted:
+            if np.any(np.abs(self.offdiag) != 1.0) or np.any(np.abs(self.diag) != 1.0):
+                raise ParameterError("a law without weights needs support points of modulus 1")
+            self.off_weights = np.full(self.offdiag.size, 1.0 / self.offdiag.size)
+            self.diag_weights = np.full(self.diag.size, 1.0 / self.diag.size)
+        else:
+            self.off_weights = np.array(weights[0], dtype=float)
+            self.diag_weights = np.array(weights[1], dtype=float)
         for w in (self.off_weights, self.diag_weights):
             if np.any(w <= 0) or abs(w.sum() - 1.0) > MOMENT_RTOL:
                 raise ParameterError("law weights must be positive and sum to 1")
-        mean = np.sum(self.off_weights * self.off_support)
+        mean = np.sum(self.off_weights * self.offdiag)
         if abs(mean) > MOMENT_RTOL:
             raise ParameterError(f"off-diagonal law mean {mean} is not 0")
-        abs2 = float(np.sum(self.off_weights * np.abs(self.off_support) ** 2))
+        abs2 = float(np.sum(self.off_weights * np.abs(self.offdiag) ** 2))
         if abs(abs2 - 1.0) > MOMENT_RTOL:
             raise ParameterError(f"off-diagonal law second moment {abs2} is not 1")
-        sq = np.sum(self.off_weights * self.off_support**2)
+        sq = np.sum(self.off_weights * self.offdiag**2)
         if abs(sq.imag) > MOMENT_RTOL:
             raise ParameterError("E[u^2] must be real (uncorrelated Re/Im parts)")
-        dmean = float(np.sum(self.diag_weights * self.diag_support))
-        dabs2 = float(np.sum(self.diag_weights * self.diag_support**2))
+        dmean = float(np.sum(self.diag_weights * self.diag))
+        dabs2 = float(np.sum(self.diag_weights * self.diag**2))
         if abs(dmean) > MOMENT_RTOL or abs(dabs2 - 1.0) > MOMENT_RTOL:
             raise ParameterError("diagonal law must have mean 0 and second moment 1")
-        self.is_complex = bool(np.any(np.abs(self.off_support.imag) > 0))
+        self.is_complex = bool(np.any(np.abs(self.offdiag.imag) > 0))
+        for a in (self.offdiag, self.diag, self.off_weights, self.diag_weights):
+            a.setflags(write=False)
 
     def offdiag_sq(self) -> float:
-        return float(np.sum(self.off_weights * self.off_support**2).real)
+        return float(np.sum(self.off_weights * self.offdiag**2).real)
 
     def offdiag_abs4(self) -> float:
-        return float(np.sum(self.off_weights * np.abs(self.off_support) ** 4))
+        return float(np.sum(self.off_weights * np.abs(self.offdiag) ** 4))
 
-    def sample_offdiag(self, rng, size):
-        idx = rng.choice(self.off_support.size, size=size, p=self.off_weights)
-        vals = self.off_support[idx]
+    def _draw(self, rng, support, weights, size) -> np.ndarray:
+        if not self.weighted:
+            return rng.choice(support, size=size)
+        return support[rng.choice(support.size, size=size, p=weights)]
+
+    def sample_offdiag(self, rng: np.random.Generator, size) -> np.ndarray:
+        vals = self._draw(rng, self.offdiag, self.off_weights, size)
         return vals if self.is_complex else vals.real
 
-    def sample_diag(self, rng, size):
-        idx = rng.choice(self.diag_support.size, size=size, p=self.diag_weights)
-        return self.diag_support[idx]
+    def sample_diag(self, rng: np.random.Generator, size) -> np.ndarray:
+        return self._draw(rng, self.diag, self.diag_weights, size)
 
-    def _trunc(self, support, weights, scale, delta):
-        scaled = support * scale
-        keep = np.abs(scaled) <= delta
-        mean = np.sum(weights * scaled * keep)
-        second = float(np.sum(weights * np.abs(scaled) ** 2 * keep))
-        var = second - abs(mean) ** 2
+    def _truncated(self, support, weights, scale, delta):
+        if not self.weighted:
+            # every point has modulus 1: all kept or all cut; the closed form
+            # keeps the variance exactly scale**2
+            mean, var = 0.0, (scale**2 if delta >= scale else 0.0)
+        else:
+            scaled = support * scale
+            keep = np.abs(scaled) <= delta
+            mean = np.sum(weights * scaled * keep)
+            var = float(np.sum(weights * np.abs(scaled) ** 2 * keep)) - abs(mean) ** 2
         if var <= 0.0:
             raise DegenerateTruncationError(
-                f"truncation at {delta} leaves no variance in the discrete law"
+                f"truncation at {delta} leaves no variance in the {self.name} law"
             )
         return mean, var
 
-    def truncated_offdiag(self, sigma_n, delta):
-        mean, var = self._trunc(self.off_support, self.off_weights, sigma_n, delta)
+    def truncated_offdiag(self, sigma_n: float, delta: float) -> tuple[complex, float]:
+        """(mean, variance) of sigma_n*u restricted to |entry| <= delta."""
+        mean, var = self._truncated(self.offdiag, self.off_weights, sigma_n, delta)
         return complex(mean), var
 
-    def truncated_diag(self, s_n, delta):
-        mean, var = self._trunc(self.diag_support, self.diag_weights, s_n, delta)
-        return float(mean.real), var
+    def truncated_diag(self, s_n: float, delta: float) -> tuple[float, float]:
+        mean, var = self._truncated(self.diag, self.diag_weights, s_n, delta)
+        return float(np.real(mean)), var
 
     def config(self) -> dict:
+        if not self.weighted:
+            return {"name": self.name}
         return {
             "name": self.name,
-            "offdiag": [[v.real, v.imag, w] for v, w in zip(self.off_support, self.off_weights)],
-            "diag": [[float(v), w] for v, w in zip(self.diag_support, self.diag_weights)],
+            "offdiag": [[v.real, v.imag, w] for v, w in zip(self.offdiag, self.off_weights)],
+            "diag": [[float(v), w] for v, w in zip(self.diag, self.diag_weights)],
         }
 
 
-_NAMED_LAWS = {
-    "gaussian_complex": GaussianComplex,
-    "gaussian_real": GaussianReal,
-    "rademacher_real": RademacherReal,
-    "rademacher_complex_four_point": RademacherComplexFourPoint,
+_PM1 = (-1.0, 1.0)
+_PRESETS = {
+    "gaussian_complex": Gaussian(is_complex=True),
+    "gaussian_real": Gaussian(is_complex=False),
+    "rademacher_real": Discrete("rademacher_real", _PM1, _PM1),
+    "rademacher_complex_four_point": Discrete(
+        "rademacher_complex_four_point", (1.0, -1.0, 1j, -1j), _PM1
+    ),
 }
 
 
-def law_from_config(spec) -> EntryLaw:
+def law_from_config(spec) -> Gaussian | Discrete:
+    """Entry law from a preset name, ``{"name": preset}``, or a
+    ``custom_discrete`` spec with ``offdiag`` triples [re, im, weight] and
+    ``diag`` pairs [value, weight]."""
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec["name"]
-    if name in _NAMED_LAWS:
-        return _NAMED_LAWS[name]()
+    if name in _PRESETS:
+        return _PRESETS[name]
     if name == "custom_discrete":
-        off = [(complex(a[0], a[1]), a[2]) for a in spec["offdiag"]]
-        diag = [(a[0], a[1]) for a in spec["diag"]]
-        return CustomDiscrete(off, diag)
+        off = spec["offdiag"]
+        diag = spec["diag"]
+        return Discrete(
+            name,
+            [complex(a[0], a[1]) for a in off],
+            [a[0] for a in diag],
+            ([a[2] for a in off], [a[1] for a in diag]),
+        )
     raise ParameterError(f"unknown entry law {name!r}")
 
 
@@ -353,7 +269,7 @@ class EnsembleParams:
     s2: float
     tau: float
     kappa: float
-    entry_law: EntryLaw
+    entry_law: Gaussian | Discrete
     deformation: np.ndarray
     deformation_bound: float = DEFAULT_DEFORMATION_BOUND
 
@@ -367,8 +283,7 @@ class EnsembleParams:
             raise ParameterError(
                 "m_N = kappa_N + 2 sigma_N^4 + tau_N^2 must be nonnegative"
             )
-        implied_tau = self.entry_law.implied_tau(self.sigma2)
-        implied_kappa = self.entry_law.implied_kappa(self.sigma2)
+        implied_tau, implied_kappa = _implied_tau_kappa(self.entry_law, self.sigma2)
         if not _close(self.tau, implied_tau):
             raise ParameterError(
                 f"tau={self.tau} inconsistent with entry law (implies {implied_tau})"
@@ -393,7 +308,7 @@ class EnsembleParams:
     def create(
         cls,
         n: int,
-        entry_law: EntryLaw | str,
+        entry_law: Gaussian | Discrete | str,
         deformation,
         sigma2: float = 1.0,
         s2: float | None = None,
@@ -408,11 +323,12 @@ class EnsembleParams:
         """
         law = law_from_config(entry_law) if isinstance(entry_law, str) else entry_law
         if s2 is None:
-            s2 = 2.0 * sigma2 if isinstance(law, GaussianReal) else sigma2
+            s2 = 2.0 * sigma2 if law.name == "gaussian_real" else sigma2
+        implied_tau, implied_kappa = _implied_tau_kappa(law, sigma2)
         if tau is None:
-            tau = law.implied_tau(sigma2)
+            tau = implied_tau
         if kappa is None:
-            kappa = law.implied_kappa(sigma2)
+            kappa = implied_kappa
         deformation = np.asarray(deformation, dtype=float)
         return cls(
             n=n, sigma2=sigma2, s2=s2, tau=tau, kappa=kappa,
@@ -475,6 +391,12 @@ class EnsembleParams:
     def digest(self) -> str:
         payload = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _implied_tau_kappa(law: Gaussian | Discrete, sigma2: float) -> tuple[float, float]:
+    """tau = sigma2 E[u^2] and kappa = sigma2^2 (E|u|^4 - 2 - E[u^2]^2)."""
+    sq = law.offdiag_sq()
+    return sigma2 * sq, sigma2**2 * (law.offdiag_abs4() - 2.0 - sq**2)
 
 
 def _close(a: float, b: float) -> bool:

@@ -28,7 +28,6 @@ __all__ = [
     "density",
     "integrate_against_rho",
     "gauss_kronrod",
-    "is_in_omega",
     "support_window",
 ]
 
@@ -275,15 +274,6 @@ def solve_pastur(
     """
     ws = None if warm_start is None else [warm_start]
     return solve_pastur_array(nu, v, [z], ws).at(0)
-
-
-def is_in_omega(nu: AtomicMeasure, v: float, w: complex) -> bool:
-    """Diagnostic: does w lie in the image domain of the subordination map?
-
-    Tests Im H(w) > 0 for H(w) = w + v*G_nu(w).
-    """
-    h = complex(w) + v * stieltjes(nu, w, 0)
-    return h.imag > 0.0
 
 
 # --------------------------------------------------------------- Biane

@@ -307,7 +307,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
             spec = eigenvalues(smp)
             tr = np.array([trace_resolvent(spec, z) for z in zs])
             fn_vals = np.array(
-                [linear_statistic(spec, phi).value for phi in plan.test_functions],
+                [linear_statistic(spec, phi) for phi in plan.test_functions],
                 dtype=complex,
             )
             return tr, fn_vals
@@ -387,15 +387,6 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
         tr_samples=tr_samples,
         fn_samples=fn_samples,
     )
-
-
-def pair_covariance(report: EstimatorReport, z1: complex, z2: complex) -> PairStat:
-    """Stored covariance for an unordered pair: symmetric by construction."""
-    z1, z2 = complex(z1), complex(z2)
-    for p in report.pairs:
-        if (p.z1, p.z2) in ((z1, z2), (z2, z1)):
-            return p
-    raise KeyError(f"pair ({z1}, {z2}) not in the report grid")
 
 
 def covariance_check(report: EstimatorReport, theory_params: FluctuationParams, band: float = 3.0):
@@ -489,8 +480,8 @@ def truncation_drift(
 
     def worker(index: int) -> float:
         smp = sample(params, master_seed, index)
-        raw = linear_statistic(eigenvalues(smp), phi).value
-        cooked = linear_statistic(eigenvalues(truncate_center_homogenize(smp, delta)), phi).value
+        raw = linear_statistic(eigenvalues(smp), phi)
+        cooked = linear_statistic(eigenvalues(truncate_center_homogenize(smp, delta)), phi)
         return abs(raw - cooked)
 
     if threads <= 1:

@@ -8,7 +8,6 @@ matrices and report residuals against analytic tolerances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .ensemble import WignerSample
 
 __all__ = [
     "Spectrum",
-    "LinearStatistic",
     "SchurReport",
     "eigenvalues",
     "trace_resolvent",
@@ -27,16 +25,14 @@ __all__ = [
     "verify_resolvent_identity",
     "schur_tolerance",
     "resolvent_identity_tolerance",
-    "spectrum_to_csv",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted eigenvalues of one sample, tagged with its provenance."""
+    """Sorted eigenvalues of one sample."""
 
     eigenvalues: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -52,21 +48,9 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class LinearStatistic:
-    value: complex
-    testfn_id: str
-    centered: bool = False
-
-
-def eigenvalues(smp: WignerSample | np.ndarray, source: str | None = None) -> Spectrum:
+def eigenvalues(smp: WignerSample | np.ndarray) -> Spectrum:
     """Spectrum of a Hermitian sample (or raw Hermitian matrix)."""
-    if isinstance(smp, WignerSample):
-        mat = smp.matrix
-        tag = source or f"{smp.params_hash}:{smp.seed_path}"
-    else:
-        mat = np.asarray(smp)
-        tag = source or ""
+    mat = smp.matrix if isinstance(smp, WignerSample) else np.asarray(smp)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     ev = np.linalg.eigvalsh(mat)
@@ -74,7 +58,7 @@ def eigenvalues(smp: WignerSample | np.ndarray, source: str | None = None) -> Sp
     trace_defect = abs(ev.sum() - np.trace(mat).real)
     if trace_defect > 1e-8 * mat.shape[0] * scale:
         raise ArithmeticError(f"eigenvalue sum off trace by {trace_defect:.3e}")
-    return Spectrum(eigenvalues=ev, source=tag)
+    return Spectrum(eigenvalues=ev)
 
 
 def trace_resolvent(spec: Spectrum, z: complex) -> complex:
@@ -85,14 +69,13 @@ def trace_resolvent(spec: Spectrum, z: complex) -> complex:
     return complex(np.sum(1.0 / (z - spec.eigenvalues)))
 
 
-def linear_statistic(spec: Spectrum, phi) -> LinearStatistic:
+def linear_statistic(spec: Spectrum, phi) -> complex:
     """Sum of phi over the spectrum."""
     values = np.asarray(phi(spec.eigenvalues), dtype=complex)
     total = complex(values.sum())
-    fn_id = getattr(phi, "fn_id", getattr(phi, "__name__", "phi"))
     if getattr(phi, "is_real", False) and abs(total.imag) > 1e-12 * max(1.0, abs(total)):
         raise ArithmeticError(f"real test function produced imaginary part {total.imag:.3e}")
-    return LinearStatistic(value=total, testfn_id=str(fn_id))
+    return total
 
 
 def schur_tolerance(n: int, z: complex) -> float:
@@ -173,13 +156,3 @@ def verify_resolvent_identity(m1, m2, z1: complex, z2: complex) -> float:
     r2 = np.linalg.inv(z2 * np.eye(n) - m2)
     rhs = r1 @ ((z2 - z1) * np.eye(n) + m1 - m2) @ r2
     return float(np.max(np.abs(r1 - r2 - rhs)))
-
-
-def spectrum_to_csv(spec: Spectrum, path) -> None:
-    """One eigenvalue per row, with the provenance tag as a comment line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# source={spec.source}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["eigenvalue"])
-        for ev in spec.eigenvalues:
-            writer.writerow([repr(float(ev))])

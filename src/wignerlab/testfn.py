@@ -1,6 +1,6 @@
 """Test functions shared by the spectral, theory and Monte Carlo modules.
 
-The registry covers resolvent kernels phi_z(x) = 1/(z - x), their real
+The module covers resolvent kernels phi_z(x) = 1/(z - x), their real
 combinations, compactly supported bumps of explicit finite smoothness and
 grid-sampled functions. Bumps are polynomial-based on purpose: an order-k
 bump has exactly k continuous derivatives, so smoothness-class claims stay
@@ -25,7 +25,6 @@ __all__ = [
     "from_callable",
     "from_spec",
     "classify",
-    "Registry",
 ]
 
 
@@ -48,10 +47,6 @@ class TestFunction:
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-    def sup_norm(self, window: tuple[float, float], n: int = 4001) -> float:
-        xs = np.linspace(window[0], window[1], n)
-        return float(np.max(np.abs(self(xs))))
 
 
 def resolvent(z: complex, fn_id: str | None = None) -> TestFunction:
@@ -236,23 +231,3 @@ def classify(phi: TestFunction, s: float, **norm_kwargs):
     if result.error > 0.2 * max(result.value, 1e-300):
         return "unknown", result.value
     return "in_hs", result.value
-
-
-class Registry:
-    """Mutable id -> TestFunction mapping used by the CLI."""
-
-    def __init__(self):
-        self._functions: dict[str, TestFunction] = {}
-
-    def register(self, phi: TestFunction) -> TestFunction:
-        self._functions[phi.fn_id] = phi
-        return phi
-
-    def get(self, fn_id: str) -> TestFunction:
-        try:
-            return self._functions[fn_id]
-        except KeyError:
-            raise KeyError(f"unknown test function id {fn_id!r}") from None
-
-    def ids(self):
-        return sorted(self._functions)

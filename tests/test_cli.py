@@ -222,6 +222,80 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,payload", [
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": "abc", "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="plan_n_samples_text"),
+        pytest.param("theory", {
+            "fluctuation": {"sigma2": "x", "nu": {"atoms": [[0.0, 1.0]]}},
+            "z_grid": [[0.0, 2.0]],
+        }, id="fluctuation_sigma2_text"),
+        pytest.param("theory", {
+            "fluctuation": {"nu": {"atoms": [[0.0, 1.0]]}, "mode": "finite_N", "n": "x"},
+            "z_grid": [[0.0, 2.0]],
+        }, id="fluctuation_n_text"),
+        pytest.param("theory", {
+            "fluctuation": {"from_ensemble": {**gue_ensemble(10), "n": "x"}},
+            "z_grid": [[0.0, 2.0]],
+        }, id="from_ensemble_n_text"),
+        pytest.param("theory", {
+            "fluctuation": {"nu": {"atoms": [[0.0, 1.0]]}},
+            "z_grid": [["a", 2.0]],
+        }, id="z_text"),
+        pytest.param("theory", {
+            "fluctuation": {"nu": {"atoms": [[0.0, 1.0]]}},
+            "z_grid": [3],
+        }, id="z_not_a_pair"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "truncation": "abc"},
+        }, id="plan_truncation_text"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "truncation": -0.5},
+        }, id="plan_truncation_negative"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "entry_law": {
+                "name": "custom_discrete", "offdiag": [[1.0, 0.0]], "diag": [[1.0, 1.0]]}},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="custom_law_short_triple"),
+        pytest.param("identities", {
+            "ensemble": gue_ensemble(10), "identities": {"count": "x"},
+        }, id="identities_count_text"),
+        pytest.param("density", {
+            "density": {"v": "x", "nu": {"atoms": [[0.0, 1.0]]}},
+        }, id="density_v_text"),
+        pytest.param("density", {
+            "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "points": "x"},
+        }, id="density_points_text"),
+        pytest.param("infinitesimal", {
+            "infinitesimal": {"words": ["w1 w1"], "dims": ["x"]},
+        }, id="infinitesimal_dims_text"),
+        pytest.param("infinitesimal", {
+            "infinitesimal": {"words": ["w1 a w1 a"],
+                              "generators": {"a": {"kind": "diag_values"}}},
+        }, id="generator_without_values"),
+        pytest.param("infinitesimal", {
+            "infinitesimal": {"words": ["w1 a w1 a"], "generators": {"a": "diag_pm1"}},
+        }, id="generator_not_an_object"),
+        pytest.param("density", {
+            "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+                        "test_functions": [{"kind": "nope"}]},
+        }, id="test_function_unknown_kind"),
+        pytest.param("density", {
+            "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+                        "test_functions": [{"kind": "smooth_bump", "center": 0.0}]},
+        }, id="test_function_missing_keys"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, payload):
+        cfg = write(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import; only the normality summary needs it

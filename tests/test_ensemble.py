@@ -1,15 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from wignerlab.ensemble import (
-    CustomDiscrete,
+    Discrete,
     EnsembleParams,
-    GaussianComplex,
-    GaussianReal,
-    RademacherComplexFourPoint,
-    RademacherReal,
     choose_delta,
     deformation_from_config,
     law_from_config,
@@ -23,6 +20,14 @@ def make_params(n=100, law="gaussian_complex", atoms=None, **kw):
     if atoms is None:
         atoms = np.zeros(n)
     return EnsembleParams.create(n, law, atoms, **kw)
+
+
+def custom_law(offdiag, diag):
+    """custom_discrete law from [re, im, weight] triples and [value, weight] pairs."""
+    return law_from_config({"name": "custom_discrete", "offdiag": offdiag, "diag": diag})
+
+
+PM1_HALVES = [[1.0, 0.5], [-1.0, 0.5]]
 
 
 class TestEntryLawMoments:
@@ -61,10 +66,7 @@ class TestEntryLawMoments:
         assert abs(p.m_n - m_n_law) <= 1e-12 * max(1.0, abs(p.m_n))
 
     def test_custom_discrete_matches_rademacher(self):
-        law = CustomDiscrete(
-            offdiag_atoms=[(1.0, 0.5), (-1.0, 0.5)],
-            diag_atoms=[(1.0, 0.5), (-1.0, 0.5)],
-        )
+        law = custom_law([[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]], PM1_HALVES)
         assert law.offdiag_sq() == 1.0
         assert law.offdiag_abs4() == 1.0
         p = make_params(30, law)
@@ -72,7 +74,12 @@ class TestEntryLawMoments:
 
     def test_custom_discrete_rejects_biased_support(self):
         with pytest.raises(ParameterError):
-            CustomDiscrete(offdiag_atoms=[(1.0, 1.0)], diag_atoms=[(1.0, 0.5), (-1.0, 0.5)])
+            custom_law([[1.0, 0.0, 1.0]], PM1_HALVES)
+
+    def test_weightless_law_needs_unit_modulus_support(self):
+        # the preset truncation closed form assumes every point has modulus 1
+        with pytest.raises(ParameterError):
+            Discrete("two_point", (-2.0, 2.0), (-1.0, 1.0))
 
     def test_inconsistent_tau_rejected(self):
         with pytest.raises(ParameterError):
@@ -83,10 +90,7 @@ class TestEntryLawMoments:
             make_params(20, "rademacher_real", kappa=0.0)
 
     def test_fourth_moment_nonnegativity_guard(self):
-        law = CustomDiscrete(
-            offdiag_atoms=[(1.0, 0.5), (-1.0, 0.5)],
-            diag_atoms=[(1.0, 0.5), (-1.0, 0.5)],
-        )
+        law = custom_law([[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]], PM1_HALVES)
         # kappa + 2 sigma2^2 + tau^2 = -2 + 2 + 1 >= 0 holds for the law itself;
         # force an invalid combination directly
         with pytest.raises(ParameterError):
@@ -212,7 +216,7 @@ class TestTruncation:
 
     def test_complex_gaussian_truncated_second_moment(self):
         # closed form: E|W|^2 1_{|W|<=delta} = s^2 (1 - e^-u (1+u)), u = delta^2/s^2
-        law = GaussianComplex()
+        law = law_from_config("gaussian_complex")
         sigma_n, delta = 0.1, 0.15
         _, var = law.truncated_offdiag(sigma_n, delta)
         u = (delta / sigma_n) ** 2
@@ -260,14 +264,14 @@ class TestConfigRoundTrip:
         assert np.array_equal(q.deformation, p.deformation)
 
     def test_custom_law_round_trip(self):
-        law = CustomDiscrete(
-            offdiag_atoms=[(1.0, 0.25), (-1.0, 0.25), (1j, 0.25), (-1j, 0.25)],
-            diag_atoms=[(1.0, 0.5), (-1.0, 0.5)],
+        law = custom_law(
+            [[1.0, 0.0, 0.25], [-1.0, 0.0, 0.25], [0.0, 1.0, 0.25], [0.0, -1.0, 0.25]],
+            PM1_HALVES,
         )
         p = make_params(8, law)
         q = EnsembleParams.from_config(p.config())
         assert q.digest() == p.digest()
-        assert isinstance(q.entry_law, CustomDiscrete)
+        assert isinstance(q.entry_law, Discrete) and q.entry_law.name == "custom_discrete"
 
     def test_quantile_specs(self):
         two = deformation_from_config({"quantile_spec": {"kind": "two_point", "a": -1, "b": 1}}, 10)
@@ -283,20 +287,88 @@ class TestConfigRoundTrip:
 
 
 def test_four_point_law_support():
-    law = RademacherComplexFourPoint()
+    law = law_from_config("rademacher_complex_four_point")
     rng = np.random.default_rng(1)
     vals = law.sample_offdiag(rng, 1000)
     assert set(np.unique(vals)) <= {1 + 0j, -1 + 0j, 1j, -1j}
 
 
 def test_gaussian_real_law_is_real():
-    law = GaussianReal()
+    law = law_from_config("gaussian_real")
     rng = np.random.default_rng(1)
     assert law.sample_offdiag(rng, 10).dtype == np.float64
     assert not law.is_complex
 
 
 def test_rademacher_diag_law():
-    law = RademacherReal()
+    law = law_from_config("rademacher_real")
     rng = np.random.default_rng(1)
     assert set(np.unique(law.sample_diag(rng, 500))) == {-1.0, 1.0}
+
+
+# Recorded before the entry laws became data (Gaussian, Discrete): per law and
+# n, params.digest(), then for sample indices 0 and 3 at master seed 2024 the
+# first 16 hex digits of the sha256 of the sample matrix and of its truncation
+# at choose_delta(n). n = 533 is one of the sizes where the generic discrete
+# truncated variance is 1 ulp off the presets' closed form.
+GOLDEN_LAWS = {
+    "gaussian_complex": "gaussian_complex",
+    "gaussian_real": "gaussian_real",
+    "rademacher_real": "rademacher_real",
+    "rademacher_complex_four_point": "rademacher_complex_four_point",
+    "custom_weighted": {
+        "name": "custom_discrete",
+        "offdiag": [[0.5, 0.0, 0.2], [-0.5, 0.0, 0.2], [0.0, 0.5, 0.2], [0.0, -0.5, 0.2],
+                    [2.0, 0.0, 0.05], [-2.0, 0.0, 0.05], [0.0, 2.0, 0.05], [0.0, -2.0, 0.05]],
+        "diag": [[-2.0, 0.2], [0.5, 0.8]],
+    },
+    # equal explicit weights draw through p=weights, not like the preset
+    "custom_equal": {
+        "name": "custom_discrete",
+        "offdiag": [[-1.0, 0.0, 0.5], [1.0, 0.0, 0.5]],
+        "diag": [[-1.0, 0.5], [1.0, 0.5]],
+    },
+}
+GOLDEN = {
+    "gaussian_complex/30":
+        "c5f2aafa210ff3df c6b974b0d1fcc1a9 56daa7ac8e7e2d9e 7541d42aa2fd62f3 6103e9cdda99c16b",
+    "gaussian_complex/533":
+        "1d9dcb39c9b33a2f ed8a80a6792eca2e 2890f478a0ae7c62 6ea54ed94585d48c a1ca01209b42d9f3",
+    "gaussian_real/30":
+        "8f6da60e85fb0ff4 073791615a2dbc17 55704b7f547aaa15 67e683f76839b56d abec33aaa5e696f4",
+    "gaussian_real/533":
+        "5c25e52e5c0f0972 6dcf5e75c71e8087 a64dbbf6d4e1f2dc 9318672dfefea0fd 4681df55e6dce84e",
+    "rademacher_real/30":
+        "aeadf8567d4047a5 6f78181b3283962c 6f78181b3283962c e23c6c10ccf9de60 e23c6c10ccf9de60",
+    "rademacher_real/533":
+        "50965b97355f79c0 c3623ca5af52d95d c3623ca5af52d95d 61fd66d248109b07 61fd66d248109b07",
+    "rademacher_complex_four_point/30":
+        "6d24d5c7bfa10390 c59f864d7b36778d c59f864d7b36778d 05caabc4964bc8b0 05caabc4964bc8b0",
+    "rademacher_complex_four_point/533":
+        "b86c9b759bd29db8 66a40b3d14b9be1e 66a40b3d14b9be1e bfe684ff0dfd070e bfe684ff0dfd070e",
+    "custom_weighted/30":
+        "696c334d76d61d7a d954ea0414c60a7f bc46bb4cfe952d59 95fdfe3c9261be49 94c4d13458f3ccdd",
+    "custom_weighted/533":
+        "3fbf591e4e5e5cb2 b8f080eda27eec95 b8f080eda27eec95 2378c50e2a8955c0 2378c50e2a8955c0",
+    "custom_equal/30":
+        "42912311967503d5 84591837b85e2b0b 84591837b85e2b0b bdade33889448609 bdade33889448609",
+    "custom_equal/533":
+        "4d1273f71c92630a c7e44ba89f9cd4ab c7e44ba89f9cd4ab e99ea867b67ecb9e e99ea867b67ecb9e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digests_and_streams(key):
+    name, n = key.split("/")
+    n = int(n)
+    atoms = np.where(np.arange(n) < n // 3, -1.0, 1.5)
+    p = EnsembleParams.create(n, law_from_config(GOLDEN_LAWS[name]), atoms)
+
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+    got = [p.digest()]
+    for i in (0, 3):
+        smp = sample(p, 2024, i)
+        got += [sha(smp.matrix), sha(truncate_center_homogenize(smp, choose_delta(n)).matrix)]
+    assert " ".join(got) == GOLDEN[key]

@@ -15,7 +15,6 @@ from wignerlab.freeconv import (
     density,
     gauss_kronrod,
     integrate_against_rho,
-    is_in_omega,
     solve_pastur,
     solve_pastur_array,
     stieltjes,
@@ -352,10 +351,3 @@ class TestIntegrateAgainstRho:
     def test_second_moment_is_variance(self):
         nu = AtomicMeasure.point_mass(0.0)
         assert integrate_against_rho(nu, 1.0, lambda x: x * x) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_is_in_omega_diagnostic():
-    nu = AtomicMeasure.point_mass(0.0)
-    # far in the upper half-plane H maps upward; just above an atom it does not
-    assert is_in_omega(nu, 1.0, 5j)
-    assert not is_in_omega(nu, 1.0, 0.1j)

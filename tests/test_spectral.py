@@ -10,7 +10,6 @@ from wignerlab.spectral import (
     eigenvalues,
     linear_statistic,
     resolvent_identity_tolerance,
-    spectrum_to_csv,
     trace_resolvent,
     verify_resolvent_identity,
     verify_schur,
@@ -99,24 +98,24 @@ class TestTraceResolvent:
 class TestLinearStatistic:
     def test_constant(self):
         spec = Spectrum(np.linspace(-1, 1, 9))
-        assert linear_statistic(spec, lambda x: np.ones_like(x)).value == 9
+        assert linear_statistic(spec, lambda x: np.ones_like(x)) == 9
 
     def test_identity_function_gives_trace(self):
         smp = gue_sample(30)
         spec = eigenvalues(smp)
         stat = linear_statistic(spec, lambda x: x)
-        assert stat.value == pytest.approx(np.trace(smp.matrix).real, abs=1e-10)
+        assert stat == pytest.approx(np.trace(smp.matrix).real, abs=1e-10)
 
     def test_resolvent_kernel_matches_trace_resolvent(self):
         spec = eigenvalues(gue_sample(30))
         z = 1 + 2j
         stat = linear_statistic(spec, testfn.resolvent(z))
-        assert stat.value == pytest.approx(trace_resolvent(spec, z), rel=1e-14)
+        assert stat == pytest.approx(trace_resolvent(spec, z), rel=1e-14)
 
     def test_real_function_value_real(self):
         spec = eigenvalues(gue_sample(30))
         stat = linear_statistic(spec, testfn.real_resolvent_pair(2j))
-        assert stat.value.imag == 0.0
+        assert stat.imag == 0.0
 
 
 class TestSchur:
@@ -179,14 +178,3 @@ def test_lipschitz_trace_bound_arctan():
         lhs = abs(np.sum(np.arctan(s1.eigenvalues)) - np.sum(np.arctan(s2.eigenvalues)))
         rhs = np.sum(np.abs(s1.eigenvalues - s2.eigenvalues))
         assert lhs <= rhs + 1e-12
-
-
-def test_spectrum_csv_export(tmp_path):
-    spec = eigenvalues(gue_sample(10), source="unit-test")
-    path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# source=unit-test"
-    assert lines[1] == "eigenvalue"
-    values = [float(v) for v in lines[2:]]
-    assert np.allclose(values, spec.eigenvalues)

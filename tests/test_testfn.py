@@ -95,14 +95,6 @@ class TestClassify:
 
 
 class TestRegistryAndSpecs:
-    def test_registry_round_trip(self):
-        reg = testfn.Registry()
-        phi = reg.register(testfn.smooth_bump(0.0, 1.0, 2))
-        assert reg.get(phi.fn_id) is phi
-        assert phi.fn_id in reg.ids()
-        with pytest.raises(KeyError):
-            reg.get("nope")
-
     def test_from_spec_all_kinds(self):
         specs = [
             {"kind": "resolvent", "z": [0.0, 2.0]},
