@@ -24,7 +24,6 @@ from .freeconv import (
     AtomicMeasure,
     density as density_at,
     integrate_against_rho,
-    solve_pastur_array,
     support_window,
 )
 from .infinitesimal import (
@@ -42,13 +41,11 @@ from .montecarlo import (
 from .spectral import eigenvalues, trace_resolvent, verify_resolvent_identity, verify_schur
 from .theory import (
     FluctuationParams,
-    _beta,
-    _beta_tilde,
-    _bias_bound,
-    _gamma_from_solutions,
     bao_xie_b0,
     bao_xie_c0,
     beta,
+    beta_tilde,
+    bias_bound,
     gamma_kernel,
 )
 from . import testfn
@@ -101,6 +98,11 @@ def _write_csv(path: Path, cfg: dict, seed, table: _Table) -> None:
         fh.write(",".join(table.header) + "\n")
         for row in table.rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _columns(*columns) -> list[list]:
+    """Table rows, as Python numbers, from equal-length arrays of columns."""
+    return np.column_stack(columns).tolist()
 
 
 def _cell(v) -> str:
@@ -203,40 +205,30 @@ def cmd_theory(cfg: dict, args) -> int:
         pairs = [(z1, z2) for i, z1 in enumerate(zs) for z2 in zs[i:]]
     else:
         pairs = [(_parse_z(p[0]), _parse_z(p[1])) for p in pairs]
-    # one fixed-point solve per distinct z serves every table entry
-    distinct = list(dict.fromkeys([*zs, *(z for pair in pairs for z in pair)]))
-    solved = solve_pastur_array(params.nu, params.sigma2, distinct)
-    sols = {z: solved.at(k) for k, z in enumerate(distinct)}
     out_dir = Path(args.out_dir)
     shift = _single_atom(params.nu)
-    rows = []
-    for z in zs:
-        b = _beta(params, sols[z])
-        bt = _beta_tilde(params, sols[z])
-        bound = _bias_bound(params, sols[z]) if params.mode == "finite_N" else float("nan")
-        if shift is not None:
-            b0 = bao_xie_b0(params.sigma2, params.s2, params.tau, params.kappa, z - shift)
-            residual = abs(b - b0) / max(1.0, abs(b0))
-        else:
-            residual = float("nan")
-        rows.append([z.real, z.imag, b.real, b.imag, bt.real, bt.imag, bound, residual])
+    z = np.array(zs)
+    b = beta(params, z)
+    bt = beta_tilde(params, z)
+    bound = bias_bound(params, z) if params.mode == "finite_N" else np.full(z.size, np.nan)
+    residual = np.full(z.size, np.nan)
+    if shift is not None:
+        b0 = bao_xie_b0(params.sigma2, params.s2, params.tau, params.kappa, z - shift)
+        residual = np.abs(b - b0) / np.maximum(1.0, np.abs(b0))
     betas = _Table(["re_z", "im_z", "re_beta", "im_beta", "re_beta_tilde", "im_beta_tilde",
-                    "bias_bound", "bao_xie_residual"], rows)
+                    "bias_bound", "bao_xie_residual"], _columns(
+        z.real, z.imag, b.real, b.imag, bt.real, bt.imag, bound, residual))
 
-    krows = []
-    for z1, z2 in pairs:
-        kv = _gamma_from_solutions(params, sols[z1], sols[z2])
-        krow = [z1.real, z1.imag, z2.real, z2.imag, kv.gamma.real, kv.gamma.imag,
-                kv.branch_margin]
-        if shift is not None:
-            c0 = bao_xie_c0(params.sigma2, params.s2, params.tau, params.kappa,
-                            z1 - shift, z2 - shift)
-            krow.append(abs(kv.gamma - c0) / max(1.0, abs(c0)))
-        else:
-            krow.append(float("nan"))
-        krows.append(krow)
+    z1, z2 = np.array(pairs, dtype=complex).reshape(-1, 2).T
+    kv = gamma_kernel(params, z1, z2)
+    kresidual = np.full(z1.size, np.nan)
+    if shift is not None:
+        c0 = bao_xie_c0(params.sigma2, params.s2, params.tau, params.kappa, z1 - shift, z2 - shift)
+        kresidual = np.abs(kv.gamma - c0) / np.maximum(1.0, np.abs(c0))
     gammas = _Table(["re_z1", "im_z1", "re_z2", "im_z2", "re_gamma", "im_gamma",
-                     "branch_margin", "bao_xie_residual"], krows)
+                     "branch_margin", "bao_xie_residual"], _columns(
+        z1.real, z1.imag, z2.real, z2.imag, kv.gamma.real, kv.gamma.imag, kv.branch_margin,
+        kresidual))
 
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "beta.csv", cfg, args.seed, betas)
@@ -284,17 +276,15 @@ def cmd_simulate(cfg: dict, args) -> int:
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     if args.format in ("csv", "both"):
         fp = FluctuationParams.from_ensemble(params)
-        bounds = variance_bound_check(report, params)
-        rows = []
-        for s, brow in zip(report.per_z, bounds):
-            th = beta(fp, s.z)
-            kv = gamma_kernel(fp, s.z, s.z.conjugate())
-            rows.append([
-                s.z.real, s.z.imag, s.mean_tr.real, s.mean_tr.imag,
-                s.bias_hat.real, s.bias_hat.imag, th.real, th.imag, s.se_mean,
-                s.var_hat, kv.gamma.real,
-                min(brow["bound_crude"], brow["bound_refined"]),
-            ])
+        zs = np.array(report.z_grid)
+        th = beta(fp, zs).tolist()
+        gamma = gamma_kernel(fp, zs, zs.conj()).gamma.real.tolist()
+        rows = [
+            [s.z.real, s.z.imag, s.mean_tr.real, s.mean_tr.imag, s.bias_hat.real,
+             s.bias_hat.imag, b.real, b.imag, s.se_mean, s.var_hat, g,
+             min(brow["bound_crude"], brow["bound_refined"])]
+            for s, b, g, brow in zip(report.per_z, th, gamma, variance_bound_check(report, params))
+        ]
         _write_csv(out_dir / "per_z.csv", cfg, seed, _Table(
             ["re_z", "im_z", "re_mean_tr", "im_mean_tr", "re_bias_hat", "im_bias_hat",
              "re_beta_theory", "im_beta_theory", "se", "var_hat", "gamma_theory", "bound"],
@@ -314,6 +304,12 @@ def cmd_compare(cfg: dict, args) -> int:
         raise ConfigError(f"report file not found: {report_path}")
     report = EstimatorReport.from_json(report_path.read_text())
     params = _fluctuation_params(cfg)
+    source = cfg["fluctuation"].get("from_ensemble")
+    if source is not None:
+        digest = _ensemble_from(source, "fluctuation.from_ensemble").digest()
+        if digest != report.params_hash:
+            raise ConfigError(f"report params_hash {report.params_hash} does not match "
+                              f"fluctuation.from_ensemble (digest {digest})")
     grid_cfg = cfg.get("z_grid")
     if grid_cfg is not None:
         wanted = [_parse_z(p) for p in grid_cfg]
@@ -328,8 +324,7 @@ def cmd_compare(cfg: dict, args) -> int:
     violations = 0
     bias = _Table(["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta", "im_beta",
                    "se", "discrepancy_over_se", "ok"], [])
-    for s in report.per_z:
-        th = beta(params, s.z)
+    for s, th in zip(report.per_z, beta(params, np.array(report.z_grid)).tolist()):
         ratio = abs(s.bias_hat - th) / s.se_mean if s.se_mean > 0 else float("inf")
         ok = ratio <= bias_band
         violations += 0 if ok else 1
@@ -372,6 +367,7 @@ def cmd_density(cfg: dict, args) -> int:
         lo, hi = support_window(nu, v)
         xg = np.linspace(lo, hi, _number(block.get("points", 201), "density.points", int))
     xs = _number(xg, "density.x_grid", lambda g: np.atleast_1d(np.asarray(g, dtype=float)))
+    fns = _build_test_functions(block.get("test_functions"))
     est = density_at(nu, v, xs)
     # the warning column is always 0: the density is exact, not extrapolated
     table = _Table(["x", "density", "error_estimate", "warning"], [
@@ -382,7 +378,6 @@ def cmd_density(cfg: dict, args) -> int:
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "density.csv", cfg, args.seed, table)
     payload = {"density": table.records(error_estimate="error")}
-    fns = _build_test_functions(block.get("test_functions"))
     if fns:
         payload["integrals"] = {
             phi.fn_id: integrate_against_rho(nu, v, phi) for phi in fns

@@ -202,15 +202,15 @@ def _pastur_upper(nu: AtomicMeasure, v: float, z: np.ndarray, g: np.ndarray):
     return g, iterations, residual
 
 
-def solve_pastur_array(nu: AtomicMeasure, v: float, z, warm_start=None) -> SubordinationSolution:
+def solve_pastur_array(nu: AtomicMeasure, v: float, z) -> SubordinationSolution:
     """Solve the subordination fixed point at every point of an array of z.
 
     Returns one SubordinationSolution whose fields are arrays of the shape
     of z. Points below the real axis are solved at their conjugate and
-    reflected, so G(conj z) = conj G(z) holds exactly. Without a warm start,
-    points with Im z < 0.05 first walk their height down from 0.2, halving
-    it and warm-starting each solve from the last, so the iteration never
-    leaves the basin near a spectral edge. Any failing point raises:
+    reflected, so G(conj z) = conj G(z) holds exactly. Points start from
+    1/z; those with Im z < 0.05 first walk their height down from 0.2,
+    halving it and warm-starting each solve from the last, so the iteration
+    never leaves the basin near a spectral edge. Any failing point raises:
     SolverError when its iteration does not converge, EdgeSingularityError
     when 1 + v*G_nu'(omega) vanishes there.
     """
@@ -223,20 +223,16 @@ def solve_pastur_array(nu: AtomicMeasure, v: float, z, warm_start=None) -> Subor
         raise DomainError("solve_pastur requires Im z != 0")
     lower = z.imag < 0.0
     zu = np.where(lower, z.conj(), z)
-    if warm_start is None:
-        g = 1.0 / zu
-        walk = np.flatnonzero(zu.imag < 0.05)
-        chain = 1.0 / (zu.real[walk] + 0.2j)
-        eta = 0.2
-        while walk.size:
-            chain, _, _ = _pastur_upper(nu, v, zu.real[walk] + 1j * eta, chain)
-            g[walk] = chain
-            eta *= 0.5
-            still = eta > zu.imag[walk]
-            walk, chain = walk[still], chain[still]
-    else:
-        g = np.asarray(warm_start, dtype=complex).ravel()
-        g = np.where(lower, g.conj(), g)
+    g = 1.0 / zu
+    walk = np.flatnonzero(zu.imag < 0.05)
+    chain = 1.0 / (zu.real[walk] + 0.2j)
+    eta = 0.2
+    while walk.size:
+        chain, _, _ = _pastur_upper(nu, v, zu.real[walk] + 1j * eta, chain)
+        g[walk] = chain
+        eta *= 0.5
+        still = eta > zu.imag[walk]
+        walk, chain = walk[still], chain[still]
 
     g, iterations, residual = _pastur_upper(nu, v, zu, g)
     omega = zu - v * g
@@ -261,19 +257,13 @@ def solve_pastur_array(nu: AtomicMeasure, v: float, z, warm_start=None) -> Subor
     )
 
 
-def solve_pastur(
-    nu: AtomicMeasure,
-    v: float,
-    z: complex,
-    warm_start: complex | None = None,
-) -> SubordinationSolution:
+def solve_pastur(nu: AtomicMeasure, v: float, z: complex) -> SubordinationSolution:
     """Solve the subordination fixed point at one z and fill all derivatives.
 
     ``solve_pastur_array`` at a single point: the same iteration, reflection
     and errors.
     """
-    ws = None if warm_start is None else [warm_start]
-    return solve_pastur_array(nu, v, [z], ws).at(0)
+    return solve_pastur_array(nu, v, [z]).at(0)
 
 
 # --------------------------------------------------------------- Biane

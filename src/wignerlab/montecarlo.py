@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__ as _version
 from .ensemble import EnsembleParams, choose_delta, sample, truncate_center_homogenize
 from .errors import ParameterError, SampleError
-from .freeconv import solve_pastur
+from .freeconv import solve_pastur_array
 from .spectral import eigenvalues, linear_statistic, trace_resolvent
 from .theory import FluctuationParams, gamma_kernel
 
@@ -324,13 +324,12 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
             for i, (tr, fv) in enumerate(pool.map(worker, range(m))):
                 tr_samples[i], fn_matrix[i] = tr, fv
 
-    nu = params.nu()
+    g_rhos = solve_pastur_array(params.nu(), params.sigma2, zs).G.tolist()
     per_z = []
-    for j, z in enumerate(zs):
+    for j, (z, g_rho) in enumerate(zip(zs, g_rhos)):
         col = tr_samples[:, j]
         mean, se = _mean_and_se(col)
         var, var_se = _variance_jackknife(col)
-        g_rho = solve_pastur(nu, params.sigma2, z).G
         per_z.append(
             ZStat(
                 z=z,
@@ -395,16 +394,16 @@ def covariance_check(report: EstimatorReport, theory_params: FluctuationParams, 
     Returns one row per stored pair with the discrepancy/SE ratio and a flag
     when it exceeds ``band``.
     """
+    kv = gamma_kernel(theory_params, [p.z1 for p in report.pairs], [p.z2 for p in report.pairs])
     rows = []
-    for p in report.pairs:
-        kv = gamma_kernel(theory_params, p.z1, p.z2)
-        ratio = abs(p.cov_nc - kv.gamma) / p.cov_nc_se if p.cov_nc_se > 0 else math.inf
+    for p, gamma in zip(report.pairs, kv.gamma.tolist()):
+        ratio = abs(p.cov_nc - gamma) / p.cov_nc_se if p.cov_nc_se > 0 else math.inf
         rows.append(
             {
                 "z1": p.z1,
                 "z2": p.z2,
                 "cov_nc": p.cov_nc,
-                "gamma": kv.gamma,
+                "gamma": gamma,
                 "se": p.cov_nc_se,
                 "ratio": ratio,
                 "ok": ratio <= band,

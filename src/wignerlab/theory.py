@@ -3,25 +3,19 @@
 Implements the limiting bias beta(z), the covariance kernel Gamma(z1, z2),
 their specializations to the undeformed (semicircle) case, the finite-N bias
 bound, and the extension of bias/variance functionals from the resolvent span
-to more general test functions.
+to more general test functions. The functions of z take a scalar z, giving a
+Python number, or an array of z, giving an array of its shape.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, ParameterError, RepresentationError, SingularityError
-from .freeconv import (
-    AtomicMeasure,
-    SubordinationSolution,
-    gauss_kronrod,
-    solve_pastur,
-    solve_pastur_array,
-)
+from .freeconv import AtomicMeasure, SubordinationSolution, gauss_kronrod, solve_pastur_array
 
 __all__ = [
     "FluctuationParams",
@@ -89,42 +83,45 @@ class FluctuationParams:
             n=params.n,
         )
 
-    def solve(self, z: complex, warm_start=None) -> SubordinationSolution:
-        return solve_pastur(self.nu, self.sigma2, z, warm_start=warm_start)
+    def solve(self, z) -> SubordinationSolution:
+        """Fixed point at every point of z, flattened to one dimension."""
+        return solve_pastur_array(self.nu, self.sigma2, np.ravel(z))
 
 
-def _bias_bracket(p: FluctuationParams, sol: SubordinationSolution) -> complex:
-    """Bracket of the bias formula; elementwise for an array-valued solution."""
+def _shaped(value: np.ndarray, shape: tuple):
+    """Flat values as a Python number for a scalar input, else in its shape.
+
+    Computing on flat arrays either way keeps a scalar call bitwise equal to
+    the same point of an array call."""
+    return value.item() if shape == () else value.reshape(shape)
+
+
+def _bias_bracket(p: FluctuationParams, sol: SubordinationSolution):
+    """Bracket of the bias formula, elementwise over the solution's z."""
     w1 = sol.omega1
     denom = p.tau + (p.sigma2 - p.tau) * w1
     near = np.abs(denom) < _DENOM_GUARD
     if np.any(near):
-        z = np.asarray(sol.z)[near].flat[0]
+        z = sol.z[near][0]
         raise SingularityError(f"bias denominator tau+(sigma2-tau)*omega' ~ 0 at z={z}")
     return p.s2 - p.sigma2 + p.tau**2 * (w1 - 1.0) / denom - p.kappa * sol.G1 / w1
 
 
-def _beta(p: FluctuationParams, sol: SubordinationSolution) -> complex:
-    return sol.G2 / (2.0 * sol.omega1**2) * _bias_bracket(p, sol)
+def beta(params: FluctuationParams, z):
+    """Limiting bias of the trace of the resolvent at a scalar z or an array of z."""
+    sol = params.solve(z)
+    return _shaped(sol.G2 / (2.0 * sol.omega1**2) * _bias_bracket(params, sol), np.shape(z))
 
 
-def _beta_tilde(p: FluctuationParams, sol: SubordinationSolution) -> complex:
-    return sol.G2 / (2.0 * sol.omega1**3) * _bias_bracket(p, sol)
-
-
-def beta(params: FluctuationParams, z: complex) -> complex:
-    """Limiting bias of the trace of the resolvent at z."""
-    return _beta(params, params.solve(z))
-
-
-def beta_tilde(params: FluctuationParams, z: complex) -> complex:
-    """Companion bias with one extra omega' factor; beta = omega' * beta_tilde."""
-    return _beta_tilde(params, params.solve(z))
+def beta_tilde(params: FluctuationParams, z):
+    """Companion bias with one extra omega' factor, beta = omega' * beta_tilde; z as in beta."""
+    sol = params.solve(z)
+    return _shaped(sol.G2 / (2.0 * sol.omega1**3) * _bias_bracket(params, sol), np.shape(z))
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Covariance kernel value with its branch-distance diagnostic."""
+    """Covariance kernel values with their branch-distance diagnostic."""
 
     z1: complex
     z2: complex
@@ -133,134 +130,143 @@ class KernelValue:
     branch_margin: float
 
     @property
-    def valid(self) -> bool:
+    def valid(self):
         return self.branch_margin > KERNEL_MARGIN
 
 
-def _pair_integrals(nu: AtomicMeasure, w1: complex, w2: complex):
-    """J_pq = sum_i nu_i (w1 - d_i)^-p (w2 - d_i)^-q for p,q in {1,2}."""
-    d1 = w1 - nu.locations
-    d2 = w2 - nu.locations
-    inv1, inv2 = 1.0 / d1, 1.0 / d2
-    w = nu.weights
-    j11 = complex(np.sum(w * inv1 * inv2))
-    j21 = complex(np.sum(w * inv1**2 * inv2))
-    j12 = complex(np.sum(w * inv1 * inv2**2))
-    j22 = complex(np.sum(w * inv1**2 * inv2**2))
-    return j11, j21, j12, j22
+def _flat_pairs(z1, z2):
+    """The broadcast shape of (z1, z2) and both arguments flattened to it."""
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+    return z1.shape, z1.ravel(), z2.ravel()
 
 
-def _gamma_from_solutions(
-    p: FluctuationParams, s1: SubordinationSolution, s2: SubordinationSolution
-) -> KernelValue:
-    j11, j21, j12, j22 = _pair_integrals(p.nu, s1.omega, s2.omega)
-    i00 = j11
-    d1 = -s1.omega1 * j21
-    d2 = -s2.omega1 * j12
-    d12 = s1.omega1 * s2.omega1 * j22
+def _pair_terms(params: FluctuationParams, z1: np.ndarray, z2: np.ndarray):
+    """I = J_11, D1 = -omega'(z1) J_21, D2 = -omega'(z2) J_12, D12 = omega'(z1) omega'(z2) J_22.
+
+    J_pq = sum_i nu_i (w1 - d_i)^-p (w2 - d_i)^-q at each pair of two flat
+    arrays of z, from one solve and matrix products over their distinct z.
+    """
+    distinct, index = np.unique(np.concatenate([z1, z2]), return_inverse=True)
+    sol = params.solve(distinct)
+    a, b = index[:z1.size], index[z1.size:]
+    inv = 1.0 / (sol.omega[:, None] - params.nu.locations)
+    inv2 = inv * inv
+    w = params.nu.weights
+    i00 = ((w * inv) @ inv.T)[a, b]
+    d1 = -sol.omega1[a] * ((w * inv2) @ inv.T)[a, b]
+    d2 = -sol.omega1[b] * ((w * inv) @ inv2.T)[a, b]
+    d12 = sol.omega1[a] * sol.omega1[b] * ((w * inv2) @ inv2.T)[a, b]
+    return i00, d1, d2, d12
+
+
+def gamma_kernel(params: FluctuationParams, z1, z2) -> KernelValue:
+    """Limiting covariance kernel of traces of resolvents at (z1, z2).
+
+    ``z1`` and ``z2`` are scalars or arrays that broadcast together; one
+    fixed-point solve serves all their distinct points. The mixed derivative
+    of the primitive is evaluated analytically through the pair integrals
+    J_pq; values closer than ``KERNEL_MARGIN`` to either logarithmic branch
+    point are flagged invalid rather than continued.
+    """
+    shape, z1, z2 = _flat_pairs(z1, z2)
+    i00, d1, d2, d12 = _pair_terms(params, z1, z2)
+    p = params
     den_s = 1.0 - p.sigma2 * i00
     den_t = 1.0 - p.tau * i00
-    margin = min(abs(den_s), abs(den_t))
     gamma = (p.s2 - p.sigma2 - p.tau) * d12
     gamma += p.kappa * (d1 * d2 + i00 * d12)
     gamma += p.sigma2 * d12 / den_s + p.sigma2**2 * d1 * d2 / den_s**2
     gamma += p.tau * d12 / den_t + p.tau**2 * d1 * d2 / den_t**2
-    return KernelValue(z1=s1.z, z2=s2.z, I=i00, gamma=gamma, branch_margin=margin)
+    margin = np.minimum(np.abs(den_s), np.abs(den_t))
+    return KernelValue(z1=_shaped(z1, shape), z2=_shaped(z2, shape), I=_shaped(i00, shape),
+                       gamma=_shaped(gamma, shape), branch_margin=_shaped(margin, shape))
 
 
-def gamma_kernel(params: FluctuationParams, z1: complex, z2: complex) -> KernelValue:
-    """Limiting covariance kernel of traces of resolvents at (z1, z2).
-
-    The mixed derivative of the primitive is evaluated analytically through
-    the pair integrals J_pq; values closer than ``KERNEL_MARGIN`` to either
-    logarithmic branch point are flagged invalid rather than continued.
-    """
-    s1 = params.solve(z1)
-    s2 = params.solve(z2)
-    return _gamma_from_solutions(params, s1, s2)
-
-
-def gamma_primitive(params: FluctuationParams, z1: complex, z2: complex) -> complex:
+def gamma_primitive(params: FluctuationParams, z1, z2):
     """Primitive whose mixed (z1, z2)-derivative is the covariance kernel.
 
-    Uses principal branches for both logarithms.
+    Takes z1, z2 as ``gamma_kernel``. Uses principal branches for both logarithms.
     """
-    s1 = params.solve(z1)
-    s2 = params.solve(z2)
-    i00, _, _, _ = _pair_integrals(params.nu, s1.omega, s2.omega)
+    shape, z1, z2 = _flat_pairs(z1, z2)
+    i00, _, _, _ = _pair_terms(params, z1, z2)
     den_s = 1.0 - params.sigma2 * i00
     den_t = 1.0 - params.tau * i00
-    if min(abs(den_s), abs(den_t)) < KERNEL_MARGIN:
-        raise SingularityError("primitive evaluated too close to a branch point")
+    near = np.minimum(np.abs(den_s), np.abs(den_t)) < KERNEL_MARGIN
+    if np.any(near):
+        k = np.flatnonzero(near)[0]
+        raise SingularityError(f"primitive too close to a branch point at {z1[k]}, {z2[k]}")
     value = (params.s2 - params.sigma2 - params.tau) * i00
     value += 0.5 * params.kappa * i00**2
-    value -= cmath.log(den_s) + cmath.log(den_t)
-    return value
+    value -= np.log(den_s) + np.log(den_t)
+    return _shaped(value, shape)
 
 
-def semicircle_transform(z: complex, v: float, order: int = 0) -> complex:
+def semicircle_transform(z, v: float, order: int = 0):
     """Closed-form Stieltjes transform of the semicircle law of variance v.
 
     Branch chosen so G(z) ~ 1/z at infinity. Orders 0-2 are supported.
     """
-    z = complex(z)
-    if z.imag == 0.0:
+    shape = np.shape(z)
+    z = np.ravel(np.asarray(z, dtype=complex))
+    if np.any(z.imag == 0.0):
         raise ValueError("semicircle transform evaluated off the real axis only")
-    sq = cmath.sqrt(z * z - 4.0 * v)
-    if (z.conjugate() * sq).real < 0.0:
-        sq = -sq
+    sq = np.sqrt(z * z - 4.0 * v)
+    sq = np.where((z.conj() * sq).real < 0.0, -sq, sq)
     g = 2.0 / (z + sq)
     if order == 0:
-        return g
+        return _shaped(g, shape)
     g1 = -g * g / (1.0 - v * g * g)
     if order == 1:
-        return g1
+        return _shaped(g1, shape)
     if order == 2:
-        return -2.0 * g * g1 / (1.0 - v * g * g) ** 2
+        return _shaped(-2.0 * g * g1 / (1.0 - v * g * g) ** 2, shape)
     raise ValueError("order must be 0, 1 or 2")
 
 
-def bao_xie_b0(sigma2: float, s2: float, tau: float, kappa: float, z: complex) -> complex:
+def bao_xie_b0(sigma2: float, s2: float, tau: float, kappa: float, z):
     """Undeformed-case bias, written directly in the semicircle transform."""
+    shape = np.shape(z)
+    z = np.ravel(np.asarray(z, dtype=complex))
     g = semicircle_transform(z, sigma2)
     g1 = semicircle_transform(z, sigma2, 1)
     den = 1.0 - tau * g * g
-    if abs(den) < _DENOM_GUARD:
-        raise SingularityError("1 - tau*G^2 ~ 0")
-    return -g1 * g * (s2 - sigma2 + tau**2 * g * g / den + kappa * g * g)
+    near = np.abs(den) < _DENOM_GUARD
+    if np.any(near):
+        raise SingularityError(f"1 - tau*G^2 ~ 0 at z={z[near][0]}")
+    return _shaped(-g1 * g * (s2 - sigma2 + tau**2 * g * g / den + kappa * g * g), shape)
 
 
-def bao_xie_c0(
-    sigma2: float, s2: float, tau: float, kappa: float, z1: complex, z2: complex
-) -> complex:
+def bao_xie_c0(sigma2: float, s2: float, tau: float, kappa: float, z1, z2):
     """Undeformed-case covariance of traces of resolvents at (z1, z2)."""
+    shape, z1, z2 = _flat_pairs(z1, z2)
     g1 = semicircle_transform(z1, sigma2)
     g2 = semicircle_transform(z2, sigma2)
     gg = g1 * g2
     den_s = 1.0 - sigma2 * gg
     den_t = 1.0 - tau * gg
-    if min(abs(den_s), abs(den_t)) < _DENOM_GUARD:
-        raise SingularityError("C0 denominator ~ 0")
+    near = np.minimum(np.abs(den_s), np.abs(den_t)) < _DENOM_GUARD
+    if np.any(near):
+        k = np.flatnonzero(near)[0]
+        raise SingularityError(f"C0 denominator ~ 0 at {z1[k]}, {z2[k]}")
     bracket = s2 - sigma2 - tau + 2.0 * kappa * gg
     bracket += sigma2 / den_s**2 + tau / den_t**2
-    return semicircle_transform(z1, sigma2, 1) * semicircle_transform(z2, sigma2, 1) * bracket
+    value = semicircle_transform(z1, sigma2, 1) * semicircle_transform(z2, sigma2, 1) * bracket
+    return _shaped(value, shape)
 
 
-def bias_bound(params: FluctuationParams, z: complex) -> float:
+def bias_bound(params: FluctuationParams, z):
     """Explicit finite-N envelope for the bias of the trace of the resolvent.
 
     Assembled from the degree-3 polynomial bound times the (1 + 2*v*y^2)
     amplification, with the diagonal of the deterministic-equivalent resolvent
-    approximated through the subordination point.
+    approximated through the subordination point. Takes a scalar z (giving a
+    float) or an array of z.
     """
     if params.mode != "finite_N":
         raise ParameterError("bias_bound requires finite_N mode")
-    return _bias_bound(params, params.solve(z))
-
-
-def _bias_bound(params: FluctuationParams, sol: SubordinationSolution) -> float:
+    sol = params.solve(z)
     n = params.n
-    y = 1.0 / abs(sol.z.imag)
+    y = 1.0 / np.abs(sol.z.imag)
     # N-rescaled coefficients: degree 1 carries N(sigma_N^2 + s_N^2),
     # degree 3 carries N^2 m_N + N(3N+1) sigma_N^4.
     a1 = params.sigma2 + params.s2
@@ -268,8 +274,9 @@ def _bias_bound(params: FluctuationParams, sol: SubordinationSolution) -> float:
     a3 += (3.0 * n + 1.0) * params.sigma2**2 / n
     poly = a1 * y + a3 * y**3
     amplification = 1.0 + 2.0 * params.sigma2 * y * y
-    diag_sum = n * float(np.sum(params.nu.weights / np.abs(sol.omega - params.nu.locations) ** 2))
-    return amplification * poly * diag_sum / n
+    distance2 = np.abs(sol.omega[:, None] - params.nu.locations) ** 2
+    diag_sum = n * np.sum(params.nu.weights / distance2, axis=1)
+    return _shaped(amplification * poly * diag_sum / n, np.shape(z))
 
 
 @dataclass(frozen=True)
@@ -341,8 +348,7 @@ def extend_bias(
     levels = []
     for y in ys:
         def integrand(x: np.ndarray, _y=y) -> np.ndarray:
-            sol = solve_pastur_array(params.nu, params.sigma2, x + 1j * _y)
-            return np.real(phi(x)) * _beta(params, sol).imag
+            return np.real(phi(x)) * beta(params, x + 1j * _y).imag
 
         val, _ = gauss_kronrod(integrand, edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9,
                                limit=300)
@@ -401,7 +407,8 @@ def extend_variance(
     directly; otherwise phi is least-squares fitted on the resolvent span
     over a pole grid (conjugate poles included so the combination is real),
     and the variance is the non-conjugated bilinear evaluation
-    V = sum_jk c_j c_k Gamma(z_j, z_k).
+    V = sum_jk c_j c_k Gamma(z_j, z_k), summed from one ``gamma_kernel``
+    matrix over all pole pairs.
 
     The fit is ridge-regularized: a representation is only meaningful for
     the bilinear form when its coefficients stay bounded, otherwise huge
@@ -445,18 +452,18 @@ def extend_variance(
             coeffs.extend([c, c.conjugate()])
         poles, coeffs = tuple(poles), tuple(coeffs)
 
-    sols = {z: params.solve(z) for z in set(poles)}
-    total = 0.0 + 0.0j
-    rounding_scale = 0.0
-    for zj, cj in zip(poles, coeffs):
-        for zk, ck in zip(poles, coeffs):
-            kv = _gamma_from_solutions(params, sols[zj], sols[zk])
-            if not kv.valid:
-                raise SingularityError(
-                    f"kernel invalid (branch margin {kv.branch_margin:.2e}) at {zj}, {zk}"
-                )
-            total += cj * ck * kv.gamma
-            rounding_scale += abs(cj) * abs(ck) * abs(kv.gamma)
+    zs, cs = np.array(poles), np.array(coeffs)
+    kv = gamma_kernel(params, zs[:, None], zs[None, :])
+    invalid = ~kv.valid
+    if invalid.any():
+        k = np.flatnonzero(invalid)[0]
+        raise SingularityError(
+            f"kernel invalid (branch margin {kv.branch_margin.flat[k]:.2e}) "
+            f"at {kv.z1.flat[k]}, {kv.z2.flat[k]}"
+        )
+    weights = cs[:, None] * cs[None, :]
+    total = complex(np.sum(weights * kv.gamma))
+    rounding_scale = float(np.sum(np.abs(weights) * np.abs(kv.gamma)))
     if abs(total.imag) > 1e-12 * rounding_scale + 1e-10 * max(1.0, abs(total.real)):
         raise AccuracyError(f"variance has non-negligible imaginary part {total.imag:.3e}")
     return VarianceExtension(

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from wignerlab.cli import main
+from wignerlab.freeconv import AtomicMeasure
+from wignerlab.theory import FluctuationParams, beta, beta_tilde, bias_bound, gamma_kernel
 
 
 def write(tmp_path, name, payload):
@@ -62,6 +64,31 @@ class TestTheoryCommand:
             assert float(row[-1]) < 1e-9
 
 
+    def test_tables_equal_the_public_functions(self, tmp_path):
+        nu = [[-1.0, 0.25], [0.5, 0.75]]
+        cfg = write(tmp_path, "cfg.json", {
+            "fluctuation": {"sigma2": 1.0, "s2": 2.0, "tau": 0.5, "kappa": -1.0,
+                            "nu": {"atoms": nu}, "mode": "finite_N", "n": 40},
+            "z_grid": [[0.0, 2.0], [1.0, 1.0], [-1.0, 0.5]],
+            "pairs": [[[0.0, 2.0], [1.0, -1.0]], [[-1.0, 0.5], [-1.0, 0.5]]],
+        })
+        assert main(["theory", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "theory.json").read_text())
+        p = FluctuationParams(sigma2=1.0, s2=2.0, tau=0.5, kappa=-1.0,
+                              nu=AtomicMeasure.from_atoms(nu), mode="finite_N", n=40)
+        for row in payload["beta"]:
+            z = complex(row["re_z"], row["im_z"])
+            assert complex(row["re_beta"], row["im_beta"]) == beta(p, z)
+            assert complex(row["re_beta_tilde"], row["im_beta_tilde"]) == beta_tilde(p, z)
+            assert row["bias_bound"] == bias_bound(p, z)
+        assert len(payload["gamma"]) == 2
+        for row in payload["gamma"]:
+            kv = gamma_kernel(p, complex(row["re_z1"], row["im_z1"]),
+                              complex(row["re_z2"], row["im_z2"]))
+            assert complex(row["re_gamma"], row["im_gamma"]) == pytest.approx(kv.gamma, rel=1e-13)
+            assert row["branch_margin"] == pytest.approx(kv.branch_margin, rel=1e-13)
+
+
 class TestSimulateAndCompare:
     def test_simulate_then_compare_ok(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
@@ -95,6 +122,25 @@ class TestSimulateAndCompare:
             "compare": {"report": str(tmp_path / "report.json")},
         })
         assert main(["compare", "--config", cmp_cfg, "--out-dir", str(tmp_path)]) == 2
+
+    def test_compare_report_of_another_ensemble_is_config_error(self, tmp_path, capsys):
+        sim_cfg = write(tmp_path, "sim.json", {
+            "ensemble": {"n": 20, "sigma2": 1.0, "entry_law": "gaussian_complex",
+                         "deformation": {"quantile_spec": {"kind": "zero"}}},
+            "plan": {"n_samples": 10, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        })
+        assert main(["simulate", "--config", sim_cfg, "--out-dir", str(tmp_path)]) == 0
+        other = {"n": 50, "sigma2": 1.0, "entry_law": "rademacher_real",
+                 "deformation": {"quantile_spec": {"kind": "two_point", "a": -3.0, "b": 3.0}}}
+        cmp_cfg = write(tmp_path, "cmp.json", {
+            "fluctuation": {"from_ensemble": other},
+            "compare": {"report": str(tmp_path / "report.json")},
+        })
+        out = tmp_path / "compare_out"
+        assert main(["compare", "--config", cmp_cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_simulate_with_truncation_toggle(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
@@ -192,6 +238,16 @@ class TestConfigErrors:
         })
         assert main(["theory", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_density_config_error_writes_nothing(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+                        "test_functions": [{"kind": "nope"}]},
+        })
+        out = tmp_path / "out"
+        assert main(["density", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(out.iterdir()) == []
 
     def test_bad_ensemble_params(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", {

@@ -39,6 +39,18 @@ def catalan(m):
     return math.comb(2 * m, m) // (m + 1)
 
 
+def harer_zagier(n_dim, k_max):
+    """b_k = E Tr H^2k of GUE with E|H_ij|^2 = 1, for k = 0..k_max, by the
+    Harer-Zagier recursion (Invent. Math. 85, 1986):
+    (k+2) b_{k+1} = (4k+2) N b_k + k(4k^2-1) b_{k-1}, b_0 = N, b_1 = N^2."""
+    b = [n_dim, n_dim**2]
+    for k in range(1, k_max):
+        num = (4 * k + 2) * n_dim * b[k] + k * (4 * k * k - 1) * b[k - 1]
+        assert num % (k + 2) == 0
+        b.append(num // (k + 2))
+    return b[: k_max + 1]
+
+
 def wick_bruteforce(word, n_dim, sigma_n2, generators):
     """Independent oracle: expand E[(1/N) Tr(X^1 A^1 ... X^n A^n)] by summing
     the Wick weight over all index tuples, without the cycle shortcut.
@@ -196,6 +208,14 @@ class TestXiExact:
             assert xi_exact(word6, n_dim, 1.0 / n_dim) == pytest.approx(
                 catalan(3), abs=11.0 / n_dim**2
             )
+
+    @pytest.mark.parametrize("n_dim", range(1, 9))
+    def test_one_colour_words_against_harer_zagier(self, n_dim):
+        b = harer_zagier(n_dim, 5)
+        assert b[2] == 2 * n_dim**3 + n_dim
+        for k in range(1, 6):
+            word = parse_word(" ".join(["w1"] * (2 * k)))
+            assert xi_exact(word, n_dim, 1.0) == pytest.approx(b[k] / n_dim, rel=1e-12)
 
     def test_rotation_invariance_for_cyclic_words(self):
         # relabeling t -> t+1 preserves the moment when the word is cyclically

@@ -1,8 +1,10 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,25 @@ def test_package_imports_cleanly():
     out = subprocess.run([sys.executable, "-c", "import wignerlab"], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def _private_imports(path):
+    """(module, name) for each underscore name a module imports from a sibling."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("wignerlab"):
+            continue
+        for alias in node.names:
+            dunder = alias.name.startswith("__") and alias.name.endswith("__")
+            if alias.name.startswith("_") and not dunder:
+                found.append((node.module, alias.name))
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_names_imported_across_modules(name):
+    path = Path(wignerlab.__path__[0]) / f"{name}.py"
+    assert _private_imports(path) == []

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from wignerlab import testfn
-from wignerlab.errors import ParameterError, RepresentationError
+from wignerlab.errors import ParameterError, RepresentationError, SingularityError
 from wignerlab.freeconv import AtomicMeasure, solve_pastur
 from wignerlab.theory import (
     FluctuationParams,
@@ -301,3 +302,107 @@ def test_guard_sigma2_I_below_one():
         for re in np.linspace(-3, 3, 7):
             kv = gamma_kernel(p, complex(re, 0.5), complex(re, -0.5))
             assert abs(p.sigma2 * kv.I) < 1.0
+
+
+def test_extend_variance_names_the_invalid_pair():
+    # Im z = 1e-9 puts (z, conj z) inside KERNEL_MARGIN of the branch point
+    p = gue_params()
+    z = complex(0.0, 1e-9)
+    with pytest.raises(SingularityError, match=r"at 1e-09j, -1e-09j"):
+        extend_variance(p, testfn.real_resolvent_pair(z))
+
+
+def test_gamma_primitive_names_the_pair_at_a_branch_point():
+    p = gue_params()
+    zs = np.array([2j, 1e-9j])
+    with pytest.raises(SingularityError, match=r"at 1e-09j, -1e-09j"):
+        gamma_primitive(p, zs, zs.conj())
+
+
+# --------------------------------------------------------------- properties
+
+def reference_gamma(p, z1, z2):
+    """Reference kernel: one scalar solve per z and np.sum over the atoms per pair."""
+    s1, s2 = solve_pastur(p.nu, p.sigma2, z1), solve_pastur(p.nu, p.sigma2, z2)
+    inv1, inv2 = 1.0 / (s1.omega - p.nu.locations), 1.0 / (s2.omega - p.nu.locations)
+    w = p.nu.weights
+    i00 = complex(np.sum(w * inv1 * inv2))
+    d1 = -s1.omega1 * complex(np.sum(w * inv1**2 * inv2))
+    d2 = -s2.omega1 * complex(np.sum(w * inv1 * inv2**2))
+    d12 = s1.omega1 * s2.omega1 * complex(np.sum(w * inv1**2 * inv2**2))
+    den_s = 1.0 - p.sigma2 * i00
+    den_t = 1.0 - p.tau * i00
+    gamma = (p.s2 - p.sigma2 - p.tau) * d12
+    gamma += p.kappa * (d1 * d2 + i00 * d12)
+    gamma += p.sigma2 * d12 / den_s + p.sigma2**2 * d1 * d2 / den_s**2
+    gamma += p.tau * d12 / den_t + p.tau**2 * d1 * d2 / den_t**2
+    return gamma, min(abs(den_s), abs(den_t))
+
+
+@st.composite
+def fluctuation_params(draw, finite_n=False):
+    n = draw(st.integers(1, 6))
+    locations = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    sigma2 = draw(st.floats(0.5, 2.0))
+    return FluctuationParams(
+        sigma2=sigma2,
+        s2=draw(st.floats(0.5, 3.0)),
+        tau=draw(st.floats(-1.0, 1.0)) * sigma2,
+        kappa=draw(st.floats(-1.5, 1.5)) * sigma2**2,
+        nu=AtomicMeasure(np.array(locations), weights / weights.sum()),
+        mode="finite_N" if finite_n else "limit",
+        n=draw(st.integers(1, 1000)) if finite_n else None,
+    )
+
+
+@st.composite
+def spectral_points(draw):
+    """z above or below the real axis, at heights where the kernel is valid."""
+    z = complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(0.2, 3.0)))
+    return z.conjugate() if draw(st.booleans()) else z
+
+
+def _close(a, b, rel):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+class TestKernelProperties:
+    @given(fluctuation_params(), spectral_points(), spectral_points())
+    def test_symmetric(self, p, z1, z2):
+        assert _close(gamma_kernel(p, z1, z2).gamma, gamma_kernel(p, z2, z1).gamma, 1e-12)
+
+    @given(fluctuation_params(), spectral_points(), spectral_points())
+    def test_conjugation(self, p, z1, z2):
+        kv = gamma_kernel(p, z1, z2)
+        kc = gamma_kernel(p, z1.conjugate(), z2.conjugate())
+        assert _close(kc.gamma, kv.gamma.conjugate(), 1e-12)
+
+    @given(fluctuation_params(), st.lists(spectral_points(), min_size=1, max_size=6))
+    def test_array_kernel_matches_scalar_reference(self, p, zs):
+        z = np.array(zs)
+        kv = gamma_kernel(p, z[:, None], z[None, :])
+        assert kv.gamma.shape == kv.branch_margin.shape == (len(zs), len(zs))
+        for j, z1 in enumerate(zs):
+            for k, z2 in enumerate(zs):
+                gamma, margin = reference_gamma(p, z1, z2)
+                assert _close(kv.gamma[j, k], gamma, 1e-12)
+                assert _close(kv.branch_margin[j, k], margin, 1e-12)
+                assert kv.z1[j, k] == z1 and kv.z2[j, k] == z2
+
+    @given(fluctuation_params(), spectral_points(), spectral_points())
+    def test_scalar_kernel_is_a_python_number(self, p, z1, z2):
+        kv = gamma_kernel(p, z1, z2)
+        assert type(kv.gamma) is complex and type(kv.I) is complex
+        assert type(kv.branch_margin) is float and type(kv.valid) is bool
+
+    @given(fluctuation_params(finite_n=True), st.lists(spectral_points(), min_size=1, max_size=6))
+    def test_array_bias_equals_scalar_calls(self, p, zs):
+        z = np.array(zs).reshape(-1, 1)
+        for fn in (beta, beta_tilde, bias_bound):
+            values = fn(p, z)
+            assert values.shape == z.shape
+            for k, zk in enumerate(zs):
+                scalar = fn(p, zk)
+                assert type(scalar) is (float if fn is bias_bound else complex)
+                assert values[k, 0] == scalar
