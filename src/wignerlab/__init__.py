@@ -14,7 +14,6 @@ from .errors import (  # noqa: F401
     DomainError,
     EdgeSingularityError,
     ParameterError,
-    PoleError,
     RepresentationError,
     SampleError,
     SingularityError,
@@ -26,7 +25,6 @@ from .freeconv import (  # noqa: F401
     density,
     integrate_against_rho,
     solve_pastur,
-    stieltjes,
 )
 from .ensemble import (  # noqa: F401
     Discrete,
@@ -56,5 +54,4 @@ from .theory import (  # noqa: F401
     extend_bias,
     extend_variance,
     gamma_kernel,
-    hs_norm,
 )

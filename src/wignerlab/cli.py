@@ -53,6 +53,9 @@ from . import testfn
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+# an explicit fluctuation block matches a report's ensemble up to rounding of
+# hand-written weights such as 1/3
+REPORT_MATCH_RTOL = 1e-9
 
 
 def _load_config(path: str) -> dict:
@@ -293,6 +296,23 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _check_matches_report(params: FluctuationParams, config: dict) -> None:
+    """An explicit fluctuation block must describe the ensemble the report sampled."""
+    def close(a, b):
+        return np.allclose(a, b, rtol=REPORT_MATCH_RTOL, atol=REPORT_MATCH_RTOL)
+
+    keys = ("sigma2", "s2", "tau", "kappa")
+    mismatched = [k for k in keys if not close(getattr(params, k), config[k])]
+    sampled = AtomicMeasure.from_values(config["deformation"]["atoms"])
+    if params.nu.locations.shape != sampled.locations.shape or not (
+        close(params.nu.locations, sampled.locations) and close(params.nu.weights, sampled.weights)
+    ):
+        mismatched.append("nu")
+    if mismatched:
+        raise ConfigError(f"fluctuation {', '.join(mismatched)} do not match the report's "
+                          "params_config")
+
+
 def cmd_compare(cfg: dict, args) -> int:
     from .montecarlo import EstimatorReport
 
@@ -310,6 +330,8 @@ def cmd_compare(cfg: dict, args) -> int:
         if digest != report.params_hash:
             raise ConfigError(f"report params_hash {report.params_hash} does not match "
                               f"fluctuation.from_ensemble (digest {digest})")
+    else:
+        _check_matches_report(params, report.params_config)
     grid_cfg = cfg.get("z_grid")
     if grid_cfg is not None:
         wanted = [_parse_z(p) for p in grid_cfg]
@@ -528,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for simulate "
+                             "(capped at the cores BLAS leaves free)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--format", choices=["csv", "json", "both"], default="both")
     return parser

@@ -303,6 +303,9 @@ class EnsembleParams:
             )
         object.__setattr__(self, "deformation", d)
         self.deformation.setflags(write=False)
+        # every sample carries the digest; hash the config once, not per draw
+        payload = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_digest", hashlib.sha256(payload.encode()).hexdigest()[:16])
 
     @classmethod
     def create(
@@ -389,8 +392,8 @@ class EnsembleParams:
         )
 
     def digest(self) -> str:
-        payload = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """First 16 hex digits of the SHA-256 of the canonical config JSON."""
+        return self._digest
 
 
 def _implied_tau_kappa(law: Gaussian | Discrete, sigma2: float) -> tuple[float, float]:

@@ -17,10 +17,6 @@ class DomainError(WignerlabError, ValueError):
     """Evaluation point outside the admissible domain (e.g. real z)."""
 
 
-class PoleError(WignerlabError, ValueError):
-    """Stieltjes transform requested at (or too close to) an atom."""
-
-
 class SolverError(WignerlabError, RuntimeError):
     """Fixed-point / Newton solver failed to reach its residual target."""
 
@@ -55,3 +51,8 @@ class SampleError(WignerlabError, RuntimeError):
     def __init__(self, message, index):
         super().__init__(message)
         self.index = index
+
+    def __reduce__(self):
+        # the default rebuilds from args alone, which lack the index; a
+        # failure raised in a worker process must reach the caller whole
+        return type(self), (self.args[0], self.index)

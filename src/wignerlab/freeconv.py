@@ -16,13 +16,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, EdgeSingularityError, PoleError, SolverError
+from .errors import DomainError, EdgeSingularityError, SolverError
 
 __all__ = [
     "AtomicMeasure",
     "SubordinationSolution",
     "DensityEstimate",
-    "stieltjes",
     "solve_pastur",
     "solve_pastur_array",
     "density",
@@ -100,24 +99,6 @@ class AtomicMeasure:
 
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.locations.tolist(), self.weights.tolist()))
-
-
-def stieltjes(nu: AtomicMeasure, w: complex, order: int = 0) -> complex:
-    """Order-k derivative of the Stieltjes transform of an atomic measure.
-
-    G^(k)(w) = (-1)^k k! sum_i w_i (w - d_i)^(-k-1), exact up to rounding.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0, 1, 2 or 3")
-    w = complex(w)
-    diff = w - nu.locations
-    if w.imag == 0.0:
-        gap = np.min(np.abs(diff))
-        if gap < 1e-300 or gap < 1e-14 * max(1.0, abs(w)):
-            raise PoleError(f"evaluation point {w} coincides with an atom")
-    sign = -1.0 if order % 2 else 1.0
-    coeff = sign * math.factorial(order)
-    return complex(coeff * np.sum(nu.weights / diff ** (order + 1)))
 
 
 @dataclass(frozen=True)

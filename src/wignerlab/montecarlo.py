@@ -1,16 +1,21 @@
 """Reproducible Monte Carlo estimation of bias, covariance and normality.
 
 The sample pipeline (draw -> eigensolve -> per-z statistics) is pure in the
-sample index, so it can run on any number of threads; results land in
-index-ordered arrays and every reduction happens afterwards in a fixed order,
-which makes reports bitwise identical across thread counts.
+sample index, so it can run on any number of workers. ``threads`` asks for
+a worker count: one runs the samples serially in this process; more fork a
+process pool, each worker given contiguous ranges of sample indices. The
+pool is capped at the cores that BLAS threads leave free (all of them with
+OPENBLAS_NUM_THREADS=1, none when BLAS takes every core, as it does by
+default), and the samples run serially where the platform cannot fork.
+Results land in index-ordered arrays and every reduction happens afterwards
+in a fixed order, which makes reports bitwise identical across worker counts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -287,11 +292,73 @@ def _normality_summary(stat_id: str, x: np.ndarray) -> NormalitySummary:
     )
 
 
+_CHUNKS_PER_WORKER = 4  # a few ranges per worker even out uneven sample times
+_per_sample = None  # set in each forked worker by the pool's initializer
+
+
+def _blas_threads() -> int:
+    """Threads one BLAS call may use, from the variables OpenBLAS reads at
+    start-up (OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS); one per core when
+    neither is set."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return os.cpu_count() or 1
+
+
+def _install(per_sample) -> None:
+    global _per_sample
+    _per_sample = per_sample
+
+
+def _run_range(bounds: tuple[int, int]) -> np.ndarray:
+    return np.stack([_per_sample(i) for i in range(*bounds)])
+
+
+def _map_samples(per_sample, m: int, width: int, dtype, threads: int) -> np.ndarray:
+    """Rows ``per_sample(i)`` for i in range(m), stacked in index order.
+
+    The worker count is min(threads, m, cores // BLAS threads); one runs the
+    samples serially. More fork a process pool. Its initializer installs
+    ``per_sample`` in each worker, which fork inherits, so the function is
+    never pickled (test functions are often lambdas). Workers get contiguous
+    (start, stop) ranges, a few each, and send back only their rows, which
+    land at their sample index whatever order the ranges finish in. Workers
+    keep the caller's BLAS thread count, so each eigensolve gives the bits a
+    serial run gives; the pool only takes the cores BLAS threads leave free,
+    because both at once ran slower than one process. Where the platform
+    cannot fork, the samples run serially.
+    """
+    out = np.empty((m, width), dtype=dtype)
+    workers = min(threads, m, max(1, (os.cpu_count() or 1) // _blas_threads()))
+    if workers > 1:
+        # imported here so that importing the CLI does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            chunks = min(m, workers * _CHUNKS_PER_WORKER)
+            edges = [m * k // chunks for k in range(chunks + 1)]
+            ranges = list(zip(edges[:-1], edges[1:]))
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_install, initargs=(per_sample,),
+            ) as pool:
+                for (start, stop), rows in zip(ranges, pool.map(_run_range, ranges)):
+                    out[start:stop] = rows
+            return out
+    for i in range(m):
+        out[i] = per_sample(i)
+    return out
+
+
 def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     """Execute the plan: M independent samples, all estimators, one report.
 
-    Deterministic in (plan, master_seed) regardless of ``threads``. Any
-    eigensolve failure aborts the run with the failing sample index.
+    Deterministic in (plan, master_seed) regardless of ``threads``, the
+    worker count (see the module docstring). Any sample failure aborts the
+    run with the failing sample index.
     """
     params = plan.params
     n = params.n
@@ -299,30 +366,23 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     zs = plan.z_grid
     delta = plan.resolved_delta()
 
-    def worker(index: int):
+    def per_sample(index: int) -> np.ndarray:
         try:
             smp = sample(params, plan.master_seed, index)
             if delta is not None:
                 smp = truncate_center_homogenize(smp, delta)
             spec = eigenvalues(smp)
-            tr = np.array([trace_resolvent(spec, z) for z in zs])
-            fn_vals = np.array(
-                [linear_statistic(spec, phi) for phi in plan.test_functions],
+            return np.array(
+                [trace_resolvent(spec, z) for z in zs]
+                + [linear_statistic(spec, phi) for phi in plan.test_functions],
                 dtype=complex,
             )
-            return tr, fn_vals
         except Exception as exc:  # abort, never skip: dropped samples bias estimators
             raise SampleError(f"sample {index} failed: {exc}", index=index) from exc
 
-    tr_samples = np.empty((m, len(zs)), dtype=complex)
-    fn_matrix = np.empty((m, len(plan.test_functions)), dtype=complex)
-    if threads <= 1:
-        for i in range(m):
-            tr_samples[i], fn_matrix[i] = worker(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, (tr, fv) in enumerate(pool.map(worker, range(m))):
-                tr_samples[i], fn_matrix[i] = tr, fv
+    rows = _map_samples(per_sample, m, len(zs) + len(plan.test_functions), complex, threads)
+    tr_samples = np.ascontiguousarray(rows[:, :len(zs)])
+    fn_matrix = np.ascontiguousarray(rows[:, len(zs):])
 
     g_rhos = solve_pastur_array(params.nu(), params.sigma2, zs).G.tolist()
     per_z = []
@@ -477,17 +537,13 @@ def truncation_drift(
     homogenization, so the difference isolates the preprocessing effect.
     """
 
-    def worker(index: int) -> float:
+    def per_sample(index: int) -> tuple[float]:
         smp = sample(params, master_seed, index)
         raw = linear_statistic(eigenvalues(smp), phi)
         cooked = linear_statistic(eigenvalues(truncate_center_homogenize(smp, delta)), phi)
-        return abs(raw - cooked)
+        return (abs(raw - cooked),)
 
-    if threads <= 1:
-        diffs = np.array([worker(i) for i in range(n_samples)])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            diffs = np.array(list(pool.map(worker, range(n_samples))))
+    diffs = _map_samples(per_sample, n_samples, 1, float, threads)[:, 0]
     mean = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(n_samples))
     return mean, se

@@ -24,7 +24,6 @@ __all__ = [
     "from_grid",
     "from_callable",
     "from_spec",
-    "classify",
 ]
 
 
@@ -210,24 +209,3 @@ def from_spec(spec: dict) -> TestFunction:
     if kind == "grid":
         return from_grid(spec["x"], spec["values"], spec.get("id", "grid"))
     raise ValueError(f"unknown test function kind {kind!r}")
-
-
-def classify(phi: TestFunction, s: float, **norm_kwargs):
-    """Sobolev-class verdict for a test function.
-
-    Returns (label, norm_estimate) with label in ``in_hs`` / ``not_in_hs`` /
-    ``unknown``. Bumps of known order use the embedding (order k is in H_s
-    for s <= k); everything else goes through the numerical norm.
-    """
-    from . import theory
-
-    if phi.kind in ("smooth_bump", "capped_polynomial") and phi.regularity is not None:
-        if s <= phi.regularity:
-            result = theory.hs_norm(phi, s, **norm_kwargs)
-            return "in_hs", result.value
-    result = theory.hs_norm(phi, s, **norm_kwargs)
-    if result.divergent:
-        return "not_in_hs", None
-    if result.error > 0.2 * max(result.value, 1e-300):
-        return "unknown", result.value
-    return "in_hs", result.value

@@ -32,8 +32,6 @@ __all__ = [
     "extend_bias",
     "VarianceExtension",
     "extend_variance",
-    "HsNormResult",
-    "hs_norm",
     "default_pole_grid",
 ]
 
@@ -469,46 +467,3 @@ def extend_variance(
     return VarianceExtension(
         value=total.real, fit_residual=residual, poles=poles, coefficients=coeffs
     )
-
-
-@dataclass(frozen=True)
-class HsNormResult:
-    value: float
-    error: float
-    divergent: bool
-
-    def __float__(self):
-        return self.value
-
-
-def hs_norm(
-    phi,
-    s: float,
-    half_width: float = 80.0,
-    points: int = 1 << 15,
-) -> HsNormResult:
-    """Sobolev-type norm || (1+2|t|)^s * fourier(phi) ||_L2.
-
-    Fourier convention: f^(t) = integral f(x) exp(-i t x) dx, approximated by
-    an FFT of uniform samples on [-half_width, half_width). The norm is
-    recomputed at doubled resolution (which also doubles the frequency range);
-    growth under refinement raises the divergent flag.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-
-    def norm_at(n: int) -> float:
-        h = 2.0 * half_width / n
-        xs = -half_width + h * np.arange(n)
-        samples = np.asarray(phi(xs), dtype=complex)
-        spectrum = h * np.fft.fft(samples)
-        ts = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-        weight = (1.0 + 2.0 * np.abs(ts)) ** (2.0 * s)
-        dt = 2.0 * math.pi / (n * h)
-        return float(np.sqrt(np.sum(weight * np.abs(spectrum) ** 2) * dt))
-
-    coarse = norm_at(points)
-    fine = norm_at(2 * points)
-    error = abs(fine - coarse)
-    divergent = fine > 1.05 * coarse and error > 1e-9 * max(coarse, 1.0)
-    return HsNormResult(value=fine, error=error, divergent=bool(divergent))

@@ -142,6 +142,31 @@ class TestSimulateAndCompare:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fluctuation, code", [
+        ({"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}, 0),
+        ({"sigma2": 1.0, "s2": 2.0, "tau": 1.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}, 2),
+        ({"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0,
+          "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}}, 2),
+    ], ids=["matching", "goe_moments", "other_nu"])
+    def test_compare_checks_explicit_fluctuation_block(self, tmp_path, capsys, fluctuation, code):
+        sim_cfg = write(tmp_path, "sim.json", {
+            "ensemble": {"n": 20, "sigma2": 1.0, "entry_law": "gaussian_complex",
+                         "deformation": {"quantile_spec": {"kind": "zero"}}},
+            "plan": {"n_samples": 10, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        })
+        assert main(["simulate", "--config", sim_cfg, "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cmp_cfg = write(tmp_path, "cmp.json", {
+            "fluctuation": fluctuation,
+            "compare": {"report": str(tmp_path / "report.json")},
+        })
+        out = tmp_path / "compare_out"
+        assert main(["compare", "--config", cmp_cfg, "--out-dir", str(out)]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert list(out.iterdir()) == []
+
     def test_simulate_with_truncation_toggle(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
             "ensemble": {"n": 30, "sigma2": 1.0, "entry_law": "gaussian_real",
@@ -353,10 +378,20 @@ class TestConfigErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only the normality summary needs it
-    code = "import sys, wignerlab.cli; print('scipy.stats' in sys.modules)"
+def loaded_after_cli_import(modules):
+    """The given modules that a fresh `import wignerlab.cli` loads."""
+    code = f"import sys, wignerlab.cli; print([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only the normality summary needs it
+    assert loaded_after_cli_import(["scipy.stats"]) == "[]"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only a Monte Carlo run on more than one worker needs them
+    assert loaded_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == "[]"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,30 @@ def small_plan(n=40, m=60, law="gaussian_complex", seed=7, **kw):
     )
 
 
+def patch_eigenvalues(monkeypatch, index, action):
+    """Run action() before the eigensolve of sample ``index``; forked workers inherit it."""
+    import wignerlab.montecarlo as mc
+
+    original = mc.eigenvalues
+
+    def patched(smp, *a, **kw):
+        if smp.seed_path[1] == index:
+            action()
+        return original(smp, *a, **kw)
+
+    monkeypatch.setattr(mc, "eigenvalues", patched)
+
+
+def synthetic_failure():
+    raise ArithmeticError("synthetic failure")
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Leave the cores to the worker pool, as one BLAS thread per process would."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 class TestPlanValidation:
     def test_minimum_samples(self):
         with pytest.raises(ParameterError):
@@ -68,6 +93,24 @@ class TestDeterminism:
     def test_moderate_plan_thread_invariance(self):
         plan = small_plan(n=60, m=40)
         assert run(plan, threads=1).to_json() == run(plan, threads=8).to_json()
+
+    def test_uneven_ranges_byte_identical_across_workers(self, pool):
+        # 7 samples split unevenly; the lambda would fail any attempt to pickle it
+        phi = testfn.from_callable(lambda x: np.arctan(x), "arctan")
+        plan = small_plan(n=30, m=7, test_functions=(phi,))
+        assert len({run(plan, threads=t).to_json() for t in (1, 2, 8)}) == 1
+
+    def test_workers_keep_the_callers_blas_threads(self, pool):
+        # at N=400 a complex eigensolve's bits depend on the BLAS thread count,
+        # which this process may have set above one before the variable
+        plan = small_plan(n=400, m=4)
+        assert run(plan, threads=1).to_json() == run(plan, threads=2).to_json()
+
+    def test_rows_land_at_their_index_when_early_samples_finish_last(self, monkeypatch, pool):
+        plan = small_plan(n=20, m=8)
+        serial = run(plan).to_json()
+        patch_eigenvalues(monkeypatch, 0, lambda: time.sleep(0.5))
+        assert run(plan, threads=2).to_json() == serial
 
     def test_report_round_trip_lossless(self):
         report = run(small_plan(), threads=2)
@@ -121,18 +164,15 @@ class TestEstimators:
         assert all(r["ok"] for r in rows)
 
     def test_sample_failure_aborts_with_index(self, monkeypatch):
-        plan = small_plan(m=8)
-        import wignerlab.montecarlo as mc
-
-        original = mc.eigenvalues
-        def broken(smp, *a, **kw):
-            if smp.seed_path[1] == 5:
-                raise ArithmeticError("synthetic failure")
-            return original(smp, *a, **kw)
-
-        monkeypatch.setattr(mc, "eigenvalues", broken)
+        patch_eigenvalues(monkeypatch, 5, synthetic_failure)
         with pytest.raises(SampleError) as err:
-            run(plan)
+            run(small_plan(m=8))
+        assert err.value.index == 5
+
+    def test_sample_failure_in_worker_process_aborts_with_index(self, monkeypatch, pool):
+        patch_eigenvalues(monkeypatch, 5, synthetic_failure)
+        with pytest.raises(SampleError) as err:
+            run(small_plan(m=8), threads=2)
         assert err.value.index == 5
 
 
@@ -289,6 +329,12 @@ class TestTruncationDrift:
         mean, se = truncation_drift(params, phi, choose_delta(80), 40, 3, threads=4)
         assert mean >= 0.0
         assert se > 0.0
+
+    def test_worker_count_invariant(self, pool):
+        params = EnsembleParams.create(40, "gaussian_real", np.zeros(40))
+        phi = testfn.from_callable(lambda x: np.arctan(x), "arctan")
+        args = (params, phi, choose_delta(40), 12, 3)
+        assert truncation_drift(*args, threads=1) == truncation_drift(*args, threads=4)
 
     def test_identity_truncation_zero_drift(self):
         params = EnsembleParams.create(60, "rademacher_real", np.zeros(60))

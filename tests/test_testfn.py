@@ -73,27 +73,6 @@ class TestBumpSmoothness:
         assert abs(slope_in) > 1e-9  # first derivative jumps
 
 
-class TestClassify:
-    def test_order7_bump_in_h_6_6(self):
-        phi = testfn.smooth_bump(0.0, 1.0, 7)
-        label, norm = testfn.classify(phi, 6.6)
-        assert label == "in_hs"
-        assert norm is not None and norm > 0
-
-    def test_order2_bump_in_h_1_6(self):
-        phi = testfn.smooth_bump(0.0, 1.0, 2)
-        label, _ = testfn.classify(phi, 1.6)
-        assert label == "in_hs"
-
-    def test_indicator_not_in_h_1_6(self):
-        phi = testfn.from_callable(
-            lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0), "indicator"
-        )
-        label, norm = testfn.classify(phi, 1.6)
-        assert label == "not_in_hs"
-        assert norm is None
-
-
 class TestRegistryAndSpecs:
     def test_from_spec_all_kinds(self):
         specs = [

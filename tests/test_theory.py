@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
 
 from wignerlab import testfn
 from wignerlab.errors import ParameterError, RepresentationError, SingularityError
@@ -19,7 +16,6 @@ from wignerlab.theory import (
     extend_variance,
     gamma_kernel,
     gamma_primitive,
-    hs_norm,
     semicircle_transform,
 )
 
@@ -185,32 +181,6 @@ class TestBiasBound:
     def test_requires_finite_n_mode(self):
         with pytest.raises(ParameterError):
             bias_bound(gue_params(), 2j)
-
-
-class TestHsNorm:
-    def test_gaussian_against_quadrature_oracle(self):
-        # fourier transform of exp(-x^2/2) is sqrt(2 pi) exp(-t^2/2)
-        phi = testfn.from_callable(lambda x: np.exp(-0.5 * x**2), "gauss")
-        result = hs_norm(phi, 1.0)
-        oracle_sq, _ = integrate.quad(
-            lambda t: (1.0 + 2.0 * abs(t)) ** 2 * 2.0 * math.pi * math.exp(-t * t),
-            -20, 20,
-        )
-        assert not result.divergent
-        assert result.value == pytest.approx(math.sqrt(oracle_sq), rel=1e-4)
-
-    def test_indicator_diverges(self):
-        phi = testfn.from_callable(
-            lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0), "indicator"
-        )
-        assert hs_norm(phi, 1.0).divergent
-
-    def test_homogeneity(self):
-        phi = testfn.smooth_bump(0.0, 1.0, 3)
-        phi2 = testfn.from_callable(lambda x: 2.0 * phi(x), "2bump")
-        n1 = hs_norm(phi, 1.0).value
-        n2 = hs_norm(phi2, 1.0).value
-        assert n2 == pytest.approx(2.0 * n1, rel=1e-12)
 
 
 class TestExtendBias:
