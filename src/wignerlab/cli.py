@@ -1,9 +1,13 @@
 """Command-line front end: reproducible experiments from JSON configs.
 
 Subcommands: theory, simulate, compare, density, infinitesimal, identities.
-Every output file embeds (config digest, seed, version) in comment/meta
-fields so tables are regenerable bit-exactly. Exit codes: 0 success,
-1 acceptance violation, 2 configuration error.
+Every command first reads its whole config (and compare the report it
+checks) and only then computes and writes, so a config error writes
+nothing. Every output file embeds (config digest, seed, version) in
+comment/meta fields, so tables are regenerable bit-exactly under the same
+BLAS thread setting: the number of threads a BLAS call uses can change the
+last bits of an eigensolve. Exit codes: 0 success, 1 acceptance violation
+(or a failure while computing), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,12 +38,19 @@ from .infinitesimal import (
     parse_word,
 )
 from .montecarlo import (
+    EstimatorReport,
     ExperimentPlan,
     covariance_check,
     run as run_plan,
     variance_bound_check,
 )
-from .spectral import eigenvalues, trace_resolvent, verify_resolvent_identity, verify_schur
+from .spectral import (
+    eigenvalues,
+    resolvent_identity_tolerance,
+    trace_resolvent,
+    verify_resolvent_identity,
+    verify_schur,
+)
 from .theory import (
     FluctuationParams,
     bao_xie_b0,
@@ -58,14 +70,20 @@ EXIT_CONFIG = 2
 REPORT_MATCH_RTOL = 1e-9
 
 
-def _load_config(path: str) -> dict:
+@contextmanager
+def _reading_config():
+    """Raise any exception from the block as one ConfigError.
+
+    A command reads its whole config inside this block, before it computes
+    or writes anything. Whatever fails there (a missing key, a value of the
+    wrong type, a report that is not JSON, a constructor's ParameterError)
+    is wrong input, so the exception is caught whatever its type.
+    """
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        yield
+    except Exception as exc:
+        text = str(exc) if isinstance(exc, WignerlabError) else f"{type(exc).__name__}: {exc}"
+        raise ConfigError(" ".join(text.split())) from exc
 
 
 def _config_digest(cfg: dict) -> str:
@@ -128,70 +146,32 @@ def _write_json(path: Path, cfg: dict, seed, payload: dict) -> None:
         fh.write("\n")
 
 
-def _number(value, what: str, kind=float):
-    """``kind(value)`` for a config value; a value it rejects is a config error."""
-    try:
-        return kind(value)
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
-
-
 def _parse_z(pair) -> complex:
-    z = _number(pair, "z", lambda p: complex(float(p[0]), float(p[1])))
+    z = complex(float(pair[0]), float(pair[1]))
     if z.imag == 0.0:
         raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
     return z
 
 
-def _z_grid(cfg: dict, key: str = "z_grid") -> list[complex]:
-    grid = cfg.get(key)
+def _z_grid(block: dict, default=None) -> list[complex]:
+    grid = block.get("z_grid", default)
     if not grid:
-        raise ConfigError(f"missing or empty {key!r}")
+        raise ConfigError("missing or empty 'z_grid'")
     return [_parse_z(p) for p in grid]
 
 
-def _fluctuation_params(cfg: dict) -> FluctuationParams:
-    block = cfg.get("fluctuation")
-    if block is None:
-        raise ConfigError("missing 'fluctuation' block")
+def _fluctuation_params(block: dict) -> FluctuationParams:
     if "from_ensemble" in block:
-        return FluctuationParams.from_ensemble(
-            _ensemble_from(block["from_ensemble"], "fluctuation.from_ensemble")
-        )
-    nu = _atomic_measure(block, "fluctuation")
+        return FluctuationParams.from_ensemble(EnsembleParams.from_config(block["from_ensemble"]))
     return FluctuationParams(
-        sigma2=_number(block.get("sigma2", 1.0), "fluctuation.sigma2"),
-        s2=_number(block.get("s2", 1.0), "fluctuation.s2"),
-        tau=_number(block.get("tau", 0.0), "fluctuation.tau"),
-        kappa=_number(block.get("kappa", 0.0), "fluctuation.kappa"),
-        nu=nu,
+        sigma2=float(block.get("sigma2", 1.0)),
+        s2=float(block.get("s2", 1.0)),
+        tau=float(block.get("tau", 0.0)),
+        kappa=float(block.get("kappa", 0.0)),
+        nu=AtomicMeasure.from_atoms(block["nu"]["atoms"]),
         mode=block.get("mode", "limit"),
-        n=None if block.get("n") is None else _number(block["n"], "fluctuation.n", int),
+        n=None if block.get("n") is None else int(block["n"]),
     )
-
-
-def _atomic_measure(block: dict, name: str) -> AtomicMeasure:
-    nu_cfg = block.get("nu")
-    if not isinstance(nu_cfg, dict) or "atoms" not in nu_cfg:
-        raise ConfigError(f"{name} block needs nu.atoms")
-    try:
-        return AtomicMeasure.from_atoms(nu_cfg["atoms"])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad {name}.nu.atoms: {exc}") from exc
-
-
-def _ensemble_params(cfg: dict) -> EnsembleParams:
-    block = cfg.get("ensemble")
-    if block is None:
-        raise ConfigError("missing 'ensemble' block")
-    return _ensemble_from(block, "ensemble")
-
-
-def _ensemble_from(block: dict, name: str) -> EnsembleParams:
-    try:
-        return EnsembleParams.from_config(block)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
 def _single_atom(nu: AtomicMeasure) -> float | None:
@@ -201,13 +181,14 @@ def _single_atom(nu: AtomicMeasure) -> float | None:
 
 
 def cmd_theory(cfg: dict, args) -> int:
-    params = _fluctuation_params(cfg)
-    zs = _z_grid(cfg)
-    pairs = cfg.get("pairs")
-    if pairs is None:
-        pairs = [(z1, z2) for i, z1 in enumerate(zs) for z2 in zs[i:]]
-    else:
-        pairs = [(_parse_z(p[0]), _parse_z(p[1])) for p in pairs]
+    with _reading_config():
+        params = _fluctuation_params(cfg["fluctuation"])
+        zs = _z_grid(cfg)
+        pairs = cfg.get("pairs")
+        if pairs is None:
+            pairs = [(z1, z2) for i, z1 in enumerate(zs) for z2 in zs[i:]]
+        else:
+            pairs = [(_parse_z(p[0]), _parse_z(p[1])) for p in pairs]
     out_dir = Path(args.out_dir)
     shift = _single_atom(params.nu)
     z = np.array(zs)
@@ -244,36 +225,21 @@ def cmd_theory(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _build_test_functions(specs) -> tuple:
-    try:
-        return tuple(testfn.from_spec(s) for s in (specs or []))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad test_functions entry: {exc!r}") from exc
-
-
 def cmd_simulate(cfg: dict, args) -> int:
-    params = _ensemble_params(cfg)
-    plan_cfg = cfg.get("plan")
-    if plan_cfg is None:
-        raise ConfigError("missing 'plan' block")
-    seed = args.seed if args.seed is not None else plan_cfg.get("master_seed")
-    if seed is None:
-        raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
-    if "n_samples" not in plan_cfg:
-        raise ConfigError("plan needs n_samples")
-    truncation = plan_cfg.get("truncation")
-    if truncation not in (None, "auto"):
-        truncation = _number(truncation, "plan.truncation")
-        if not truncation > 0.0:
-            raise ConfigError(f"plan.truncation must be positive or 'auto', got {truncation}")
-    plan = ExperimentPlan(
-        params=params,
-        n_samples=_number(plan_cfg["n_samples"], "plan.n_samples", int),
-        z_grid=tuple(_z_grid(plan_cfg)),
-        master_seed=_number(seed, "plan.master_seed", int),
-        test_functions=_build_test_functions(plan_cfg.get("test_functions")),
-        truncation=truncation,
-    )
+    with _reading_config():
+        params = EnsembleParams.from_config(cfg["ensemble"])
+        plan_cfg = cfg["plan"]
+        seed = args.seed if args.seed is not None else plan_cfg.get("master_seed")
+        if seed is None:
+            raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
+        plan = ExperimentPlan(
+            params=params,
+            n_samples=int(plan_cfg["n_samples"]),
+            z_grid=tuple(_z_grid(plan_cfg)),
+            master_seed=int(seed),
+            test_functions=[testfn.from_spec(s) for s in plan_cfg.get("test_functions") or ()],
+            truncation=plan_cfg.get("truncation"),
+        )
     report = run_plan(plan, threads=args.threads)
     out_dir = Path(args.out_dir)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
@@ -314,35 +280,29 @@ def _check_matches_report(params: FluctuationParams, config: dict) -> None:
 
 
 def cmd_compare(cfg: dict, args) -> int:
-    from .montecarlo import EstimatorReport
+    with _reading_config():
+        block = cfg["compare"]
+        report = EstimatorReport.from_json(Path(block["report"]).read_text())
+        fluctuation = cfg["fluctuation"]
+        params = _fluctuation_params(fluctuation)
+        if "from_ensemble" in fluctuation:
+            digest = EnsembleParams.from_config(fluctuation["from_ensemble"]).digest()
+            if digest != report.params_hash:
+                raise ConfigError(f"report params_hash {report.params_hash} does not match "
+                                  f"fluctuation.from_ensemble (digest {digest})")
+        else:
+            _check_matches_report(params, report.params_config)
+        grid = cfg.get("z_grid")
+        if grid is not None:
+            wanted = [_parse_z(p) for p in grid]
+            if sorted(wanted, key=lambda z: (z.real, z.imag)) != sorted(
+                report.z_grid, key=lambda z: (z.real, z.imag)
+            ):
+                raise ConfigError("configured z grid does not match the report grid")
+        thresholds = block.get("thresholds", {})
+        bias_band = float(thresholds.get("bias_band", 3.0))
+        cov_band = float(thresholds.get("cov_band", 3.0))
 
-    block = cfg.get("compare")
-    if block is None or "report" not in block:
-        raise ConfigError("missing 'compare.report' path")
-    report_path = Path(block["report"])
-    if not report_path.exists():
-        raise ConfigError(f"report file not found: {report_path}")
-    report = EstimatorReport.from_json(report_path.read_text())
-    params = _fluctuation_params(cfg)
-    source = cfg["fluctuation"].get("from_ensemble")
-    if source is not None:
-        digest = _ensemble_from(source, "fluctuation.from_ensemble").digest()
-        if digest != report.params_hash:
-            raise ConfigError(f"report params_hash {report.params_hash} does not match "
-                              f"fluctuation.from_ensemble (digest {digest})")
-    else:
-        _check_matches_report(params, report.params_config)
-    grid_cfg = cfg.get("z_grid")
-    if grid_cfg is not None:
-        wanted = [_parse_z(p) for p in grid_cfg]
-        if sorted(wanted, key=lambda z: (z.real, z.imag)) != sorted(
-            report.z_grid, key=lambda z: (z.real, z.imag)
-        ):
-            raise ConfigError("configured z grid does not match the report grid")
-
-    thresholds = block.get("thresholds", {})
-    bias_band = _number(thresholds.get("bias_band", 3.0), "compare.thresholds.bias_band")
-    cov_band = _number(thresholds.get("cov_band", 3.0), "compare.thresholds.cov_band")
     violations = 0
     bias = _Table(["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta", "im_beta",
                    "se", "discrepancy_over_se", "ok"], [])
@@ -375,21 +335,21 @@ def cmd_compare(cfg: dict, args) -> int:
 
 
 def cmd_density(cfg: dict, args) -> int:
-    block = cfg.get("density")
-    if block is None:
-        raise ConfigError("missing 'density' block")
-    nu = _atomic_measure(block, "density")
-    if "v" not in block:
-        raise ConfigError("density block needs v")
-    v = _number(block["v"], "density.v")
-    if not v > 0.0:
-        raise ConfigError("density.v must be positive")
-    xg = block.get("x_grid")
-    if xg is None:
-        lo, hi = support_window(nu, v)
-        xg = np.linspace(lo, hi, _number(block.get("points", 201), "density.points", int))
-    xs = _number(xg, "density.x_grid", lambda g: np.atleast_1d(np.asarray(g, dtype=float)))
-    fns = _build_test_functions(block.get("test_functions"))
+    with _reading_config():
+        block = cfg["density"]
+        nu = AtomicMeasure.from_atoms(block["nu"]["atoms"])
+        v = float(block["v"])
+        if not v > 0.0:
+            raise ConfigError("density.v must be positive")
+        xs = block.get("x_grid")
+        if xs is not None:
+            xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        points = xs.size if xs is not None else int(block.get("points", 201))
+        if points < 1:
+            raise ConfigError("density needs at least one point")
+        fns = [testfn.from_spec(s) for s in block.get("test_functions") or ()]
+    if xs is None:
+        xs = np.linspace(*support_window(nu, v), points)
     est = density_at(nu, v, xs)
     # the warning column is always 0: the density is exact, not extrapolated
     table = _Table(["x", "density", "error_estimate", "warning"], [
@@ -409,48 +369,49 @@ def cmd_density(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _generator_factory(spec: dict):
-    kinds = {name: g for name, g in (spec or {}).items()}
-
-    def factory(n_dim: int):
-        out = {}
-        for name, g in kinds.items():
-            kind = g.get("kind") if isinstance(g, dict) else None
-            if kind == "diag_pm1":
-                out[name] = diag_pm1(n_dim)
-            elif kind == "diag_values":
-                if not g.get("values"):
-                    raise ConfigError(f"generator {name!r} needs a nonempty values list")
-                vals = _number(g["values"], f"generator {name!r} values",
-                               lambda x: np.asarray(x, dtype=float))
-                reps = int(np.ceil(n_dim / vals.size))
-                out[name] = np.diag(np.tile(vals, reps)[:n_dim])
-            elif kind == "identity":
-                out[name] = np.eye(n_dim)
-            else:
-                raise ConfigError(f"unknown generator kind {kind!r}")
-        return out
-
-    return factory
+def _generators(spec, n_dim: int) -> dict[str, np.ndarray]:
+    """The named generator matrices at one dimension."""
+    out = {}
+    for name, g in (spec or {}).items():
+        kind = g["kind"]
+        if kind == "diag_pm1":
+            out[name] = diag_pm1(n_dim)
+        elif kind == "diag_values":
+            vals = np.asarray(g["values"], dtype=float)
+            reps = int(np.ceil(n_dim / vals.size))
+            out[name] = np.diag(np.tile(vals, reps)[:n_dim])
+        elif kind == "identity":
+            out[name] = np.eye(n_dim)
+        else:
+            raise ConfigError(f"unknown generator kind {kind!r}")
+    return out
 
 
 def cmd_infinitesimal(cfg: dict, args) -> int:
-    block = cfg.get("infinitesimal")
-    if block is None:
-        raise ConfigError("missing 'infinitesimal' block")
-    words = block.get("words")
-    if not words:
-        raise ConfigError("infinitesimal.words must be a nonempty list")
-    dims = [_number(d, "infinitesimal.dims", int) for d in block.get("dims", [8, 16, 32, 64])]
-    v = _number(block.get("v", 1.0), "infinitesimal.v")
-    factory = _generator_factory(block.get("generators"))
-    mc_cfg = block.get("mc")
-    # each word is parsed once, so its pairing cycles are enumerated once
-    parsed = [parse_word(text) for text in words]
+    with _reading_config():
+        block = cfg["infinitesimal"]
+        words = block.get("words")
+        if not words:
+            raise ConfigError("infinitesimal.words must be a nonempty list")
+        # each word is parsed once, so its pairing cycles are enumerated once
+        parsed = [parse_word(text) for text in words]
+        dims = [int(d) for d in block.get("dims", [8, 16, 32, 64])]
+        v = float(block.get("v", 1.0))
+        if not v > 0.0:
+            raise ConfigError("infinitesimal.v must be positive")
+        mc = block.get("mc")
+        sizes = list(dims)
+        if mc:
+            n_dim = int(mc.get("n_dim", 50))
+            n_samples = int(mc.get("n_samples", 5000))
+            sizes.append(n_dim)
+        if min(sizes, default=1) < 1:
+            raise ConfigError("infinitesimal dimensions (dims, mc.n_dim) must be positive")
+        generators = {n: _generators(block.get("generators"), n) for n in sizes}
     violations = 0
     results = []
     for text, word in zip(words, parsed):
-        rep = infinitesimal_check(word, dims, v, factory)
+        rep = infinitesimal_check(word, dims, v, generators.__getitem__)
         results.append({
             "word": text,
             "exact": rep.exact,
@@ -464,12 +425,10 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
             ],
         })
         violations += 0 if rep.ok else 1
-    if mc_cfg:
-        n_dim = _number(mc_cfg.get("n_dim", 50), "infinitesimal.mc.n_dim", int)
-        n_samples = _number(mc_cfg.get("n_samples", 5000), "infinitesimal.mc.n_samples", int)
+    if mc:
         checks = monte_carlo_cross_checks(
             parsed, n_dim, n_samples, v / n_dim,
-            factory(n_dim), seed=int(args.seed or 0),
+            generators[n_dim], seed=int(args.seed or 0),
         )
         for entry, cc in zip(results, checks):
             entry["mc"] = {
@@ -495,14 +454,13 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
 
 
 def cmd_identities(cfg: dict, args) -> int:
-    block = cfg.get("identities")
-    if block is None:
-        raise ConfigError("missing 'identities' block")
-    params = _ensemble_params(cfg)
-    seed = args.seed if args.seed is not None else block.get("seed", 0)
-    count = _number(block.get("count", 20), "identities.count", int)
-    master_seed = _number(seed, "identities.seed", int)
-    zs = [_parse_z(p) for p in block.get("z_grid", [[0.0, 1.0]])]
+    with _reading_config():
+        block = cfg["identities"]
+        params = EnsembleParams.from_config(cfg["ensemble"])
+        seed = args.seed if args.seed is not None else block.get("seed", 0)
+        master_seed = int(seed)
+        count = int(block.get("count", 20))
+        zs = _z_grid(block, default=[[0.0, 1.0]])
     rng = np.random.default_rng(master_seed)
     rows = []
     violations = 0
@@ -518,7 +476,7 @@ def cmd_identities(cfg: dict, args) -> int:
         im_ok = im_identity <= 1e-10 * abs(tr.imag)
         other = sample(params, master_seed + 1, i)
         res_id = verify_resolvent_identity(smp.matrix, other.matrix, z, z + 0.5j)
-        res_ok = res_id <= 1e-9 / (abs(z.imag) * abs(z.imag + 0.5))
+        res_ok = res_id <= resolvent_identity_tolerance(z, z + 0.5j)
         ok = rep.ok and norm_ok and im_ok and res_ok
         violations += 0 if ok else 1
         rows.append([i, z.real, z.imag, k, rep.diag_residual, rep.trace_residual,
@@ -561,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        with _reading_config():
+            cfg = json.loads(Path(args.config).read_text())
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ParameterError) as exc:

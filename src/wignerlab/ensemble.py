@@ -32,6 +32,7 @@ __all__ = [
     "WignerSample",
     "sample",
     "truncate_center_homogenize",
+    "truncated_moments",
     "choose_delta",
     "law_from_config",
     "deformation_from_config",
@@ -460,6 +461,21 @@ def choose_delta(n: int) -> float:
     return 1.0 / math.log(n)
 
 
+def truncated_moments(params: EnsembleParams, delta_n: float):
+    """Off-diagonal (mean, variance), then diagonal, of the scaled entries
+    truncated at delta_n, from the entry law analytically.
+
+    Raises when delta_n is not positive or a truncated variance vanishes.
+    """
+    if not delta_n > 0:
+        raise ParameterError("delta_n must be positive")
+    off_mean, off_var = params.entry_law.truncated_offdiag(math.sqrt(params.sigma_n2), delta_n)
+    diag_mean, diag_var = params.entry_law.truncated_diag(math.sqrt(params.s_n2), delta_n)
+    if not (off_var > 0.0 and diag_var > 0.0):
+        raise DegenerateTruncationError(f"truncated variance vanished at delta={delta_n}")
+    return off_mean, off_var, diag_mean, diag_var
+
+
 def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSample:
     """Truncate entries at delta_n, recenter and restore the variances.
 
@@ -468,15 +484,10 @@ def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSampl
     inside the level, zero mean, exact variance) the sample is returned
     unchanged.
     """
-    if delta_n <= 0:
-        raise ParameterError("delta_n must be positive")
     params = smp.params
     sigma_n = math.sqrt(params.sigma_n2)
     s_n = math.sqrt(params.s_n2)
-    off_mean, off_var = params.entry_law.truncated_offdiag(sigma_n, delta_n)
-    diag_mean, diag_var = params.entry_law.truncated_diag(s_n, delta_n)
-    if off_var <= 0.0 or diag_var <= 0.0:
-        raise DegenerateTruncationError(f"truncated variance vanished at delta={delta_n}")
+    off_mean, off_var, diag_mean, diag_var = truncated_moments(params, delta_n)
 
     w = smp.matrix - np.diag(params.deformation)
     off_scale = sigma_n / math.sqrt(off_var)

@@ -97,9 +97,6 @@ class AtomicMeasure:
     def support(self) -> tuple[float, float]:
         return float(self.locations[0]), float(self.locations[-1])
 
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.locations.tolist(), self.weights.tolist()))
-
 
 @dataclass(frozen=True)
 class SubordinationSolution:
@@ -396,12 +393,7 @@ def support_window(nu: AtomicMeasure, v: float) -> tuple[float, float]:
     return lo - half, hi + half
 
 
-def integrate_against_rho(
-    nu: AtomicMeasure,
-    v: float,
-    phi,
-    rtol: float = 1e-8,
-) -> float:
+def integrate_against_rho(nu: AtomicMeasure, v: float, phi) -> float:
     """Integral of phi against the density of the free convolution.
 
     Integrates in Biane's variable u over the exact support intervals, with
@@ -422,7 +414,7 @@ def integrate_against_rho(
         weight = (2.0 / math.pi) * np.sqrt(s) * (s * s_2 + s_a * s_a / s_2)
         return weight * np.asarray(phi(_biane_psi(nu, v, u, s)), dtype=float)
 
-    value, _ = gauss_kronrod(integrand, *_support_in_u(nu, v), epsabs=1e-8, epsrel=rtol, limit=250)
+    value, _ = gauss_kronrod(integrand, *_support_in_u(nu, v), epsabs=1e-8, epsrel=1e-8, limit=250)
     return value
 
 

@@ -9,6 +9,8 @@ OPENBLAS_NUM_THREADS=1, none when BLAS takes every core, as it does by
 default), and the samples run serially where the platform cannot fork.
 Results land in index-ordered arrays and every reduction happens afterwards
 in a fixed order, which makes reports bitwise identical across worker counts.
+They are bitwise identical only under one BLAS thread setting: the number of
+threads a BLAS call uses can change the last bits of an eigensolve.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .ensemble import EnsembleParams, choose_delta, sample, truncate_center_homogenize
+from .ensemble import (
+    EnsembleParams,
+    choose_delta,
+    sample,
+    truncate_center_homogenize,
+    truncated_moments,
+)
 from .errors import ParameterError, SampleError
 from .freeconv import solve_pastur_array
 from .spectral import eigenvalues, linear_statistic, trace_resolvent
@@ -43,6 +51,10 @@ __all__ = [
 ]
 
 DEGENERATE_VARIANCE = 1e-14
+IM_FLOOR = 0.1  # every z of a plan has |Im z| >= IM_FLOOR
+NORMALITY_MIN_SAMPLES = 500
+# a variance estimate may exceed its bound by this many relative SEs
+VARIANCE_SLACK = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +62,8 @@ class ExperimentPlan:
     """Monte Carlo experiment description.
 
     ``truncation`` is None (off), "auto" (delta = 1/log N) or an explicit
-    truncation level applied to every sample.
+    truncation level applied to every sample; a level that leaves the entry
+    law no variance is rejected here, before any sample is drawn.
     """
 
     params: EnsembleParams
@@ -59,7 +72,6 @@ class ExperimentPlan:
     master_seed: int
     test_functions: tuple = ()
     truncation: float | str | None = None
-    im_floor: float = 0.1
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -67,10 +79,13 @@ class ExperimentPlan:
         if not self.z_grid:
             raise ParameterError("z grid must be nonempty")
         zg = tuple(complex(z) for z in self.z_grid)
-        if min(abs(z.imag) for z in zg) < self.im_floor:
-            raise ParameterError(f"all z must satisfy |Im z| >= {self.im_floor}")
+        if min(abs(z.imag) for z in zg) < IM_FLOOR:
+            raise ParameterError(f"all z must satisfy |Im z| >= {IM_FLOOR}")
         object.__setattr__(self, "z_grid", zg)
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
+        delta = self.resolved_delta()
+        if delta is not None:
+            truncated_moments(self.params, delta)
 
     def resolved_delta(self) -> float | None:
         if self.truncation is None:
@@ -474,11 +489,12 @@ def covariance_check(report: EstimatorReport, theory_params: FluctuationParams, 
     return rows
 
 
-def normality_check(report: EstimatorReport, min_samples: int = 500):
+def normality_check(report: EstimatorReport):
     """Distributional summaries recomputed from the stored samples."""
-    if report.n_samples < min_samples:
+    if report.n_samples < NORMALITY_MIN_SAMPLES:
         raise ParameterError(
-            f"normality requires at least {min_samples} samples, got {report.n_samples}"
+            f"normality requires at least {NORMALITY_MIN_SAMPLES} samples, "
+            f"got {report.n_samples}"
         )
     out = []
     for j, z in enumerate(report.z_grid):
@@ -502,12 +518,12 @@ def refined_variance_bound(params: EnsembleParams, z: complex) -> float:
     return 2.0 * y**4 * n_term
 
 
-def variance_bound_check(report: EstimatorReport, params: EnsembleParams, slack: float = 5.0):
+def variance_bound_check(report: EstimatorReport, params: EnsembleParams):
     """Empirical Var[Tr R(z)] against both proven envelopes."""
     rows = []
     for s in report.per_z:
         rel_se = s.var_se / s.var_hat if s.var_hat > 0 else 0.0
-        allowance = 1.0 + slack * rel_se
+        allowance = 1.0 + VARIANCE_SLACK * rel_se
         crude = crude_variance_bound(params, s.z)
         refined = refined_variance_bound(params, s.z)
         rows.append(

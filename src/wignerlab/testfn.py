@@ -131,8 +131,12 @@ def capped_polynomial(
     a, b = float(window[0]), float(window[1])
     if b <= a:
         raise ValueError("window must be increasing")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     w = ramp if ramp is not None else 0.1 * (b - a)
     c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coeffs must be a nonempty list")
 
     def fn(x):
         p = np.polynomial.polynomial.polyval(x, c)
@@ -195,6 +199,8 @@ def _accepts_array(f) -> bool:
 def from_spec(spec: dict) -> TestFunction:
     """Build a test function from a config dictionary (CLI entry point)."""
     kind = spec.get("kind")
+    if not isinstance(spec.get("id"), (str, type(None))):
+        raise ValueError(f"test function id must be a string, got {spec['id']!r}")
     if kind == "resolvent":
         return resolvent(complex(spec["z"][0], spec["z"][1]), spec.get("id"))
     if kind == "real_resolvent_pair":

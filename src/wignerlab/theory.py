@@ -32,11 +32,20 @@ __all__ = [
     "extend_bias",
     "VarianceExtension",
     "extend_variance",
-    "default_pole_grid",
 ]
 
 KERNEL_MARGIN = 1e-6
 _DENOM_GUARD = 1e-10
+# extend_bias integrates at these heights, halving down to 1e-3
+_Y_SCHEDULE = (0.256, 0.128, 0.064, 0.032, 0.016, 0.008, 0.004, 0.002, 0.001)
+# extend_variance's resolvent-span fit: poles at each height over
+# _POLE_COLUMNS real parts, _FIT_POINTS sample points and a ridge; a fit
+# whose residual exceeds _MAX_FIT_RESIDUAL * max(1, max |phi|) is rejected
+_POLE_COLUMNS = 16
+_POLE_HEIGHTS = (0.25, 0.5, 1.0)
+_FIT_POINTS = 801
+_FIT_RIDGE = 1e-7
+_MAX_FIT_RESIDUAL = 5e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,16 +295,6 @@ class ExtrapolatedValue:
         return self.value
 
 
-def default_y_schedule(y_max: float = 0.256, y_min: float = 1e-3, ratio: float = 0.5):
-    ys = []
-    y = y_max
-    while y > y_min:
-        ys.append(y)
-        y *= ratio
-    ys.append(y_min)
-    return tuple(ys)
-
-
 def _neville_zero(steps, values):
     n = len(values)
     p = list(values)
@@ -320,23 +319,20 @@ def _integration_window(params: FluctuationParams, phi) -> tuple[float, float]:
 def extend_bias(
     params: FluctuationParams,
     phi,
-    y_schedule=None,
     window: tuple[float, float] | None = None,
 ) -> ExtrapolatedValue:
     """Bias functional on a general real test function.
 
     Extends the bias from the resolvent span by Stieltjes inversion of the
     limiting bias: b(phi) = -(1/pi) lim_y integral phi(x) Im beta(x+iy) dx,
-    extrapolated to y = 0 in sqrt(y). Each height's integral is batched
-    adaptive 21-point Gauss-Kronrod quadrature (``freeconv.gauss_kronrod``:
-    absolute tolerance 1e-10, relative 1e-9, at most 300 subintervals) whose
-    rounds solve the fixed point at all their new nodes in one
-    ``solve_pastur_array`` call; ``phi`` is called on arrays of points.
+    extrapolated to y = 0 in sqrt(y) from heights y = 0.256 halving down to
+    1e-3. Each height's integral is batched adaptive 21-point Gauss-Kronrod
+    quadrature (``freeconv.gauss_kronrod``: absolute tolerance 1e-10,
+    relative 1e-9, at most 300 subintervals) whose rounds solve the fixed
+    point at all their new nodes in one ``solve_pastur_array`` call; ``phi``
+    is called on arrays of points.
     Returns value and extrapolation-error estimate.
     """
-    ys = tuple(y_schedule) if y_schedule is not None else default_y_schedule()
-    if any(b >= a for a, b in zip(ys, ys[1:])) or ys[-1] > 1e-3 + 1e-15:
-        raise ValueError("y schedule must decrease to <= 1e-3")
     a, b = window if window is not None else _integration_window(params, phi)
     lo, hi = params.nu.support
     edge_pad = 2.0 * math.sqrt(params.sigma2)
@@ -344,14 +340,14 @@ def extend_bias(
     edges = np.array([a, *breaks, b])
 
     levels = []
-    for y in ys:
+    for y in _Y_SCHEDULE:
         def integrand(x: np.ndarray, _y=y) -> np.ndarray:
             return np.real(phi(x)) * beta(params, x + 1j * _y).imag
 
         val, _ = gauss_kronrod(integrand, edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9,
                                limit=300)
         levels.append(-val / math.pi)
-    steps = [math.sqrt(y) for y in ys]
+    steps = [math.sqrt(y) for y in _Y_SCHEDULE]
     estimates = _neville_zero(steps, levels)
     corrections = [abs(estimates[k] - estimates[k - 1]) for k in range(1, len(estimates))]
     err = corrections[-1] if corrections else 0.0
@@ -371,12 +367,12 @@ class VarianceExtension:
     coefficients: tuple[complex, ...]
 
 
-def default_pole_grid(params: FluctuationParams, n_real: int = 16, heights=(0.25, 0.5, 1.0)):
+def _pole_grid(params: FluctuationParams):
     """Poles straddling the spectral support, upper half-plane only."""
     lo, hi = params.nu.support
     half = 2.0 * math.sqrt(params.sigma2)
-    xs = np.linspace(lo - half - 0.5, hi + half + 0.5, n_real)
-    return tuple(complex(x, h) for h in heights for x in xs)
+    xs = np.linspace(lo - half - 0.5, hi + half + 0.5, _POLE_COLUMNS)
+    return tuple(complex(x, h) for h in _POLE_HEIGHTS for x in xs)
 
 
 def _fit_window(params: FluctuationParams, phi) -> tuple[float, float]:
@@ -390,15 +386,7 @@ def _fit_window(params: FluctuationParams, phi) -> tuple[float, float]:
     return a, b
 
 
-def extend_variance(
-    params: FluctuationParams,
-    phi,
-    pole_grid=None,
-    fit_window: tuple[float, float] | None = None,
-    fit_points: int = 801,
-    max_residual: float = 5e-2,
-    ridge: float = 1e-7,
-) -> VarianceExtension:
+def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
     """Variance functional on a real test function.
 
     If the function carries an exact resolvent representation it is used
@@ -419,9 +407,8 @@ def extend_variance(
         coeffs = tuple(complex(c) for _, c in exact)
         residual = 0.0
     else:
-        grid = tuple(pole_grid) if pole_grid is not None else default_pole_grid(params)
-        a, b = fit_window if fit_window is not None else _fit_window(params, phi)
-        xs = np.linspace(a, b, fit_points)
+        grid = _pole_grid(params)
+        xs = np.linspace(*_fit_window(params, phi), _FIT_POINTS)
         target = np.real(np.asarray(phi(xs), dtype=complex))
         columns = []
         for z in grid:
@@ -432,16 +419,16 @@ def extend_variance(
         col_scale = np.linalg.norm(design, axis=0)
         scaled = design / col_scale
         n_cols = scaled.shape[1]
-        augmented = np.vstack([scaled, math.sqrt(ridge) * np.eye(n_cols)])
+        augmented = np.vstack([scaled, math.sqrt(_FIT_RIDGE) * np.eye(n_cols)])
         rhs = np.concatenate([target, np.zeros(n_cols)])
         sol, *_ = np.linalg.lstsq(augmented, rhs, rcond=None)
         sol = sol / col_scale
         residual = float(np.max(np.abs(design @ sol - target)))
         scale = max(1.0, float(np.max(np.abs(target))))
-        if residual > max_residual * scale:
+        if residual > _MAX_FIT_RESIDUAL * scale:
             raise RepresentationError(
                 f"resolvent-span fit residual {residual:.3e} exceeds "
-                f"{max_residual:.1e} * {scale:.3g}"
+                f"{_MAX_FIT_RESIDUAL:.1e} * {scale:.3g}"
             )
         poles, coeffs = [], []
         for j, z in enumerate(grid):

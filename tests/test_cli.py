@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerlab.cli import main
 from wignerlab.freeconv import AtomicMeasure
@@ -24,6 +30,27 @@ def gue_ensemble(n=60):
         "entry_law": "gaussian_complex",
         "deformation": {"quantile_spec": {"kind": "two_point", "a": -1.0, "b": 1.0}},
     }
+
+
+POINT_MASS = {"nu": {"atoms": [[0.0, 1.0]]}}
+REPORT_ENSEMBLE = {"n": 20, "sigma2": 1.0, "entry_law": "gaussian_complex",
+                   "deformation": {"quantile_spec": {"kind": "zero"}}}
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """Report files by name: a valid report of REPORT_ENSEMBLE, a file that
+    is not JSON, and a JSON object without the report's keys."""
+    root = tmp_path_factory.mktemp("reports")
+    sim_cfg = write(root, "sim.json", {
+        "ensemble": REPORT_ENSEMBLE,
+        "plan": {"n_samples": 10, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+    })
+    assert main(["simulate", "--config", sim_cfg, "--out-dir", str(root), "--format", "json"]) == 0
+    (root / "not_json.txt").write_text("{not json")
+    (root / "partial.json").write_text(json.dumps({"version": "0.1.0"}))
+    return {"valid": str(root / "report.json"), "not_json": str(root / "not_json.txt"),
+            "partial": str(root / "partial.json")}
 
 
 class TestTheoryCommand:
@@ -370,12 +397,175 @@ class TestConfigErrors:
             "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
                         "test_functions": [{"kind": "smooth_bump", "center": 0.0}]},
         }, id="test_function_missing_keys"),
+        pytest.param("theory", [1, 2], id="theory_config_not_an_object"),
+        pytest.param("theory", {"fluctuation": [1], "z_grid": [[0.0, 2.0]]},
+                     id="fluctuation_not_an_object"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": 5}, id="z_grid_not_a_list"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[0.0, 2.0]],
+                                "pairs": [1]}, id="pair_not_a_list"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[0.0, 2.0]],
+                                "pairs": [[[0, 1]]]}, id="pair_with_one_z"),
+        pytest.param("simulate", {"ensemble": gue_ensemble(10), "plan": [1]},
+                     id="plan_not_an_object"),
+        pytest.param("compare", {"fluctuation": {"from_ensemble": REPORT_ENSEMBLE},
+                                 "compare": {"report": 12}}, id="report_path_a_number"),
+        pytest.param("compare", {"fluctuation": {"from_ensemble": REPORT_ENSEMBLE},
+                                 "compare": {"report": "@not_json"}}, id="report_not_json"),
+        pytest.param("compare", {"fluctuation": {"from_ensemble": REPORT_ENSEMBLE},
+                                 "compare": {"report": "@partial"}}, id="report_without_keys"),
+        pytest.param("compare", {"fluctuation": {"from_ensemble": REPORT_ENSEMBLE},
+                                 "compare": {"report": "@valid", "thresholds": [1]}},
+                     id="thresholds_not_an_object"),
+        pytest.param("compare", {"fluctuation": {"from_ensemble": REPORT_ENSEMBLE},
+                                 "compare": {"report": "@valid"}, "z_grid": 5},
+                     id="compare_z_grid_not_a_list"),
+        pytest.param("density", {"density": [1]}, id="density_not_an_object"),
+        pytest.param("density", {"density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]},
+                                             "points": -3}}, id="density_points_negative"),
+        pytest.param("density", {"density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]},
+                                             "points": 0}}, id="density_points_zero"),
+        pytest.param("density", {"density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]},
+                                             "x_grid": []}}, id="density_x_grid_empty"),
+        pytest.param("infinitesimal", {"infinitesimal": [1]}, id="infinitesimal_not_an_object"),
+        pytest.param("infinitesimal", {"infinitesimal": {"words": [12]}}, id="word_not_text"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 a w1 a"], "generators": [1, 2]}}, id="generators_not_an_object"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [0, 8, 16]}}, id="infinitesimal_dim_zero"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [4, 8, 16], "mc": [1]}}, id="mc_not_an_object"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [4, 8, 16], "mc": {"n_dim": 0}}}, id="mc_n_dim_zero"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [4, 8, 16], "v": -1}}, id="infinitesimal_v_negative"),
+        pytest.param("infinitesimal", {"infinitesimal": {"words": []}}, id="words_empty"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 a w1 a"], "generators": {"a": {"kind": "nope"}}}},
+            id="generator_unknown_kind"),
+        pytest.param("density", {"density": {"v": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}},
+                     id="density_v_zero"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10), "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]]},
+        }, id="plan_without_master_seed"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "entry_law": "rademacher_real"},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "truncation": 0.0001},
+        }, id="truncation_leaves_no_variance"),
+        pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": [1]},
+                     id="identities_not_an_object"),
+        pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": {"z_grid": []}},
+                     id="identities_z_grid_empty"),
+        pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": {"z_grid": 5}},
+                     id="identities_z_grid_not_a_list"),
     ])
-    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, payload):
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, reports, command, payload):
+        # a report path "@name" stands for the `reports` file of that name
+        block = payload.get("compare") if isinstance(payload, dict) else None
+        if isinstance(block, dict) and str(block["report"]).startswith("@"):
+            payload = {**payload, "compare": {**block, "report": reports[block["report"][1:]]}}
         cfg = write(tmp_path, "cfg.json", payload)
-        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+
+BUMP = {"kind": "smooth_bump", "center": 0.0, "width": 1.0, "order": 3, "id": "bump"}
+SMALL_CONFIGS = {
+    "theory": {
+        "fluctuation": {"sigma2": 1.0, "s2": 2.0, "tau": 1.0, "kappa": 0.0,
+                        "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}, "mode": "finite_N", "n": 10},
+        "z_grid": [[0.0, 2.0], [1.0, 1.0]],
+        "pairs": [[[0.0, 2.0], [1.0, -1.0]]],
+    },
+    "simulate": {
+        "ensemble": {"n": 8, "sigma2": 1.0, "entry_law": "rademacher_real",
+                     "deformation": {"quantile_spec": {"kind": "two_point", "a": -1.0, "b": 1.0,
+                                                       "weight_a": 0.5}}},
+        "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                 "truncation": "auto", "test_functions": [BUMP]},
+    },
+    "compare": {
+        "fluctuation": {"from_ensemble": REPORT_ENSEMBLE},
+        "z_grid": [[0.0, 2.0]],
+        "compare": {"report": "@valid", "thresholds": {"bias_band": 5.0, "cov_band": 5.0}},
+    },
+    "density": {
+        "density": {"v": 1.0, "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}, "points": 201,
+                    "x_grid": [0.0, 1.0], "test_functions": [BUMP, {
+                        "kind": "capped_polynomial", "coeffs": [1.0, 0.5], "window": [-1.0, 1.0],
+                        "order": 2, "ramp": 0.2, "id": "poly"}]},
+    },
+    "infinitesimal": {
+        "infinitesimal": {"words": ["w1 a w1 a", "w1 w1"], "dims": [8, 16, 32, 64], "v": 1.0,
+                          "generators": {"a": {"kind": "diag_values", "values": [1.0, -1.0]}},
+                          "mc": {"n_dim": 6, "n_samples": 1000}},
+    },
+    "identities": {
+        "ensemble": {"n": 8, "sigma2": 1.0, "entry_law": "gaussian_complex",
+                     "deformation": {"atoms": [-1.0, -1.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0]}},
+        "identities": {"count": 20, "z_grid": [[0.5, 1.0]], "seed": 3},
+    },
+}
+DELETE = object()
+# no replacement is a number, so no mutated config asks for more work
+REPLACEMENTS = st.one_of(
+    st.text(alphabet="xyz ", max_size=3),
+    st.lists(st.sampled_from([0, 1, "x", None, []]), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "x"]), st.sampled_from([0, "x", None]), max_size=2),
+    st.none(),
+)
+
+
+def value_paths(node, path=()):
+    """Key paths to the node and to every value inside it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from value_paths(value, path + (key,))
+
+
+def mutate(cfg, path, new):
+    """A copy of cfg with the value at path replaced by new, or its key deleted."""
+    if not path:
+        return new
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_mutated_config_exits_without_traceback(reports, command, data):
+    base = copy.deepcopy(SMALL_CONFIGS[command])
+    if command == "compare":
+        base["compare"]["report"] = reports["valid"]
+    path = data.draw(st.sampled_from(list(value_paths(base))), label="path")
+    parent = base
+    for key in path[:-1]:
+        parent = parent[key]
+    deletable = bool(path) and isinstance(parent, dict)
+    new = data.draw(REPLACEMENTS | st.just(DELETE) if deletable else REPLACEMENTS, label="new")
+    with tempfile.TemporaryDirectory() as root:
+        cfg = write(Path(root), "cfg.json", mutate(base, path, new))
+        out = Path(root) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out-dir", str(out)])
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith(("config error:", "error:")))
+        if code == 2:
+            assert list(out.iterdir()) == []
 
 
 def loaded_after_cli_import(modules):

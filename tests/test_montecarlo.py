@@ -192,7 +192,7 @@ class TestNormality:
     def test_gaussian_statistics_reasonable(self):
         plan = small_plan(n=100, m=600, seed=12)
         report = run(plan, threads=4)
-        summaries = normality_check(report, min_samples=500)
+        summaries = normality_check(report)
         for s in summaries:
             if s.degenerate:
                 continue

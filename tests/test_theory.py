@@ -258,7 +258,7 @@ class TestExtendVariance:
             support=(-1.0, 1.0),
         )
         with pytest.raises(RepresentationError):
-            extend_variance(p, indicator, max_residual=1e-3)
+            extend_variance(p, indicator)
 
 
 def test_guard_sigma2_I_below_one():
