@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -77,12 +78,18 @@ def _reading_config():
     A command reads its whole config inside this block, before it computes
     or writes anything. Whatever fails there (a missing key, a value of the
     wrong type, a report that is not JSON, a constructor's ParameterError)
-    is wrong input, so the exception is caught whatever its type.
+    is wrong input, so the exception is caught whatever its type. A missing
+    key is named as such.
     """
     try:
         yield
     except Exception as exc:
-        text = str(exc) if isinstance(exc, WignerlabError) else f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, WignerlabError):
+            text = str(exc)
+        elif isinstance(exc, KeyError):
+            text = f"missing key {exc.args[0]!r}"
+        else:
+            text = f"{type(exc).__name__}: {exc}"
         raise ConfigError(" ".join(text.split())) from exc
 
 
@@ -428,7 +435,7 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
     if mc:
         checks = monte_carlo_cross_checks(
             parsed, n_dim, n_samples, v / n_dim,
-            generators[n_dim], seed=int(args.seed or 0),
+            generators[n_dim], seed=int(args.seed or 0), threads=args.threads,
         )
         for entry, cc in zip(results, checks):
             entry["mc"] = {
@@ -508,9 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for simulate "
-                             "(capped at the cores BLAS leaves free)")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for the Monte Carlo of simulate and "
+                             "infinitesimal (default: the CPU count; capped at the "
+                             "cores BLAS leaves free)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--format", choices=["csv", "json", "both"], default="both")
     return parser
@@ -522,6 +530,8 @@ def main(argv=None) -> int:
         with _reading_config():
             cfg = json.loads(Path(args.config).read_text())
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ __all__ = [
     "density",
     "integrate_against_rho",
     "gauss_kronrod",
+    "gauss_kronrod_rounds",
     "support_window",
 ]
 
@@ -58,8 +59,8 @@ class AtomicMeasure:
             raise ValueError("locations and weights must be matching 1-d arrays")
         if not np.all(np.isfinite(loc)):
             raise ValueError("atom locations must be finite")
-        if np.any(wts <= 0):
-            raise ValueError("atom weights must be positive")
+        if not np.all(np.isfinite(wts) & (wts > 0)):
+            raise ValueError("atom weights must be positive and finite")
         if abs(wts.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {wts.sum()!r}, not 1")
         order = np.argsort(loc, kind="stable")
@@ -452,10 +453,17 @@ _GAUSS[1:10:2] = _WG
 _GAUSS[11:20:2] = _WG[::-1]
 
 
-def _gk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QUADPACK's qk21 on every interval [a_k, b_k]: (integrals, error estimates)."""
+def _gk21_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 21 nodes of QUADPACK's qk21 on every interval [a_k, b_k], flat."""
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = f((centre[:, None] + half[:, None] * _NODES).ravel()).reshape(a.size, 21)
+    return (centre[:, None] + half[:, None] * _NODES).ravel()
+
+
+def _gk21(fx: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's qk21 on every interval [a_k, b_k] from the values at its
+    ``_gk21_nodes``: (integrals, error estimates)."""
+    half = 0.5 * (b - a)
+    fx = np.reshape(fx, (a.size, 21))
     resk = np.sum(fx * _KRONROD, axis=1)
     resg = np.sum(fx * _GAUSS, axis=1)
     resabs = np.sum(np.abs(fx) * _KRONROD, axis=1) * np.abs(half)
@@ -467,20 +475,23 @@ def _gk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return resk * half, err
 
 
-def gauss_kronrod(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
-    """Adaptive 21-point Gauss-Kronrod quadrature over the intervals [a_k, b_k].
+def gauss_kronrod_rounds(a, b, epsabs: float, epsrel: float, limit: int):
+    """Adaptive 21-point Gauss-Kronrod quadrature over the intervals [a_k, b_k],
+    as a generator of rounds.
 
-    ``f`` maps a 1-d array of points to the array of its values. Each
-    interval gets QUADPACK's rule and error estimate; each round then
-    bisects together the fewest largest-error intervals whose errors must go
-    for the rest to meet max(epsabs, epsrel * |integral|), so that ``f``
-    sees all new nodes of a round in one call. Rounds stop when the summed
-    error meets that tolerance or there are ``limit`` intervals. Returns the
-    integral over the union of the intervals and its error estimate.
+    Each round yields a 1-d array of new nodes and must be sent back the
+    integrand's values there; the generator returns (integral, error
+    estimate) over the union of the intervals. Each interval gets QUADPACK's
+    rule and error estimate; each round then bisects together the fewest
+    largest-error intervals whose errors must go for the rest to meet
+    max(epsabs, epsrel * |integral|). Rounds stop when the summed error
+    meets that tolerance or there are ``limit`` intervals. A caller can so
+    drive several integrations at once and evaluate all their nodes of a
+    round together; ``gauss_kronrod`` drives one.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    value, err = _gk21(f, a, b)
+    value, err = _gk21((yield _gk21_nodes(a, b)), a, b)
     while a.size < limit:
         tol = max(epsabs, epsrel * abs(value.sum()))
         total = err.sum()
@@ -494,8 +505,24 @@ def gauss_kronrod(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple[fl
         keep[pick] = False
         mid = 0.5 * (a[pick] + b[pick])
         new_a, new_b = np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]])
-        new_value, new_err = _gk21(f, new_a, new_b)
+        new_value, new_err = _gk21((yield _gk21_nodes(new_a, new_b)), new_a, new_b)
         a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
     return float(value.sum()), float(err.sum())
+
+
+def gauss_kronrod(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+    """Adaptive 21-point Gauss-Kronrod quadrature of ``f`` over the intervals [a_k, b_k].
+
+    ``f`` maps a 1-d array of points to the array of its values and sees all
+    new nodes of a round (``gauss_kronrod_rounds``) in one call. Returns the
+    integral over the union of the intervals and its error estimate.
+    """
+    rounds = gauss_kronrod_rounds(a, b, epsabs, epsrel, limit)
+    nodes = next(rounds)
+    while True:
+        try:
+            nodes = rounds.send(f(nodes))
+        except StopIteration as done:
+            return done.value

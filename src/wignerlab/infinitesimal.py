@@ -15,7 +15,8 @@ every dimension and both sums reuse them.
 
 The Monte Carlo cross-check draws each sample's GUE matrices once for all
 words and shares the products of common word prefixes; each word still gets
-bitwise the value it would get if checked alone.
+bitwise the value it would get if checked alone. Its samples run on the
+index-ordered map of ``parallel``, serially or on forked workers.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .parallel import map_samples
 
 __all__ = [
     "Pairing",
@@ -431,6 +433,7 @@ def monte_carlo_cross_checks(
     sigma_n2: float,
     generators: Mapping[str, np.ndarray] | None = None,
     seed: int = 0,
+    threads: int = 1,
 ) -> list[CrossCheckResult]:
     """Sample means of (1/N) Tr(word) over independent GUE draws vs xi_exact,
     one result per word.
@@ -440,6 +443,9 @@ def monte_carlo_cross_checks(
     order, so its result does not depend on the other words. Each sample's
     draws are shared by all words, and so are the products of common
     prefixes (same draw slots, same separators) of the left-to-right fold.
+    One sample gives one row, its traces of every word, and the rows run
+    on ``parallel.map_samples`` with ``threads`` as in ``montecarlo.run``:
+    the results are bitwise the same for every worker count.
     """
     if n_samples < 1000:
         raise ParameterError("cross-check needs at least 1000 samples")
@@ -460,12 +466,13 @@ def monte_carlo_cross_checks(
     uses = Counter(plan[:k] for plan in plans for k in range(1, len(plan) + 1))
     exacts = [xi_exact(word, n_dim, sigma_n2, gens) for word in words]
     n_draws = max((len(set(word.colors)) for word in words), default=0)
-    values = [np.empty(n_samples, dtype=complex) for _ in words]
-    for m in range(n_samples):
+
+    def per_sample(m: int) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
         draws = [sample_gue(n_dim, sigma_n2, rng) for _ in range(n_draws)]
         prefixes: dict[tuple, np.ndarray] = {}
-        for plan, out in zip(plans, values):
+        row = np.empty(len(plans), dtype=complex)
+        for j, plan in enumerate(plans):
             prod = None
             for k, factor in enumerate(plan):
                 key = plan[: k + 1]
@@ -476,9 +483,12 @@ def monte_carlo_cross_checks(
                     if uses[key] > 1:
                         prefixes[key] = known
                 prod = known
-            out[m] = np.trace(prod) / n_dim
+            row[j] = np.trace(prod) / n_dim
+        return row
+
+    rows = map_samples(per_sample, n_samples, len(plans), complex, threads)
     results = []
-    for exact, vals in zip(exacts, values):
+    for exact, vals in zip(exacts, np.ascontiguousarray(rows.T)):
         mean = complex(vals.mean())
         se = float(np.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n_samples - 1) / n_samples))
         results.append(CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples))

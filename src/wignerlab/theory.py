@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ParameterError, RepresentationError, SingularityError
-from .freeconv import AtomicMeasure, SubordinationSolution, gauss_kronrod, solve_pastur_array
+from .freeconv import (
+    AtomicMeasure,
+    SubordinationSolution,
+    gauss_kronrod_rounds,
+    solve_pastur_array,
+)
 
 __all__ = [
     "FluctuationParams",
@@ -68,6 +73,8 @@ class FluctuationParams:
     n: int | None = None
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.sigma2, self.s2, self.tau, self.kappa)):
+            raise ParameterError("sigma2, s2, tau and kappa must be finite")
         if self.sigma2 <= 0:
             raise ParameterError("sigma2 must be positive")
         if self.s2 <= 0:
@@ -326,12 +333,13 @@ def extend_bias(
     Extends the bias from the resolvent span by Stieltjes inversion of the
     limiting bias: b(phi) = -(1/pi) lim_y integral phi(x) Im beta(x+iy) dx,
     extrapolated to y = 0 in sqrt(y) from heights y = 0.256 halving down to
-    1e-3. Each height's integral is batched adaptive 21-point Gauss-Kronrod
-    quadrature (``freeconv.gauss_kronrod``: absolute tolerance 1e-10,
-    relative 1e-9, at most 300 subintervals) whose rounds solve the fixed
-    point at all their new nodes in one ``solve_pastur_array`` call; ``phi``
-    is called on arrays of points.
-    Returns value and extrapolation-error estimate.
+    1e-3. Each height's integral is its own adaptive 21-point Gauss-Kronrod
+    quadrature (``freeconv.gauss_kronrod_rounds``: absolute tolerance 1e-10,
+    relative 1e-9, at most 300 subintervals), and the heights run in
+    lockstep: each round solves the fixed point at the new nodes of every
+    height still refining in one ``beta`` call, which gives every node the
+    bits a solve of that height alone would. ``phi`` is called on arrays of
+    points. Returns value and extrapolation-error estimate.
     """
     a, b = window if window is not None else _integration_window(params, phi)
     lo, hi = params.nu.support
@@ -339,14 +347,22 @@ def extend_bias(
     breaks = [x for x in (lo - edge_pad, lo, hi, hi + edge_pad) if a < x < b]
     edges = np.array([a, *breaks, b])
 
-    levels = []
-    for y in _Y_SCHEDULE:
-        def integrand(x: np.ndarray, _y=y) -> np.ndarray:
-            return np.real(phi(x)) * beta(params, x + 1j * _y).imag
-
-        val, _ = gauss_kronrod(integrand, edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9,
-                               limit=300)
-        levels.append(-val / math.pi)
+    rounds = {y: gauss_kronrod_rounds(edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9, limit=300)
+              for y in _Y_SCHEDULE}
+    nodes = {y: next(g) for y, g in rounds.items()}
+    integrals = {}
+    while nodes:
+        x = np.concatenate(list(nodes.values()))
+        heights = np.concatenate([np.full(xs.size, y) for y, xs in nodes.items()])
+        values = np.real(phi(x)) * beta(params, x + 1j * heights).imag
+        ends = np.cumsum([xs.size for xs in nodes.values()])
+        for y, fx in zip(list(nodes), np.split(values, ends[:-1])):
+            try:
+                nodes[y] = rounds[y].send(fx)
+            except StopIteration as done:
+                integrals[y], _ = done.value
+                del nodes[y]
+    levels = [-integrals[y] / math.pi for y in _Y_SCHEDULE]
     steps = [math.sqrt(y) for y in _Y_SCHEDULE]
     estimates = _neville_zero(steps, levels)
     corrections = [abs(estimates[k] - estimates[k - 1]) for k in range(1, len(estimates))]

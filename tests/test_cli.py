@@ -245,6 +245,18 @@ class TestInfinitesimalCommand:
         payload = json.loads((tmp_path / "moments.json").read_text())
         assert all(w["ok"] for w in payload["words"])
 
+    def test_outputs_equal_at_one_thread_and_the_default(self, tmp_path, pool):
+        cfg = write(tmp_path, "cfg.json", {"infinitesimal": {
+            "words": ["w1 a w2 a w1 w2", "w1 a w1 a"], "dims": [4, 8, 16],
+            "generators": {"a": {"kind": "diag_pm1"}}, "mc": {"n_dim": 6, "n_samples": 1000},
+        }})
+        outputs = []
+        for extra in (["--threads", "1"], []):
+            out = tmp_path / f"out{len(outputs)}"
+            main(["infinitesimal", "--config", cfg, "--out-dir", str(out), "--seed", "3", *extra])
+            outputs.append([(out / name).read_bytes() for name in ("moments.json", "moments.csv")])
+        assert outputs[0] == outputs[1]
+
 
 class TestDensityCommand:
     def test_density_table(self, tmp_path):
@@ -300,6 +312,37 @@ class TestConfigErrors:
         assert main(["density", "--config", cfg, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fluctuation", [
+        pytest.param({"sigma2": float("nan"), "nu": {"atoms": [[0.0, 1.0]]}}, id="sigma2_nan"),
+        pytest.param({"kappa": float("inf"), "nu": {"atoms": [[0.0, 1.0]]}}, id="kappa_inf"),
+        pytest.param({"nu": {"atoms": [[0.0, None]]}}, id="weight_null"),
+    ])
+    def test_theory_non_finite_input(self, tmp_path, capsys, fluctuation):
+        # these configs once ran to an all-NaN beta.csv and exit 0
+        cfg = write(tmp_path, "cfg.json", {"fluctuation": fluctuation, "z_grid": [[0.0, 2.0]]})
+        out = tmp_path / "out"
+        assert main(["theory", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and "finite" in err
+        assert list(out.iterdir()) == []
+
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        ensemble = gue_ensemble(10)
+        del ensemble["n"]
+        cfg = write(tmp_path, "cfg.json", {
+            "ensemble": ensemble,
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        })
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: missing key 'n'\n"
+
+    @pytest.mark.parametrize("payload,kind", [([1, 2], "list"), ("text", "str"), (3, "int")])
+    def test_top_level_not_an_object(self, tmp_path, capsys, payload, kind):
+        cfg = write(tmp_path, "cfg.json", payload)
+        assert main(["theory", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the config must be a JSON object, not {kind}\n")
 
     def test_bad_ensemble_params(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", {

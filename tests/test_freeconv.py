@@ -54,6 +54,12 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError):
             AtomicMeasure(np.array([np.inf]), np.array([1.0]))
 
+    @pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan], [np.inf], [1.5, -np.inf]])
+    def test_nonfinite_weights_rejected(self, weights):
+        # NaN passes both `w <= 0` and `|sum - 1| > tol`, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure(np.arange(float(len(weights))), np.array(weights))
+
     def test_moments(self):
         nu = AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
         assert nu.moment(1) == 0.0

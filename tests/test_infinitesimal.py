@@ -484,6 +484,17 @@ class TestReferenceEquivalence:
             assert res == ref, text
             assert monte_carlo_cross_check(word, n_dim, n_samples, 0.2, gens, seed) == ref
 
+    def test_cross_checks_equal_across_worker_counts(self, pool):
+        n_dim, n_samples, seed = 5, 1000, 21
+        rng = np.random.default_rng(9)
+        gens = {"a": random_hermitian(n_dim, rng), "b": diag_pm1(n_dim)}
+        words = [parse_word(t) for t in
+                 ("w1 a w2 a w1 w2", "w2 b w1 a w2 b w1 a", "w1 a b w1 b a")]
+        serial = monte_carlo_cross_checks(words, n_dim, n_samples, 0.2, gens, seed, threads=1)
+        for threads in (2, 8):
+            assert monte_carlo_cross_checks(words, n_dim, n_samples, 0.2, gens, seed,
+                                            threads=threads) == serial
+
     def test_pairings_enumerated_once_per_word(self, monkeypatch):
         calls = []
         original = infinitesimal.enumerate_pairings

@@ -55,12 +55,6 @@ def synthetic_failure():
     raise ArithmeticError("synthetic failure")
 
 
-@pytest.fixture
-def pool(monkeypatch):
-    """Leave the cores to the worker pool, as one BLAS thread per process would."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-
 class TestPlanValidation:
     def test_minimum_samples(self):
         with pytest.raises(ParameterError):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wignerlab import testfn
 from wignerlab.errors import ParameterError, RepresentationError, SingularityError
-from wignerlab.freeconv import AtomicMeasure, solve_pastur
+from wignerlab.freeconv import AtomicMeasure, gauss_kronrod, solve_pastur
 from wignerlab.theory import (
     FluctuationParams,
     bao_xie_b0,
@@ -208,6 +210,56 @@ class TestExtendBias:
         r2 = extend_bias(p, phi2, window=w)
         r12 = extend_bias(p, both, window=w)
         assert abs(r12.value - r1.value - r2.value) <= r1.error + r2.error + r12.error + 1e-6
+
+
+# extend_bias's heights, each integrated on its own in the reference below
+HEIGHTS = (0.256, 0.128, 0.064, 0.032, 0.016, 0.008, 0.004, 0.002, 0.001)
+
+
+def reference_extend_bias(p, phi):
+    """extend_bias as one adaptive integration per height, one after another,
+    then Neville extrapolation to y = 0 in sqrt(y)."""
+    a, b = phi.support
+    lo, hi = p.nu.support
+    pad = 2.0 * math.sqrt(p.sigma2)
+    edges = np.array([a, *[x for x in (lo - pad, lo, hi, hi + pad) if a < x < b], b])
+    levels = []
+    for y in HEIGHTS:
+        val, _ = gauss_kronrod(lambda x: np.real(phi(x)) * beta(p, x + 1j * y).imag,
+                               edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9, limit=300)
+        levels.append(-val / math.pi)
+    steps = [math.sqrt(y) for y in HEIGHTS]
+    table, estimates = list(levels), [levels[-1]]
+    for level in range(1, len(levels)):
+        for i in range(len(levels) - 1, level - 1, -1):
+            s_i, s_prev = steps[i], steps[i - level]
+            table[i] = (s_prev * table[i] - s_i * table[i - 1]) / (s_prev - s_i)
+        estimates.append(table[-1])
+    return estimates[-1], abs(estimates[-1] - estimates[-2])
+
+
+class TestExtendBiasLockstep:
+    @pytest.mark.parametrize("p,phi", [
+        pytest.param(FluctuationParams(sigma2=1.0, s2=1.4, tau=0.6, kappa=-0.5, nu=DELTA0),
+                     testfn.smooth_bump(0.0, 1.5, 7), id="bulk_bump"),
+        pytest.param(goe_params(), testfn.smooth_bump(2.0, 1.0, 7), id="bump_across_edge"),
+        pytest.param(FluctuationParams(sigma2=1.0, s2=1.4, tau=0.6, kappa=-0.5,
+                                       nu=AtomicMeasure.from_atoms([(-1.0, 0.3), (1.5, 0.7)])),
+                     testfn.smooth_bump(0.5, 2.0, 3), id="two_atom_nu"),
+    ])
+    def test_equals_one_integration_per_height(self, p, phi):
+        got = extend_bias(p, phi)
+        assert (got.value, got.error) == reference_extend_bias(p, phi)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("name", ["sigma2", "s2", "tau", "kappa"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, name, value):
+        kw = dict(sigma2=1.0, s2=1.0, tau=0.0, kappa=0.0, nu=DELTA0)
+        kw[name] = value
+        with pytest.raises(ParameterError, match="finite"):
+            FluctuationParams(**kw)
 
 
 class TestExtendVariance:
