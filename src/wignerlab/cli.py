@@ -93,6 +93,14 @@ def _reading_config():
         raise ConfigError(" ".join(text.split())) from exc
 
 
+def _block(cfg: dict, key: str) -> dict:
+    """The top-level config block ``key``, which must be a JSON object."""
+    block = cfg[key]
+    if not isinstance(block, dict):
+        raise ConfigError(f"block {key!r} must be a JSON object, not {type(block).__name__}")
+    return block
+
+
 def _config_digest(cfg: dict) -> str:
     payload = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -189,7 +197,7 @@ def _single_atom(nu: AtomicMeasure) -> float | None:
 
 def cmd_theory(cfg: dict, args) -> int:
     with _reading_config():
-        params = _fluctuation_params(cfg["fluctuation"])
+        params = _fluctuation_params(_block(cfg, "fluctuation"))
         zs = _z_grid(cfg)
         pairs = cfg.get("pairs")
         if pairs is None:
@@ -234,8 +242,8 @@ def cmd_theory(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     with _reading_config():
-        params = EnsembleParams.from_config(cfg["ensemble"])
-        plan_cfg = cfg["plan"]
+        params = EnsembleParams.from_config(_block(cfg, "ensemble"))
+        plan_cfg = _block(cfg, "plan")
         seed = args.seed if args.seed is not None else plan_cfg.get("master_seed")
         if seed is None:
             raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
@@ -288,9 +296,9 @@ def _check_matches_report(params: FluctuationParams, config: dict) -> None:
 
 def cmd_compare(cfg: dict, args) -> int:
     with _reading_config():
-        block = cfg["compare"]
+        block = _block(cfg, "compare")
         report = EstimatorReport.from_json(Path(block["report"]).read_text())
-        fluctuation = cfg["fluctuation"]
+        fluctuation = _block(cfg, "fluctuation")
         params = _fluctuation_params(fluctuation)
         if "from_ensemble" in fluctuation:
             digest = EnsembleParams.from_config(fluctuation["from_ensemble"]).digest()
@@ -343,7 +351,7 @@ def cmd_compare(cfg: dict, args) -> int:
 
 def cmd_density(cfg: dict, args) -> int:
     with _reading_config():
-        block = cfg["density"]
+        block = _block(cfg, "density")
         nu = AtomicMeasure.from_atoms(block["nu"]["atoms"])
         v = float(block["v"])
         if not v > 0.0:
@@ -396,7 +404,7 @@ def _generators(spec, n_dim: int) -> dict[str, np.ndarray]:
 
 def cmd_infinitesimal(cfg: dict, args) -> int:
     with _reading_config():
-        block = cfg["infinitesimal"]
+        block = _block(cfg, "infinitesimal")
         words = block.get("words")
         if not words:
             raise ConfigError("infinitesimal.words must be a nonempty list")
@@ -462,8 +470,8 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
 
 def cmd_identities(cfg: dict, args) -> int:
     with _reading_config():
-        block = cfg["identities"]
-        params = EnsembleParams.from_config(cfg["ensemble"])
+        block = _block(cfg, "identities")
+        params = EnsembleParams.from_config(_block(cfg, "ensemble"))
         seed = args.seed if args.seed is not None else block.get("seed", 0)
         master_seed = int(seed)
         count = int(block.get("count", 20))

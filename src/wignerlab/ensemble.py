@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -79,9 +80,11 @@ class Gaussian:
     def sample_offdiag(self, rng: np.random.Generator, size) -> np.ndarray:
         if not self.is_complex:
             return rng.standard_normal(size)
-        re = rng.standard_normal(size)
-        im = rng.standard_normal(size)
-        return (re + 1j * im) / math.sqrt(2.0)
+        u = np.empty(size, dtype=complex)
+        u.real = rng.standard_normal(size)
+        u.imag = rng.standard_normal(size)
+        u /= math.sqrt(2.0)
+        return u
 
     def sample_diag(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.standard_normal(size)
@@ -430,22 +433,37 @@ def _rng_for(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+@lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strict upper triangle of an n x n matrix.
+
+    Built once per n: ``w[mask]`` walks the upper triangle in row-major order,
+    and ``w.T[mask]`` the mirrored lower triangle in the same order. The mask
+    costs n^2 bytes; int64 index pairs would cost 8 n^2.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 def sample(params: EnsembleParams, master_seed: int, index: int = 0) -> WignerSample:
-    """Draw X = W + D deterministically from (master_seed, index)."""
+    """Draw X = W + D deterministically from (master_seed, index).
+
+    The off-diagonal draws fill the upper triangle and, conjugated, the lower
+    one through the cached triangle mask; the diagonal is written once, noise
+    plus deformation. The golden digests in the tests pin the bits.
+    """
     n = params.n
     rng = _rng_for(master_seed, index)
-    sigma_n = math.sqrt(params.sigma_n2)
-    s_n = math.sqrt(params.s_n2)
-    n_off = n * (n - 1) // 2
-    off = params.entry_law.sample_offdiag(rng, n_off) * sigma_n
-    diag = params.entry_law.sample_diag(rng, n).real * s_n
+    off = params.entry_law.sample_offdiag(rng, n * (n - 1) // 2)  # a fresh array
+    off *= math.sqrt(params.sigma_n2)
+    diag = params.entry_law.sample_diag(rng, n).real * math.sqrt(params.s_n2)
 
-    dtype = np.complex128 if params.entry_law.is_complex else np.float64
-    w = np.zeros((n, n), dtype=dtype)
-    iu = np.triu_indices(n, k=1)
-    w[iu] = off.astype(dtype)
-    w[(iu[1], iu[0])] = np.conj(off).astype(dtype)
-    w[np.diag_indices(n)] = diag + params.deformation
+    w = np.zeros((n, n), dtype=off.dtype)
+    mask = _strict_upper(n)
+    w[mask] = off
+    w.T[mask] = off.conj()
+    w.flat[:: n + 1] = diag + params.deformation
     return WignerSample(
         matrix=w,
         seed_path=(int(master_seed), int(index)),
@@ -482,14 +500,20 @@ def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSampl
     The truncated mean and variance come from the entry law analytically,
     never from the sample. When truncation provably does nothing (law support
     inside the level, zero mean, exact variance) the sample is returned
-    unchanged.
+    unchanged. Otherwise one copy of the matrix is cut, recentered and
+    rescaled in place, and the lower triangle is mirrored from the upper one
+    through the cached triangle mask; the golden digests in the tests pin
+    the bits.
     """
     params = smp.params
+    n = smp.n
     sigma_n = math.sqrt(params.sigma_n2)
     s_n = math.sqrt(params.s_n2)
     off_mean, off_var, diag_mean, diag_var = truncated_moments(params, delta_n)
 
-    w = smp.matrix - np.diag(params.deformation)
+    w = smp.matrix.copy()
+    w.flat[:: n + 1] -= params.deformation
+    keep = np.abs(w) <= delta_n
     off_scale = sigma_n / math.sqrt(off_var)
     diag_scale = s_n / math.sqrt(diag_var)
     # snap rescalings that are 1 up to rounding so the no-op case is exact
@@ -502,20 +526,21 @@ def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSampl
         and diag_mean == 0.0
         and off_scale == 1.0
         and diag_scale == 1.0
-        and float(np.max(np.abs(w))) <= delta_n
+        and keep.all()
     ):
         return smp
 
-    mean_off = off_mean if params.entry_law.is_complex else off_mean.real
-    hat = np.where(np.abs(w) <= delta_n, w, w.dtype.type(0))
-    out = (hat - mean_off) * off_scale
-    diag = (np.real(np.diag(hat)) - diag_mean) * diag_scale
-    out[np.diag_indices(smp.n)] = diag + params.deformation
+    np.copyto(w, 0, where=~keep)
+    # the diagonal is recentered from the cut entries, before the off-diagonal mean
+    diag = (w.diagonal().real - diag_mean) * diag_scale
+    w -= off_mean if params.entry_law.is_complex else off_mean.real
+    w *= off_scale
+    w.flat[:: n + 1] = diag + params.deformation
     # exact Hermitian symmetrization of the off-diagonal part
-    iu = np.triu_indices(smp.n, k=1)
-    out[(iu[1], iu[0])] = np.conj(out[iu])
+    mask = _strict_upper(n)
+    w.T[mask] = w[mask].conj()
     return WignerSample(
-        matrix=out,
+        matrix=w,
         seed_path=smp.seed_path,
         params_hash=smp.params_hash,
         params=params,

@@ -315,6 +315,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     n = params.n
     m = plan.n_samples
     zs = plan.z_grid
+    z_array = np.array(zs)
     delta = plan.resolved_delta()
 
     def per_sample(index: int) -> np.ndarray:
@@ -323,11 +324,8 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
             if delta is not None:
                 smp = truncate_center_homogenize(smp, delta)
             spec = eigenvalues(smp)
-            return np.array(
-                [trace_resolvent(spec, z) for z in zs]
-                + [linear_statistic(spec, phi) for phi in plan.test_functions],
-                dtype=complex,
-            )
+            stats = [linear_statistic(spec, phi) for phi in plan.test_functions]
+            return np.concatenate([trace_resolvent(spec, z_array), stats])
         except Exception as exc:  # abort, never skip: dropped samples bias estimators
             raise SampleError(f"sample {index} failed: {exc}", index=index) from exc
 

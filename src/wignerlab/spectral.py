@@ -61,12 +61,18 @@ def eigenvalues(smp: WignerSample | np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=ev)
 
 
-def trace_resolvent(spec: Spectrum, z: complex) -> complex:
-    """Tr (z - X)^-1 = sum_i (z - lambda_i)^-1 for Im z != 0."""
-    z = complex(z)
-    if z.imag == 0.0:
-        raise DomainError("trace_resolvent requires Im z != 0")
-    return complex(np.sum(1.0 / (z - spec.eigenvalues)))
+def trace_resolvent(spec: Spectrum, z: complex | np.ndarray) -> complex | np.ndarray:
+    """Tr (z - X)^-1 = sum_i (z - lambda_i)^-1 for Im z != 0.
+
+    A scalar z gives a Python complex. An array of z gives an array of that
+    shape, each entry bitwise equal to the scalar call at its z.
+    """
+    zs = np.asarray(z, dtype=complex)
+    real = zs.imag == 0.0
+    if np.any(real):
+        raise DomainError(f"trace_resolvent requires Im z != 0, got z={zs[real][0]}")
+    tr = np.sum(1.0 / (zs[..., None] - spec.eigenvalues), axis=-1)
+    return complex(tr) if zs.ndim == 0 else tr
 
 
 def linear_statistic(spec: Spectrum, phi) -> complex:

@@ -552,6 +552,24 @@ SMALL_CONFIGS = {
         "identities": {"count": 20, "z_grid": [[0.5, 1.0]], "seed": 3},
     },
 }
+CONFIG_BLOCKS = [(command, block) for command, cfg in sorted(SMALL_CONFIGS.items())
+                 for block, value in cfg.items() if isinstance(value, dict)]
+
+
+@pytest.mark.parametrize("command,block", CONFIG_BLOCKS,
+                         ids=[f"{c}-{b}" for c, b in CONFIG_BLOCKS])
+def test_block_not_an_object_is_named(tmp_path, capsys, reports, command, block):
+    payload = copy.deepcopy(SMALL_CONFIGS[command])
+    if command == "compare":
+        payload["compare"]["report"] = reports["valid"]
+    cfg = write(tmp_path, "cfg.json", {**payload, block: [1]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: block {block!r} must be a JSON object, not list\n")
+    assert list(out.iterdir()) == []
+
+
 DELETE = object()
 # no replacement is a number, so no mutated config asks for more work
 REPLACEMENTS = st.one_of(

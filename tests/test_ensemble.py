@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wignerlab import ensemble
 from wignerlab.ensemble import (
     Discrete,
+    Gaussian,
     EnsembleParams,
     choose_delta,
     deformation_from_config,
@@ -372,3 +375,129 @@ def test_golden_digests_and_streams(key):
         smp = sample(p, 2024, i)
         got += [sha(smp.matrix), sha(truncate_center_homogenize(smp, choose_delta(n)).matrix)]
     assert " ".join(got) == GOLDEN[key]
+
+
+# The assembly and truncation as they were before sampling went through one
+# cached triangle mask, kept as references for the bits of the current code.
+def reference_sample(params, master_seed, index):
+    n = params.n
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=(int(master_seed), int(index)))))
+    sigma_n = math.sqrt(params.sigma_n2)
+    s_n = math.sqrt(params.s_n2)
+    n_off = n * (n - 1) // 2
+    law = params.entry_law
+    if isinstance(law, Gaussian) and law.is_complex:
+        re = rng.standard_normal(n_off)
+        im = rng.standard_normal(n_off)
+        off = (re + 1j * im) / math.sqrt(2.0) * sigma_n
+    else:
+        off = law.sample_offdiag(rng, n_off) * sigma_n
+    diag = law.sample_diag(rng, n).real * s_n
+    dtype = np.complex128 if law.is_complex else np.float64
+    w = np.zeros((n, n), dtype=dtype)
+    iu = np.triu_indices(n, k=1)
+    w[iu] = off.astype(dtype)
+    w[(iu[1], iu[0])] = np.conj(off).astype(dtype)
+    w[np.diag_indices(n)] = diag + params.deformation
+    return w
+
+
+def reference_truncate(smp, delta_n):
+    """The truncated matrix, or ``smp`` itself on the no-op path."""
+    params = smp.params
+    sigma_n = math.sqrt(params.sigma_n2)
+    s_n = math.sqrt(params.s_n2)
+    off_mean, off_var, diag_mean, diag_var = ensemble.truncated_moments(params, delta_n)
+    w = smp.matrix - np.diag(params.deformation)
+    off_scale = sigma_n / math.sqrt(off_var)
+    diag_scale = s_n / math.sqrt(diag_var)
+    if abs(off_scale - 1.0) < 5e-16:
+        off_scale = 1.0
+    if abs(diag_scale - 1.0) < 5e-16:
+        diag_scale = 1.0
+    if (off_mean == 0.0 and diag_mean == 0.0 and off_scale == 1.0 and diag_scale == 1.0
+            and float(np.max(np.abs(w))) <= delta_n):
+        return smp
+    mean_off = off_mean if params.entry_law.is_complex else off_mean.real
+    hat = np.where(np.abs(w) <= delta_n, w, w.dtype.type(0))
+    out = (hat - mean_off) * off_scale
+    diag = (np.real(np.diag(hat)) - diag_mean) * diag_scale
+    out[np.diag_indices(smp.n)] = diag + params.deformation
+    iu = np.triu_indices(smp.n, k=1)
+    out[(iu[1], iu[0])] = np.conj(out[iu])
+    return out
+
+
+# 2i at weight 0.05 and +-a - ci at 0.475 each: mean 0, real E u^2, and
+# cutting 2i leaves a purely imaginary truncated mean
+_C = 0.1 / 0.95
+_A = math.sqrt(0.8 / 0.95 - _C**2)
+REFERENCE_LAWS = {
+    **{name: name for name in ("gaussian_complex", "gaussian_real", "rademacher_real",
+                               "rademacher_complex_four_point")},
+    "custom_weighted_complex": GOLDEN_LAWS["custom_weighted"],
+    "custom_equal_real": GOLDEN_LAWS["custom_equal"],
+    "custom_imaginary_mean": {
+        "name": "custom_discrete",
+        "offdiag": [[0.0, 2.0, 0.05], [_A, -_C, 0.475], [-_A, -_C, 0.475]],
+        "diag": PM1_HALVES,
+    },
+}
+
+
+def truncated_or_error(fn, smp, delta):
+    try:
+        return fn(smp, delta)
+    except DegenerateTruncationError as exc:
+        return type(exc)
+
+
+@settings(max_examples=120)
+@given(
+    n=st.integers(1, 48),
+    law=st.sampled_from(sorted(REFERENCE_LAWS)),
+    seed=st.integers(0, 2**31 - 1),
+    index=st.integers(0, 1000),
+    spread=st.floats(0.0, 3.0),
+)
+def test_sample_and_truncation_equal_the_references(n, law, seed, index, spread):
+    atoms = spread * np.cos(np.arange(n))
+    p = EnsembleParams.create(n, law_from_config(REFERENCE_LAWS[law]), atoms)
+    smp = sample(p, seed, index)
+    want = reference_sample(p, seed, index)
+    assert smp.matrix.dtype == want.dtype and smp.matrix.tobytes() == want.tobytes()
+
+    sigma_n = math.sqrt(p.sigma_n2)
+    # the schedule, a level cutting most entries, a level between the two
+    # smallest discrete moduli, and one past every entry (the no-op path)
+    deltas = [0.3 * sigma_n, 0.9 * sigma_n, 1e3] + ([choose_delta(n)] if n >= 2 else [])
+    for delta in deltas:
+        got = truncated_or_error(truncate_center_homogenize, smp, delta)
+        ref = truncated_or_error(reference_truncate, smp, delta)
+        if isinstance(ref, type):
+            assert got is ref
+        elif ref is smp:
+            assert got is smp
+        else:
+            assert got.matrix.dtype == ref.dtype and got.matrix.tobytes() == ref.tobytes()
+    if law in ("gaussian_complex", "gaussian_real"):
+        assert truncate_center_homogenize(smp, 1e3) is smp
+
+
+def test_triangle_mask_is_built_once_per_n(monkeypatch):
+    builds = []
+    for name in ("triu", "tril", "tri", "triu_indices", "tril_indices", "diag_indices", "diag"):
+        original = getattr(np, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            builds.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    ensemble._strict_upper.cache_clear()
+    for n in (17, 23):
+        p = make_params(n, "gaussian_real", atoms=np.linspace(-1, 1, n))
+        for i in range(20):
+            truncate_center_homogenize(sample(p, 5, i), choose_delta(n))
+    assert len(builds) == 2

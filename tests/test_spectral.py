@@ -94,6 +94,25 @@ class TestTraceResolvent:
         with pytest.raises(DomainError):
             trace_resolvent(Spectrum(np.array([0.0])), 1.0)
 
+    def test_scalar_z_gives_python_complex(self):
+        spec = eigenvalues(gue_sample(20))
+        assert type(trace_resolvent(spec, 1 + 1j)) is complex
+        assert type(trace_resolvent(spec, np.complex128(2j))) is complex
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 400])
+    def test_array_equals_scalar_calls_bitwise(self, n):
+        spec = eigenvalues(gue_sample(n, atoms=np.linspace(-1, 1, n)))
+        zs = np.array([2j, 1 + 1j, -1 + 0.5j, 0.3 - 0.1j, -2 - 3j, 1e-3j]).reshape(2, 3)
+        tr = trace_resolvent(spec, zs)
+        assert tr.shape == zs.shape and tr.dtype == np.complex128
+        want = np.array([trace_resolvent(spec, complex(z)) for z in zs.ravel()]).reshape(2, 3)
+        assert tr.tobytes() == want.tobytes()
+
+    def test_real_z_in_array_is_named(self):
+        spec = Spectrum(np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match=r"z=\(0\.5\+0j\)"):
+            trace_resolvent(spec, np.array([1j, 0.5, 2.0, 1 - 1j]))
+
 
 class TestLinearStatistic:
     def test_constant(self):
