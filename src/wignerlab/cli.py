@@ -93,9 +93,12 @@ def _reading_config():
         raise ConfigError(" ".join(text.split())) from exc
 
 
-def _block(cfg: dict, key: str) -> dict:
-    """The top-level config block ``key``, which must be a JSON object."""
-    block = cfg[key]
+def _block(cfg: dict, key: str, optional: bool = False) -> dict:
+    """The config block ``key`` of ``cfg``, which must be a JSON object; an
+    optional block that is absent or null reads as empty."""
+    block = cfg.get(key) if optional else cfg[key]
+    if optional and block is None:
+        return {}
     if not isinstance(block, dict):
         raise ConfigError(f"block {key!r} must be a JSON object, not {type(block).__name__}")
     return block
@@ -177,13 +180,14 @@ def _z_grid(block: dict, default=None) -> list[complex]:
 
 def _fluctuation_params(block: dict) -> FluctuationParams:
     if "from_ensemble" in block:
-        return FluctuationParams.from_ensemble(EnsembleParams.from_config(block["from_ensemble"]))
+        return FluctuationParams.from_ensemble(
+            EnsembleParams.from_config(_block(block, "from_ensemble")))
     return FluctuationParams(
         sigma2=float(block.get("sigma2", 1.0)),
         s2=float(block.get("s2", 1.0)),
         tau=float(block.get("tau", 0.0)),
         kappa=float(block.get("kappa", 0.0)),
-        nu=AtomicMeasure.from_atoms(block["nu"]["atoms"]),
+        nu=AtomicMeasure.from_atoms(_block(block, "nu")["atoms"]),
         mode=block.get("mode", "limit"),
         n=None if block.get("n") is None else int(block["n"]),
     )
@@ -314,7 +318,7 @@ def cmd_compare(cfg: dict, args) -> int:
                 report.z_grid, key=lambda z: (z.real, z.imag)
             ):
                 raise ConfigError("configured z grid does not match the report grid")
-        thresholds = block.get("thresholds", {})
+        thresholds = _block(block, "thresholds", optional=True)
         bias_band = float(thresholds.get("bias_band", 3.0))
         cov_band = float(thresholds.get("cov_band", 3.0))
 
@@ -352,7 +356,7 @@ def cmd_compare(cfg: dict, args) -> int:
 def cmd_density(cfg: dict, args) -> int:
     with _reading_config():
         block = _block(cfg, "density")
-        nu = AtomicMeasure.from_atoms(block["nu"]["atoms"])
+        nu = AtomicMeasure.from_atoms(_block(block, "nu")["atoms"])
         v = float(block["v"])
         if not v > 0.0:
             raise ConfigError("density.v must be positive")
@@ -384,10 +388,11 @@ def cmd_density(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _generators(spec, n_dim: int) -> dict[str, np.ndarray]:
+def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
     """The named generator matrices at one dimension."""
     out = {}
-    for name, g in (spec or {}).items():
+    for name in spec:
+        g = _block(spec, name)
         kind = g["kind"]
         if kind == "diag_pm1":
             out[name] = diag_pm1(n_dim)
@@ -414,7 +419,7 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
         v = float(block.get("v", 1.0))
         if not v > 0.0:
             raise ConfigError("infinitesimal.v must be positive")
-        mc = block.get("mc")
+        mc = _block(block, "mc", optional=True)
         sizes = list(dims)
         if mc:
             n_dim = int(mc.get("n_dim", 50))
@@ -422,7 +427,8 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
             sizes.append(n_dim)
         if min(sizes, default=1) < 1:
             raise ConfigError("infinitesimal dimensions (dims, mc.n_dim) must be positive")
-        generators = {n: _generators(block.get("generators"), n) for n in sizes}
+        spec = _block(block, "generators", optional=True)
+        generators = {n: _generators(spec, n) for n in sizes}
     violations = 0
     results = []
     for text, word in zip(words, parsed):

@@ -212,13 +212,20 @@ _PRESETS = {
 }
 
 
+def _config_block(spec, key: str) -> dict:
+    """The config block ``key`` read as ``spec``, which must be a JSON object."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"block {key!r} must be a JSON object, not {type(spec).__name__}")
+    return spec
+
+
 def law_from_config(spec) -> Gaussian | Discrete:
     """Entry law from a preset name, ``{"name": preset}``, or a
     ``custom_discrete`` spec with ``offdiag`` triples [re, im, weight] and
     ``diag`` pairs [value, weight]."""
     if isinstance(spec, str):
         spec = {"name": spec}
-    name = spec["name"]
+    name = _config_block(spec, "entry_law")["name"]
     if name in _PRESETS:
         return _PRESETS[name]
     if name == "custom_discrete":
@@ -235,13 +242,13 @@ def law_from_config(spec) -> Gaussian | Discrete:
 
 def deformation_from_config(spec, n: int) -> np.ndarray:
     """Deformation atoms from an explicit list or a quantile description."""
-    if "atoms" in spec:
+    if "atoms" in _config_block(spec, "deformation"):
         atoms = np.asarray(spec["atoms"], dtype=float)
         return np.sort(atoms)
     q = spec.get("quantile_spec")
     if q is None:
         raise ParameterError("deformation needs 'atoms' or 'quantile_spec'")
-    kind = q.get("kind")
+    kind = _config_block(q, "quantile_spec").get("kind")
     if kind == "zero":
         return np.zeros(n)
     if kind == "two_point":

@@ -41,8 +41,6 @@ __all__ = [
     "parse_word",
     "enumerate_pairings",
     "cycle_structure",
-    "genus_term",
-    "is_noncrossing",
     "xi_exact",
     "free_moment",
     "infinitesimal_check",
@@ -71,9 +69,6 @@ class Pairing:
     @property
     def n(self) -> int:
         return len(self.partner)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(t, self.partner[t]) for t in range(self.n) if t < self.partner[t]]
 
 
 @dataclass(frozen=True)
@@ -174,11 +169,9 @@ def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[Pair
     return out
 
 
-def cycle_structure(pairing: Pairing, n: int | None = None) -> list[tuple[int, ...]]:
+def cycle_structure(pairing: Pairing) -> list[tuple[int, ...]]:
     """Cycles of the permutation pi*gamma, gamma: t -> t+1 mod n."""
-    n = pairing.n if n is None else n
-    if n != pairing.n:
-        raise ParameterError("n inconsistent with the pairing")
+    n = pairing.n
     perm = [pairing.partner[(t + 1) % n] for t in range(n)]
     seen = [False] * n
     cycles = []
@@ -193,31 +186,6 @@ def cycle_structure(pairing: Pairing, n: int | None = None) -> list[tuple[int, .
             t = perm[t]
         cycles.append(tuple(cycle))
     return cycles
-
-
-def genus_term(pairing: Pairing) -> int:
-    """n/2 + 1 - |pi gamma|; even, nonnegative, zero iff non-crossing."""
-    return pairing.n // 2 + 1 - len(cycle_structure(pairing))
-
-
-def _has_crossing_arcs(pairing: Pairing) -> bool:
-    pairs = pairing.pairs()
-    for i, (s, s2) in enumerate(pairs):
-        for t, t2 in pairs[i + 1:]:
-            if s < t < s2 < t2 or t < s < t2 < s2:
-                return True
-    return False
-
-
-def is_noncrossing(pairing: Pairing, n: int | None = None) -> bool:
-    """Non-crossing test through the cycle count, cross-validated arc-wise."""
-    if n is not None and n != pairing.n:
-        raise ParameterError("n inconsistent with the pairing")
-    by_cycles = genus_term(pairing) == 0
-    by_arcs = not _has_crossing_arcs(pairing)
-    if by_cycles != by_arcs:  # pragma: no cover - guards an internal invariant
-        raise RuntimeError(f"non-crossing tests disagree on {pairing.partner}")
-    return by_cycles
 
 
 def _separator_matrices(word: PairedWord, generators: Mapping[str, np.ndarray], n_dim: int):
@@ -486,7 +454,7 @@ def monte_carlo_cross_checks(
             row[j] = np.trace(prod) / n_dim
         return row
 
-    rows = map_samples(per_sample, n_samples, len(plans), complex, threads)
+    rows = map_samples(per_sample, n_samples, threads)
     results = []
     for exact, vals in zip(exacts, np.ascontiguousarray(rows.T)):
         mean = complex(vals.mean())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class ExperimentPlan:
             raise ParameterError(f"all z must satisfy |Im z| >= {IM_FLOOR}")
         object.__setattr__(self, "z_grid", zg)
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
+        ids = _fn_ids(self.test_functions)
+        if len(set(ids)) < len(ids):
+            raise ParameterError(f"test function ids must be distinct, got {ids}")
         delta = self.resolved_delta()
         if delta is not None:
             truncated_moments(self.params, delta)
@@ -90,6 +93,11 @@ class ExperimentPlan:
         if self.truncation == "auto":
             return choose_delta(self.params.n)
         return float(self.truncation)
+
+
+def _fn_ids(test_functions) -> list[str]:
+    """The report key of each test function: its fn_id, else fn<position>."""
+    return [getattr(phi, "fn_id", f"fn{k}") for k, phi in enumerate(test_functions)]
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,9 @@ class EstimatorReport:
     """Full estimator output plus the raw per-sample statistics.
 
     Keeping the samples makes the report self-contained: normality and
-    variance checks recompute from it, and serialization round-trips
-    losslessly (complex numbers as [re, im] pairs, floats via repr).
+    variance checks recompute from it. Serialization follows the dataclass
+    fields and round-trips losslessly (complex numbers as [re, im] pairs,
+    floats via repr).
     """
 
     master_seed: int
@@ -152,81 +161,59 @@ class EstimatorReport:
     version: str = _version
 
     def to_json(self) -> str:
-        def c2l(z):
-            return [z.real, z.imag]
-
-        payload = {
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "n_samples": self.n_samples,
-            "params_hash": self.params_hash,
-            "params_config": self.params_config,
-            "z_grid": [c2l(z) for z in self.z_grid],
-            "truncation": self.truncation,
-            "per_z": [
-                {**asdict(s), "z": c2l(s.z), "mean_tr": c2l(s.mean_tr),
-                 "g_rho": c2l(s.g_rho), "bias_hat": c2l(s.bias_hat),
-                 "omega_tilde": c2l(s.omega_tilde)}
-                for s in self.per_z
-            ],
-            "pairs": [
-                {**asdict(p), "z1": c2l(p.z1), "z2": c2l(p.z2),
-                 "cov_nc": c2l(p.cov_nc), "cov_conj": c2l(p.cov_conj)}
-                for p in self.pairs
-            ],
-            "normality": [asdict(s) for s in self.normality],
-            "testfn_means": {
-                k: {"mean": c2l(v["mean"]), "se": v["se"]} for k, v in self.testfn_means.items()
-            },
-            "tr_samples": [[c2l(v) for v in row] for row in self.tr_samples],
-            "fn_samples": {k: [c2l(complex(v)) for v in arr] for k, arr in self.fn_samples.items()},
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(_encode(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "EstimatorReport":
-        def l2c(pair):
-            return complex(pair[0], pair[1])
-
         d = json.loads(text)
-        per_z = tuple(
-            ZStat(
-                z=l2c(s["z"]), mean_tr=l2c(s["mean_tr"]), g_rho=l2c(s["g_rho"]),
-                bias_hat=l2c(s["bias_hat"]), se_mean=s["se_mean"], var_hat=s["var_hat"],
-                var_se=s["var_se"], omega_tilde=l2c(s["omega_tilde"]),
-            )
-            for s in d["per_z"]
-        )
-        pairs = tuple(
-            PairStat(
-                z1=l2c(p["z1"]), z2=l2c(p["z2"]), cov_nc=l2c(p["cov_nc"]),
-                cov_nc_se=p["cov_nc_se"], cov_conj=l2c(p["cov_conj"]),
-                cov_conj_se=p["cov_conj_se"],
-            )
-            for p in d["pairs"]
-        )
-        normality = tuple(NormalitySummary(**s) for s in d["normality"])
-        tr = np.array(
-            [[l2c(v) for v in row] for row in d["tr_samples"]], dtype=complex
-        ).reshape(d["n_samples"], len(d["z_grid"]))
         return cls(
             master_seed=d["master_seed"],
             n_samples=d["n_samples"],
             params_hash=d["params_hash"],
             params_config=d["params_config"],
-            z_grid=tuple(l2c(z) for z in d["z_grid"]),
+            z_grid=tuple(complex(*z) for z in d["z_grid"]),
             truncation=d["truncation"],
-            per_z=per_z,
-            pairs=pairs,
-            normality=normality,
+            per_z=tuple(_decode(ZStat, s) for s in d["per_z"]),
+            pairs=tuple(_decode(PairStat, p) for p in d["pairs"]),
+            normality=tuple(_decode(NormalitySummary, s) for s in d["normality"]),
             testfn_means={
-                k: {"mean": l2c(v["mean"]), "se": v["se"]}
+                k: {"mean": complex(*v["mean"]), "se": v["se"]}
                 for k, v in d["testfn_means"].items()
             },
-            tr_samples=tr,
-            fn_samples={k: np.array([l2c(v) for v in arr]) for k, arr in d["fn_samples"].items()},
+            tr_samples=_complex_array(d["tr_samples"], (d["n_samples"], len(d["z_grid"]))),
+            fn_samples={k: _complex_array(v, (-1,)) for k, v in d["fn_samples"].items()},
             version=d["version"],
         )
+
+
+def _encode(value):
+    """The JSON form of a report value: dataclasses as objects of their
+    fields, every complex number (and complex array entry) as [re, im]."""
+    if isinstance(value, np.ndarray):
+        return np.stack([value.real, value.imag], -1).tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(cls, obj: dict):
+    """A row dataclass from its JSON object; each field annotated complex (a
+    string annotation, as this module imports annotations) comes from [re, im]."""
+    return cls(**{
+        f.name: complex(*obj[f.name]) if f.type == "complex" else obj[f.name]
+        for f in fields(cls)
+    })
+
+
+def _complex_array(pairs, shape) -> np.ndarray:
+    """Nested [re, im] pairs as a complex array, bit for bit."""
+    return np.array(pairs, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[complex, float]:
@@ -304,6 +291,18 @@ def _normality_summary(stat_id: str, x: np.ndarray) -> NormalitySummary:
     )
 
 
+def _normality_rows(z_grid, tr_samples, fn_columns) -> list[NormalitySummary]:
+    """Summaries of Re and Im Tr R(z) at each z, then of the real part of
+    each (fn_id, column) of linear statistics."""
+    out = []
+    for j, z in enumerate(z_grid):
+        col = tr_samples[:, j]
+        out.append(_normality_summary(f"re_tr_resolvent({z:.6g})", col.real.copy()))
+        out.append(_normality_summary(f"im_tr_resolvent({z:.6g})", col.imag.copy()))
+    out.extend(_normality_summary(fn_id, np.real(col).copy()) for fn_id, col in fn_columns)
+    return out
+
+
 def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     """Execute the plan: M independent samples, all estimators, one report.
 
@@ -329,7 +328,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
         except Exception as exc:  # abort, never skip: dropped samples bias estimators
             raise SampleError(f"sample {index} failed: {exc}", index=index) from exc
 
-    rows = map_samples(per_sample, m, len(zs) + len(plan.test_functions), complex, threads)
+    rows = map_samples(per_sample, m, threads)
     tr_samples = np.ascontiguousarray(rows[:, :len(zs)])
     fn_matrix = np.ascontiguousarray(rows[:, len(zs):])
 
@@ -365,21 +364,14 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
                 )
             )
 
-    normality = []
-    for j, z in enumerate(zs):
-        col = tr_samples[:, j]
-        normality.append(_normality_summary(f"re_tr_resolvent({z:.6g})", col.real.copy()))
-        normality.append(_normality_summary(f"im_tr_resolvent({z:.6g})", col.imag.copy()))
+    fn_ids = _fn_ids(plan.test_functions)
+    fn_samples = {fn_id: fn_matrix[:, k].copy() for k, fn_id in enumerate(fn_ids)}
     testfn_means = {}
-    fn_samples = {}
-    for k, phi in enumerate(plan.test_functions):
-        col = fn_matrix[:, k]
-        fn_id = getattr(phi, "fn_id", f"fn{k}")
-        fn_samples[fn_id] = col.copy()
+    for fn_id, col in fn_samples.items():
         mean, se = _mean_and_se(col)
         testfn_means[fn_id] = {"mean": mean, "se": se}
-        if getattr(phi, "is_real", False):
-            normality.append(_normality_summary(fn_id, col.real.copy()))
+    real_fns = [(fn_id, fn_samples[fn_id]) for fn_id, phi in zip(fn_ids, plan.test_functions)
+                if getattr(phi, "is_real", False)]
 
     return EstimatorReport(
         master_seed=plan.master_seed,
@@ -390,7 +382,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
         truncation=delta,
         per_z=tuple(per_z),
         pairs=tuple(pairs),
-        normality=tuple(normality),
+        normality=tuple(_normality_rows(zs, tr_samples, real_fns)),
         testfn_means=testfn_means,
         tr_samples=tr_samples,
         fn_samples=fn_samples,
@@ -430,14 +422,7 @@ def normality_check(report: EstimatorReport):
             f"normality requires at least {NORMALITY_MIN_SAMPLES} samples, "
             f"got {report.n_samples}"
         )
-    out = []
-    for j, z in enumerate(report.z_grid):
-        col = report.tr_samples[:, j]
-        out.append(_normality_summary(f"re_tr_resolvent({z:.6g})", col.real.copy()))
-        out.append(_normality_summary(f"im_tr_resolvent({z:.6g})", col.imag.copy()))
-    for fn_id, col in report.fn_samples.items():
-        out.append(_normality_summary(fn_id, np.real(col).copy()))
-    return out
+    return _normality_rows(report.z_grid, report.tr_samples, report.fn_samples.items())
 
 
 def crude_variance_bound(params: EnsembleParams, z: complex) -> float:
@@ -486,14 +471,16 @@ def truncation_drift(
     Each draw is evaluated before and after truncation-centering-
     homogenization, so the difference isolates the preprocessing effect.
     """
+    if n_samples < 2:
+        raise ParameterError("truncation drift needs at least 2 samples for its standard error")
 
-    def per_sample(index: int) -> tuple[float]:
+    def per_sample(index: int) -> float:
         smp = sample(params, master_seed, index)
         raw = linear_statistic(eigenvalues(smp), phi)
         cooked = linear_statistic(eigenvalues(truncate_center_homogenize(smp, delta)), phi)
-        return (abs(raw - cooked),)
+        return abs(raw - cooked)
 
-    diffs = map_samples(per_sample, n_samples, 1, float, threads)[:, 0]
+    diffs = map_samples(per_sample, n_samples, threads)
     mean = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(n_samples))
     return mean, se

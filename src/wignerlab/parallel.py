@@ -43,8 +43,9 @@ def _run_range(bounds: tuple[int, int]) -> np.ndarray:
     return np.stack([_per_sample(i) for i in range(*bounds)])
 
 
-def map_samples(per_sample, m: int, width: int, dtype, threads: int) -> np.ndarray:
-    """Rows ``per_sample(i)`` for i in range(m), stacked in index order.
+def map_samples(per_sample, m: int, threads: int) -> np.ndarray:
+    """Rows ``per_sample(i)`` for i in range(m), stacked in index order; the
+    row shape and dtype are those of the rows (a scalar row gives a 1-d result).
 
     The worker count is min(threads, m, cores // BLAS threads); one runs the
     samples serially. More fork a process pool. Its initializer installs
@@ -57,7 +58,6 @@ def map_samples(per_sample, m: int, width: int, dtype, threads: int) -> np.ndarr
     the cores BLAS threads leave free, because both at once ran slower than
     one process. Where the platform cannot fork, the samples run serially.
     """
-    out = np.empty((m, width), dtype=dtype)
     workers = min(threads, m, max(1, (os.cpu_count() or 1) // _blas_threads()))
     if workers > 1:
         # imported here so that importing the CLI does not load them
@@ -72,9 +72,5 @@ def map_samples(per_sample, m: int, width: int, dtype, threads: int) -> np.ndarr
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_install, initargs=(per_sample,),
             ) as pool:
-                for (start, stop), rows in zip(ranges, pool.map(_run_range, ranges)):
-                    out[start:stop] = rows
-            return out
-    for i in range(m):
-        out[i] = per_sample(i)
-    return out
+                return np.concatenate(list(pool.map(_run_range, ranges)))
+    return np.stack([per_sample(i) for i in range(m)])

@@ -37,7 +37,6 @@ class TestFunction:
     """
 
     fn_id: str
-    kind: str
     fn: Callable[[np.ndarray], np.ndarray]
     is_real: bool
     support: tuple[float, float] | None = None
@@ -55,7 +54,6 @@ def resolvent(z: complex, fn_id: str | None = None) -> TestFunction:
         raise ValueError("resolvent test function requires Im z != 0")
     return TestFunction(
         fn_id=fn_id or f"resolvent({z:.6g})",
-        kind="resolvent",
         fn=lambda x: 1.0 / (z - x),
         is_real=False,
         regularity=math.inf,
@@ -70,7 +68,6 @@ def real_resolvent_pair(z: complex, fn_id: str | None = None) -> TestFunction:
         raise ValueError("real_resolvent_pair requires Im z != 0")
     return TestFunction(
         fn_id=fn_id or f"real_resolvent_pair({z:.6g})",
-        kind="real_resolvent_pair",
         fn=lambda x: (2.0 * (z.real - x)) / ((z.real - x) ** 2 + z.imag**2),
         is_real=True,
         regularity=math.inf,
@@ -97,7 +94,6 @@ def smooth_bump(center: float, width: float, order: int, fn_id: str | None = Non
 
     return TestFunction(
         fn_id=fn_id or f"bump(c={center:g},w={width:g},k={order})",
-        kind="smooth_bump",
         fn=fn,
         is_real=True,
         support=(center - width, center + width),
@@ -146,7 +142,6 @@ def capped_polynomial(
 
     return TestFunction(
         fn_id=fn_id or f"capped_poly(deg={len(c)-1},[{a:g},{b:g}],k={order})",
-        kind="capped_polynomial",
         fn=fn,
         is_real=True,
         support=(a - w, b + w),
@@ -166,7 +161,6 @@ def from_grid(xs, values, fn_id: str, is_real: bool = True) -> TestFunction:
 
     return TestFunction(
         fn_id=fn_id,
-        kind="grid",
         fn=fn,
         is_real=is_real,
         support=(float(xs[0]), float(xs[-1])),
@@ -183,7 +177,7 @@ def from_callable(
 ) -> TestFunction:
     fn = f if _accepts_array(f) else np.vectorize(f)
     return TestFunction(
-        fn_id=fn_id, kind="callable", fn=fn, is_real=is_real,
+        fn_id=fn_id, fn=fn, is_real=is_real,
         support=support, regularity=regularity,
     )
 

@@ -495,6 +495,12 @@ class TestConfigErrors:
             "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
                      "truncation": 0.0001},
         }, id="truncation_leaves_no_variance"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "test_functions": [{"kind": "smooth_bump", "center": c, "width": 1.0,
+                                         "order": 3, "id": "b"} for c in (0.0, 1.0)]},
+        }, id="test_function_ids_repeated"),
         pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": [1]},
                      id="identities_not_an_object"),
         pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": {"z_grid": []}},
@@ -552,21 +558,33 @@ SMALL_CONFIGS = {
         "identities": {"count": 20, "z_grid": [[0.5, 1.0]], "seed": 3},
     },
 }
-CONFIG_BLOCKS = [(command, block) for command, cfg in sorted(SMALL_CONFIGS.items())
-                 for block, value in cfg.items() if isinstance(value, dict)]
+# key paths to config blocks: every top-level block, then the nested ones
+CONFIG_BLOCKS = [(command, (block,)) for command, cfg in sorted(SMALL_CONFIGS.items())
+                 for block, value in cfg.items() if isinstance(value, dict)] + [
+    ("compare", ("compare", "thresholds")),
+    ("compare", ("fluctuation", "from_ensemble")),
+    ("density", ("density", "nu")),
+    ("infinitesimal", ("infinitesimal", "generators")),
+    ("infinitesimal", ("infinitesimal", "generators", "a")),
+    ("infinitesimal", ("infinitesimal", "mc")),
+    ("simulate", ("ensemble", "deformation")),
+    ("simulate", ("ensemble", "deformation", "quantile_spec")),
+    ("simulate", ("ensemble", "entry_law")),
+    ("theory", ("fluctuation", "nu")),
+]
 
 
-@pytest.mark.parametrize("command,block", CONFIG_BLOCKS,
-                         ids=[f"{c}-{b}" for c, b in CONFIG_BLOCKS])
-def test_block_not_an_object_is_named(tmp_path, capsys, reports, command, block):
+@pytest.mark.parametrize("command,path", CONFIG_BLOCKS,
+                         ids=[f"{c}-{'.'.join(p)}" for c, p in CONFIG_BLOCKS])
+def test_block_not_an_object_is_named(tmp_path, capsys, reports, command, path):
     payload = copy.deepcopy(SMALL_CONFIGS[command])
     if command == "compare":
         payload["compare"]["report"] = reports["valid"]
-    cfg = write(tmp_path, "cfg.json", {**payload, block: [1]})
+    cfg = write(tmp_path, "cfg.json", mutate(payload, path, [1]))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: block {block!r} must be a JSON object, not list\n")
+        f"config error: block {path[-1]!r} must be a JSON object, not list\n")
     assert list(out.iterdir()) == []
 
 

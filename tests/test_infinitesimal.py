@@ -15,9 +15,7 @@ from wignerlab.infinitesimal import (
     diag_pm1,
     enumerate_pairings,
     free_moment,
-    genus_term,
     infinitesimal_check,
-    is_noncrossing,
     CrossCheckResult,
     monte_carlo_cross_check,
     monte_carlo_cross_checks,
@@ -37,6 +35,21 @@ def double_factorial(n):
 
 def catalan(m):
     return math.comb(2 * m, m) // (m + 1)
+
+
+def arcs(pairing):
+    return [(t, s) for t, s in enumerate(pairing.partner) if t < s]
+
+
+def crossing(pairing):
+    """Arc-wise reference: two arcs interleave (arcs come in order of their
+    left ends, so s < t)."""
+    return any(t < s2 < t2 for (s, s2), (t, t2) in itertools.combinations(arcs(pairing), 2))
+
+
+def genus(pairing):
+    """n/2 + 1 - |pi gamma|."""
+    return pairing.n // 2 + 1 - len(cycle_structure(pairing))
 
 
 def harer_zagier(n_dim, k_max):
@@ -80,7 +93,7 @@ def wick_bruteforce(word, n_dim, sigma_n2, generators):
         weight = 0.0
         for pairing in pairings:
             match = True
-            for s, t in pairing.pairs():
+            for s, t in arcs(pairing):
                 e_s = (idx[2 * s], idx[2 * s + 1])
                 e_t = (idx[2 * t], idx[2 * t + 1])
                 if e_s != (e_t[1], e_t[0]):
@@ -114,8 +127,10 @@ class TestPairingEnumeration:
     def test_noncrossing_counts_are_catalan(self, n):
         pairings = enumerate_pairings(n)
         assert len(pairings) == double_factorial(n - 1)
-        nc = sum(1 for p in pairings if is_noncrossing(p))
-        assert nc == catalan(n // 2)
+        word = PairedWord(colors=(1,) * n, separators=((),) * n)
+        flags = [noncrossing for _, noncrossing in word.pairing_cycles]
+        assert flags == [not crossing(p) for p in pairings]
+        assert sum(flags) == catalan(n // 2)
 
     def test_invalid_involution_rejected(self):
         with pytest.raises(ValueError):
@@ -133,19 +148,19 @@ class TestCycles:
     def test_n4_noncrossing_adjacent(self):
         p = Pairing((1, 0, 3, 2))  # {(0,1),(2,3)}
         assert len(cycle_structure(p)) == 3
-        assert genus_term(p) == 0
+        assert genus(p) == 0
 
     def test_n4_crossing(self):
         p = Pairing((2, 3, 0, 1))  # {(0,2),(1,3)}
         assert len(cycle_structure(p)) == 1
-        assert genus_term(p) == 2
+        assert genus(p) == 2
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_genus_parity(self, n):
         for p in enumerate_pairings(n):
-            g = genus_term(p)
+            g = genus(p)
             assert g >= 0 and g % 2 == 0
-            assert (g == 0) == is_noncrossing(p)
+            assert (g == 0) == (not crossing(p))
 
 
 class TestXiExact:
@@ -404,7 +419,7 @@ def reference_xi_exact(word, n_dim, sigma_n2, generators):
 def reference_free_moment(word, v, phi_cycle):
     total = 0.0 + 0.0j
     for pairing in enumerate_pairings(word.n, word.colors):
-        if not is_noncrossing(pairing):
+        if crossing(pairing):
             continue
         contrib = 1.0 + 0.0j
         for cycle in cycle_structure(pairing):

@@ -1,8 +1,10 @@
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wignerlab import testfn
 from wignerlab.ensemble import EnsembleParams, choose_delta, sample
@@ -11,6 +13,9 @@ from wignerlab.freeconv import solve_pastur
 from wignerlab.montecarlo import (
     EstimatorReport,
     ExperimentPlan,
+    NormalitySummary,
+    PairStat,
+    ZStat,
     covariance_check,
     crude_variance_bound,
     normality_check,
@@ -66,6 +71,12 @@ class TestPlanValidation:
                 params=two_point_params(10), n_samples=5,
                 z_grid=(0.05j,), master_seed=0,
             )
+
+    def test_duplicate_test_function_ids_rejected(self):
+        # one id would key both functions' samples and means, losing one of them
+        bumps = (testfn.smooth_bump(0.0, 1.0, 3, "b"), testfn.smooth_bump(1.0, 1.0, 3, "b"))
+        with pytest.raises(ParameterError, match="distinct"):
+            small_plan(test_functions=bumps)
 
     def test_truncation_resolution(self):
         plan = small_plan(truncation="auto")
@@ -330,8 +341,156 @@ class TestTruncationDrift:
         args = (params, phi, choose_delta(40), 12, 3)
         assert truncation_drift(*args, threads=1) == truncation_drift(*args, threads=4)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        params = EnsembleParams.create(20, "gaussian_real", np.zeros(20))
+        phi = testfn.from_callable(np.arctan, "arctan")
+        with pytest.raises(ParameterError):
+            truncation_drift(params, phi, choose_delta(20), n_samples, 3)
+
     def test_identity_truncation_zero_drift(self):
         params = EnsembleParams.create(60, "rademacher_real", np.zeros(60))
         phi = testfn.from_callable(np.arctan, "arctan")
         mean, _ = truncation_drift(params, phi, 0.9, 20, 3)
         assert mean == 0.0
+
+
+NAN, INF = math.nan, math.inf
+
+
+def hand_built_reports():
+    """Two small reports with no eigensolve behind them, so their bytes do
+    not depend on the BLAS library."""
+    edge = EstimatorReport(
+        master_seed=11, n_samples=2, params_hash="0123456789abcdef",
+        params_config={"n": 2, "sigma2": 1.0, "entry_law": {"name": "gaussian_complex"}},
+        z_grid=(2j, complex(-0.0, 0.5)),
+        truncation=None,
+        per_z=(
+            ZStat(z=2j, mean_tr=complex(-0.0, -1.25), g_rho=complex(0.0, -0.5),
+                  bias_hat=complex(INF, -INF), se_mean=0.5, var_hat=NAN, var_se=INF,
+                  omega_tilde=complex(NAN, 2.0)),
+            ZStat(z=complex(-0.0, 0.5), mean_tr=complex(1e-300, -2.5e17), g_rho=0.1 - 0.2j,
+                  bias_hat=complex(-0.0, -0.0), se_mean=0.0, var_hat=-0.0, var_se=NAN,
+                  omega_tilde=1 / 3 + 0.5j),
+        ),
+        pairs=(PairStat(z1=2j, z2=complex(-0.0, 0.5), cov_nc=complex(NAN, -INF), cov_nc_se=NAN,
+                        cov_conj=complex(0.1, -0.0), cov_conj_se=0.0),),
+        normality=(NormalitySummary(
+            stat_id="re_tr_resolvent(2j)", mean=0.25, variance=1e-3, skewness=-0.0,
+            skew_se=NAN, ex_kurtosis=0.0, kurt_se=INF, ks_stat=0.125, ks_pvalue=1.0,
+            degenerate=False),),
+        testfn_means={},
+        tr_samples=np.array([[complex(-0.0, 1.0), complex(INF, NAN)],
+                             [complex(0.1, -0.0), complex(-INF, 3.0)]]),
+        fn_samples={},
+        version="0.1.0",
+    )
+    complex_fn = EstimatorReport(
+        master_seed=5, n_samples=2, params_hash="fedcba9876543210",
+        params_config={"n": 3, "deformation": {"atoms": [-1.0, 0.0, 1.0]}},
+        z_grid=(1 + 1j,),
+        truncation=0.25,
+        per_z=(ZStat(z=1 + 1j, mean_tr=-1.5 - 0.75j, g_rho=-0.25 - 0.5j, bias_hat=0.0625j,
+                     se_mean=0.03125, var_hat=2.0, var_se=0.5, omega_tilde=2.5 + 1.75j),),
+        pairs=(PairStat(z1=1 + 1j, z2=1 + 1j, cov_nc=0.5 - 0.25j, cov_nc_se=0.125,
+                        cov_conj=2 + 0j, cov_conj_se=0.25),),
+        normality=(),
+        testfn_means={"resolvent(0+2j)": {"mean": complex(-0.0, -0.5), "se": 0.125}},
+        tr_samples=np.array([[-1.5 - 0.5j], [-1.5 - 1j]]),
+        fn_samples={"resolvent(0+2j)": np.array([complex(-0.0, -0.375), -0.0625 - 0.625j])},
+        version="0.1.0",
+    )
+    return {"edge_values": edge, "complex_test_function": complex_fn}
+
+
+# the format report.json has had since version 0.1.0, byte for byte
+RECORDED_BYTES = {
+    "edge_values": (
+        '{"fn_samples":{},"master_seed":11,"n_samples":2,"normality":[{"degenerate":false,'
+        '"ex_kurtosis":0.0,"ks_pvalue":1.0,"ks_stat":0.125,"kurt_se":Infinity,"mean":0.25,'
+        '"skew_se":NaN,"skewness":-0.0,"stat_id":"re_tr_resolvent(2j)","variance":0.001}],'
+        '"pairs":[{"cov_conj":[0.1,-0.0],"cov_conj_se":0.0,"cov_nc":[NaN,-Infinity],'
+        '"cov_nc_se":NaN,"z1":[0.0,2.0],"z2":[-0.0,0.5]}],'
+        '"params_config":{"entry_law":{"name":"gaussian_complex"},'
+        '"n":2,"sigma2":1.0},"params_hash":"0123456789abcdef","per_z":[{"bias_hat":[Infinity,'
+        '-Infinity],"g_rho":[0.0,-0.5],"mean_tr":[-0.0,-1.25],"omega_tilde":[NaN,'
+        '2.0],"se_mean":0.5,"var_hat":NaN,"var_se":Infinity,"z":[0.0,2.0]},{"bias_hat":[-0.0,'
+        '-0.0],"g_rho":[0.1,-0.2],"mean_tr":[1e-300,-2.5e+17],"omega_tilde":[0.3333333333333333,'
+        '0.5],"se_mean":0.0,"var_hat":-0.0,"var_se":NaN,"z":[-0.0,0.5]}],"testfn_means":{},'
+        '"tr_samples":[[[-0.0,1.0],[Infinity,NaN]],[[0.1,-0.0],[-Infinity,3.0]]],'
+        '"truncation":null,"version":"0.1.0","z_grid":[[0.0,2.0],[-0.0,0.5]]}'
+    ),
+    "complex_test_function": (
+        '{"fn_samples":{"resolvent(0+2j)":[[-0.0,-0.375],[-0.0625,-0.625]]},"master_seed":5,'
+        '"n_samples":2,"normality":[],"pairs":[{"cov_conj":[2.0,0.0],"cov_conj_se":0.25,'
+        '"cov_nc":[0.5,-0.25],"cov_nc_se":0.125,"z1":[1.0,1.0],"z2":[1.0,1.0]}],'
+        '"params_config":{"deformation":{"atoms":[-1.0,0.0,1.0]},"n":3},'
+        '"params_hash":"fedcba9876543210",'
+        '"per_z":[{"bias_hat":[0.0,0.0625],"g_rho":[-0.25,-0.5],"mean_tr":[-1.5,'
+        '-0.75],"omega_tilde":[2.5,1.75],"se_mean":0.03125,"var_hat":2.0,"var_se":0.5,'
+        '"z":[1.0,1.0]}],"testfn_means":{"resolvent(0+2j)":{"mean":[-0.0,-0.5],"se":0.125}},'
+        '"tr_samples":[[[-1.5,-0.5]],[[-1.5,-1.0]]],"truncation":0.25,"version":"0.1.0",'
+        '"z_grid":[[1.0,1.0]]}'
+    ),
+}
+
+# -0.0 and the infinities come from st.floats; NaN only as float("nan"),
+# the one NaN that JSON text can carry back
+FLOATS = st.floats().filter(lambda x: not math.isnan(x)) | st.just(NAN)
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+BY_ANNOTATION = {"complex": COMPLEX, "float": FLOATS, "str": st.text("abz(),.", max_size=6),
+                 "bool": st.booleans()}
+
+
+def rows_of(cls):
+    return st.builds(cls, **{f.name: BY_ANNOTATION[f.type] for f in fields(cls)})
+
+
+def complex_array(shape):
+    return st.lists(COMPLEX, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda values: np.array(values, dtype=complex).reshape(shape))
+
+
+@st.composite
+def random_reports(draw):
+    n_z, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    fn_ids = draw(st.lists(st.text("abf0", min_size=1, max_size=3), max_size=3, unique=True))
+    return EstimatorReport(
+        master_seed=draw(st.integers(0, 2**31)), n_samples=m, params_hash="0" * 16,
+        params_config={"n": draw(st.integers(1, 9))},
+        z_grid=tuple(draw(st.lists(COMPLEX, min_size=n_z, max_size=n_z))),
+        truncation=draw(st.none() | FLOATS),
+        per_z=tuple(draw(st.lists(rows_of(ZStat), min_size=n_z, max_size=n_z))),
+        pairs=tuple(draw(st.lists(rows_of(PairStat), max_size=3))),
+        normality=tuple(draw(st.lists(rows_of(NormalitySummary), max_size=3))),
+        testfn_means={k: {"mean": draw(COMPLEX), "se": draw(FLOATS)} for k in fn_ids},
+        tr_samples=draw(complex_array((m, n_z))),
+        fn_samples={k: draw(complex_array((m,))) for k in fn_ids},
+    )
+
+
+def assert_same_samples(a: EstimatorReport, b: EstimatorReport):
+    assert a.tr_samples.shape == b.tr_samples.shape
+    assert a.tr_samples.tobytes() == b.tr_samples.tobytes()
+    assert a.fn_samples.keys() == b.fn_samples.keys()
+    for k in a.fn_samples:
+        assert a.fn_samples[k].dtype == b.fn_samples[k].dtype
+        assert a.fn_samples[k].tobytes() == b.fn_samples[k].tobytes()
+
+
+class TestReportCodec:
+    @pytest.mark.parametrize("name", sorted(RECORDED_BYTES))
+    def test_bytes_match_the_recorded_format(self, name):
+        report = hand_built_reports()[name]
+        assert report.to_json() == RECORDED_BYTES[name]
+        clone = EstimatorReport.from_json(RECORDED_BYTES[name])
+        assert clone.to_json() == RECORDED_BYTES[name]
+        assert_same_samples(clone, report)
+
+    @given(random_reports())
+    def test_round_trip_keeps_every_bit(self, report):
+        blob = report.to_json()
+        clone = EstimatorReport.from_json(blob)
+        assert clone.to_json() == blob
+        assert_same_samples(clone, report)
