@@ -4,10 +4,10 @@ Subcommands: theory, simulate, compare, density, infinitesimal, identities.
 Every command first reads its whole config (and compare the report it
 checks) and only then computes and writes, so a config error writes
 nothing. Every output file embeds (config digest, seed, version) in
-comment/meta fields, so tables are regenerable bit-exactly under the same
-BLAS thread setting: the number of threads a BLAS call uses can change the
-last bits of an eigensolve. Exit codes: 0 success, 1 acceptance violation
-(or a failure while computing), 2 configuration error.
+comment/meta fields, so tables are regenerable bit-exactly; Monte Carlo
+samples run their BLAS calls on one thread, so their tables keep their bits
+under any BLAS thread setting. Exit codes: 0 success, 1 acceptance
+violation (or a failure while computing), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -166,6 +166,8 @@ def _write_json(path: Path, cfg: dict, seed, payload: dict) -> None:
 
 def _parse_z(pair) -> complex:
     z = complex(float(pair[0]), float(pair[1]))
+    if not np.isfinite(z):
+        raise ConfigError(f"z={z} is not finite")
     if z.imag == 0.0:
         raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
     return z
@@ -321,6 +323,8 @@ def cmd_compare(cfg: dict, args) -> int:
         thresholds = _block(block, "thresholds", optional=True)
         bias_band = float(thresholds.get("bias_band", 3.0))
         cov_band = float(thresholds.get("cov_band", 3.0))
+        if not (0.0 < bias_band < np.inf and 0.0 < cov_band < np.inf):
+            raise ConfigError("thresholds bias_band and cov_band must be positive and finite")
 
     violations = 0
     bias = _Table(["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta", "im_beta",
@@ -358,11 +362,13 @@ def cmd_density(cfg: dict, args) -> int:
         block = _block(cfg, "density")
         nu = AtomicMeasure.from_atoms(_block(block, "nu")["atoms"])
         v = float(block["v"])
-        if not v > 0.0:
-            raise ConfigError("density.v must be positive")
+        if not 0.0 < v < np.inf:
+            raise ConfigError("density.v must be positive and finite")
         xs = block.get("x_grid")
         if xs is not None:
             xs = np.atleast_1d(np.asarray(xs, dtype=float))
+            if not np.all(np.isfinite(xs)):
+                raise ConfigError("density.x_grid values must be finite")
         points = xs.size if xs is not None else int(block.get("points", 201))
         if points < 1:
             raise ConfigError("density needs at least one point")
@@ -417,8 +423,8 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
         parsed = [parse_word(text) for text in words]
         dims = [int(d) for d in block.get("dims", [8, 16, 32, 64])]
         v = float(block.get("v", 1.0))
-        if not v > 0.0:
-            raise ConfigError("infinitesimal.v must be positive")
+        if not 0.0 < v < np.inf:
+            raise ConfigError("infinitesimal.v must be positive and finite")
         mc = _block(block, "mc", optional=True)
         sizes = list(dims)
         if mc:
@@ -531,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker processes for the Monte Carlo of simulate and "
-                             "infinitesimal (default: the CPU count; capped at the "
-                             "cores BLAS leaves free)")
+                             "infinitesimal, each sample on one BLAS thread (default "
+                             "and cap: the CPU count)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--format", choices=["csv", "json", "both"], default="both")
     return parser

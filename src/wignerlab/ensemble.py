@@ -225,7 +225,10 @@ def law_from_config(spec) -> Gaussian | Discrete:
     ``diag`` pairs [value, weight]."""
     if isinstance(spec, str):
         spec = {"name": spec}
-    name = _config_block(spec, "entry_law")["name"]
+    if not isinstance(spec, dict):
+        raise ParameterError("block 'entry_law' must be a preset name or a JSON object, "
+                             f"not {type(spec).__name__}")
+    name = spec["name"]
     if name in _PRESETS:
         return _PRESETS[name]
     if name == "custom_discrete":

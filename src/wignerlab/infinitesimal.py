@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .parallel import map_samples
+from .parallel import map_samples, mean_and_se
 
 __all__ = [
     "Pairing",
@@ -457,8 +457,7 @@ def monte_carlo_cross_checks(
     rows = map_samples(per_sample, n_samples, threads)
     results = []
     for exact, vals in zip(exacts, np.ascontiguousarray(rows.T)):
-        mean = complex(vals.mean())
-        se = float(np.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n_samples - 1) / n_samples))
+        mean, se = mean_and_se(vals)
         results.append(CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples))
     return results
 

@@ -2,12 +2,11 @@
 
 The sample pipeline (draw -> eigensolve -> per-z statistics) is pure in the
 sample index, so it runs on ``parallel.map_samples``: ``threads`` asks for a
-worker count, and more than one forks a process pool capped at the cores
-that BLAS threads leave free. Results land in index-ordered arrays and every
-reduction happens afterwards in a fixed order, which makes reports bitwise
-identical across worker counts. They are bitwise identical only under one
-BLAS thread setting: the number of threads a BLAS call uses can change the
-last bits of an eigensolve.
+worker count, and more than one forks a process pool. Every sample's BLAS
+calls run on one thread whatever the caller's BLAS thread setting. Results
+land in index-ordered arrays and every reduction happens afterwards in a
+fixed order, which makes reports bitwise identical across worker counts and
+BLAS thread settings.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .ensemble import (
 )
 from .errors import ParameterError, SampleError
 from .freeconv import solve_pastur_array
-from .parallel import map_samples
+from .parallel import map_samples, mean_and_se
 from .spectral import eigenvalues, linear_statistic, trace_resolvent
 from .theory import FluctuationParams, gamma_kernel
 
@@ -216,13 +215,6 @@ def _complex_array(pairs, shape) -> np.ndarray:
     return np.array(pairs, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[complex, float]:
-    m = values.shape[0]
-    mean = complex(values.mean())
-    se = math.sqrt(float(np.sum(np.abs(values - mean) ** 2)) / (m - 1) / m)
-    return mean, se
-
-
 def _covariance_jackknife(u: np.ndarray, w: np.ndarray) -> tuple[complex, float]:
     """Non-conjugated sample covariance of two complex samples, jackknife SE."""
     m = u.shape[0]
@@ -291,15 +283,17 @@ def _normality_summary(stat_id: str, x: np.ndarray) -> NormalitySummary:
     )
 
 
-def _normality_rows(z_grid, tr_samples, fn_columns) -> list[NormalitySummary]:
-    """Summaries of Re and Im Tr R(z) at each z, then of the real part of
-    each (fn_id, column) of linear statistics."""
+def _normality_rows(z_grid, tr_samples, fn_samples: dict) -> list[NormalitySummary]:
+    """Summaries of Re and Im Tr R(z) at each z, then of each linear
+    statistic whose samples are real (every imaginary part exactly 0.0, as a
+    real test function's always are)."""
     out = []
     for j, z in enumerate(z_grid):
         col = tr_samples[:, j]
         out.append(_normality_summary(f"re_tr_resolvent({z:.6g})", col.real.copy()))
         out.append(_normality_summary(f"im_tr_resolvent({z:.6g})", col.imag.copy()))
-    out.extend(_normality_summary(fn_id, np.real(col).copy()) for fn_id, col in fn_columns)
+    out.extend(_normality_summary(fn_id, col.real.copy())
+               for fn_id, col in fn_samples.items() if np.all(col.imag == 0.0))
     return out
 
 
@@ -336,7 +330,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     per_z = []
     for j, (z, g_rho) in enumerate(zip(zs, g_rhos)):
         col = tr_samples[:, j]
-        mean, se = _mean_and_se(col)
+        mean, se = mean_and_se(col)
         var, var_se = _variance_jackknife(col)
         per_z.append(
             ZStat(
@@ -368,10 +362,8 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     fn_samples = {fn_id: fn_matrix[:, k].copy() for k, fn_id in enumerate(fn_ids)}
     testfn_means = {}
     for fn_id, col in fn_samples.items():
-        mean, se = _mean_and_se(col)
+        mean, se = mean_and_se(col)
         testfn_means[fn_id] = {"mean": mean, "se": se}
-    real_fns = [(fn_id, fn_samples[fn_id]) for fn_id, phi in zip(fn_ids, plan.test_functions)
-                if getattr(phi, "is_real", False)]
 
     return EstimatorReport(
         master_seed=plan.master_seed,
@@ -382,7 +374,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
         truncation=delta,
         per_z=tuple(per_z),
         pairs=tuple(pairs),
-        normality=tuple(_normality_rows(zs, tr_samples, real_fns)),
+        normality=tuple(_normality_rows(zs, tr_samples, fn_samples)),
         testfn_means=testfn_means,
         tr_samples=tr_samples,
         fn_samples=fn_samples,
@@ -422,7 +414,7 @@ def normality_check(report: EstimatorReport):
             f"normality requires at least {NORMALITY_MIN_SAMPLES} samples, "
             f"got {report.n_samples}"
         )
-    return _normality_rows(report.z_grid, report.tr_samples, report.fn_samples.items())
+    return _normality_rows(report.z_grid, report.tr_samples, report.fn_samples)
 
 
 def crude_variance_bound(params: EnsembleParams, z: complex) -> float:

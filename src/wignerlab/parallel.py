@@ -1,14 +1,11 @@
 """One index-ordered map of independent samples over forked worker processes.
 
-Monte Carlo estimators here evaluate a function of the sample index alone,
-so the samples can run on any number of workers. ``map_samples`` asks for a
-worker count: one runs the samples serially in this process; more fork a
-process pool, each worker given contiguous ranges of sample indices. The
-pool is capped at the cores that BLAS threads leave free (all of them with
-OPENBLAS_NUM_THREADS=1, none when BLAS takes every core, as it does by
-default), and the samples run serially where the platform cannot fork.
-Rows land at their sample index, so any reduction of them afterwards in a
-fixed order gives the same bits for every worker count.
+``map_samples`` runs a function of the sample index alone at every index,
+serially for one worker or on a forked process pool for more, with numpy's
+bundled OpenBLAS pinned to one thread: each BLAS call gives the same bits
+whatever thread count the caller set, and rows land at their sample index,
+so any fixed-order reduction of them gives the same bits for every worker
+count.
 """
 
 from __future__ import annotations
@@ -21,17 +18,25 @@ __all__ = ["map_samples"]
 
 _CHUNKS_PER_WORKER = 4  # a few ranges per worker even out uneven sample times
 _per_sample = None  # set in each forked worker by the pool's initializer
+_blas = None  # (get, set) of numpy's OpenBLAS thread count, looked up on first use
 
 
-def _blas_threads() -> int:
-    """Threads one BLAS call may use, from the variables OpenBLAS reads at
-    start-up (OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS); one per core when
-    neither is set."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return os.cpu_count() or 1
+def _openblas():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, else no-ops."""
+    global _blas
+    if _blas is None:
+        import ctypes  # numpy has loaded it already
+        import glob
+        _blas = (lambda: 1, lambda n: None)
+        root = os.path.dirname(os.path.dirname(np.__file__))
+        for path in glob.glob(os.path.join(root, "numpy.libs", "libscipy_openblas64_-*.so")):
+            lib = ctypes.CDLL(path)
+            get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None)
+                        for op in ("get", "set"))
+            if get and put:
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                _blas = (get, put)
+    return _blas
 
 
 def _install(per_sample) -> None:
@@ -47,30 +52,35 @@ def map_samples(per_sample, m: int, threads: int) -> np.ndarray:
     """Rows ``per_sample(i)`` for i in range(m), stacked in index order; the
     row shape and dtype are those of the rows (a scalar row gives a 1-d result).
 
-    The worker count is min(threads, m, cores // BLAS threads); one runs the
-    samples serially. More fork a process pool. Its initializer installs
-    ``per_sample`` in each worker, which fork inherits, so the function is
-    never pickled (test functions are often lambdas). Workers get contiguous
-    (start, stop) ranges, a few each, and send back only their rows, which
-    land at their sample index whatever order the ranges finish in. Workers
-    keep the caller's BLAS thread count, so each BLAS call (an eigensolve, a
-    matrix product) gives the bits a serial run gives; the pool only takes
-    the cores BLAS threads leave free, because both at once ran slower than
-    one process. Where the platform cannot fork, the samples run serially.
+    The worker count is min(threads, m, cores). More than one forks a pool
+    whose initializer installs ``per_sample`` in each worker, so it is never
+    pickled (test functions are often lambdas); each worker runs a few
+    contiguous (start, stop) ranges. BLAS stays pinned to one thread, the
+    workers forking under the pin, until the map returns or raises.
     """
-    workers = min(threads, m, max(1, (os.cpu_count() or 1) // _blas_threads()))
-    if workers > 1:
-        # imported here so that importing the CLI does not load them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(threads, m, os.cpu_count() or 1)
+    get_threads, set_threads = _openblas()
+    caller = get_threads()
+    set_threads(1)
+    try:
+        if workers > 1:
+            import multiprocessing  # here, so that importing the CLI loads neither
+            from concurrent.futures import ProcessPoolExecutor
+            if "fork" in multiprocessing.get_all_start_methods():
+                chunks = min(m, workers * _CHUNKS_PER_WORKER)
+                edges = [m * k // chunks for k in range(chunks + 1)]
+                with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_install, initargs=(per_sample,),
+                ) as pool:
+                    return np.concatenate(list(pool.map(_run_range, zip(edges, edges[1:]))))
+        return np.stack([per_sample(i) for i in range(m)])
+    finally:
+        set_threads(caller)
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            chunks = min(m, workers * _CHUNKS_PER_WORKER)
-            edges = [m * k // chunks for k in range(chunks + 1)]
-            ranges = list(zip(edges[:-1], edges[1:]))
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_install, initargs=(per_sample,),
-            ) as pool:
-                return np.concatenate(list(pool.map(_run_range, ranges)))
-    return np.stack([per_sample(i) for i in range(m)])
+
+def mean_and_se(values: np.ndarray) -> tuple[complex, float]:
+    """Sample mean and its standard error sqrt(sum |x - mean|^2 / (m - 1) / m)."""
+    m = values.shape[0]
+    mean = complex(values.mean())
+    return mean, float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (m - 1) / m))

@@ -20,6 +20,7 @@ from .freeconv import (
     SubordinationSolution,
     gauss_kronrod_rounds,
     solve_pastur_array,
+    support_window,
 )
 
 __all__ = [
@@ -343,8 +344,8 @@ def extend_bias(
     """
     a, b = window if window is not None else _integration_window(params, phi)
     lo, hi = params.nu.support
-    edge_pad = 2.0 * math.sqrt(params.sigma2)
-    breaks = [x for x in (lo - edge_pad, lo, hi, hi + edge_pad) if a < x < b]
+    left, right = support_window(params.nu, params.sigma2)
+    breaks = [x for x in (left, lo, hi, right) if a < x < b]
     edges = np.array([a, *breaks, b])
 
     rounds = {y: gauss_kronrod_rounds(edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9, limit=300)
@@ -385,17 +386,15 @@ class VarianceExtension:
 
 def _pole_grid(params: FluctuationParams):
     """Poles straddling the spectral support, upper half-plane only."""
-    lo, hi = params.nu.support
-    half = 2.0 * math.sqrt(params.sigma2)
-    xs = np.linspace(lo - half - 0.5, hi + half + 0.5, _POLE_COLUMNS)
+    left, right = support_window(params.nu, params.sigma2)
+    xs = np.linspace(left - 0.5, right + 0.5, _POLE_COLUMNS)
     return tuple(complex(x, h) for h in _POLE_HEIGHTS for x in xs)
 
 
 def _fit_window(params: FluctuationParams, phi) -> tuple[float, float]:
     """Window covering the spectral support and the function's support."""
-    lo, hi = params.nu.support
-    half = 2.0 * math.sqrt(params.sigma2)
-    a, b = lo - half - 1.0, hi + half + 1.0
+    left, right = support_window(params.nu, params.sigma2)
+    a, b = left - 1.0, right + 1.0
     support = getattr(phi, "support", None)
     if support is not None:
         a, b = min(a, float(support[0])), max(b, float(support[1]))

@@ -245,7 +245,7 @@ class TestInfinitesimalCommand:
         payload = json.loads((tmp_path / "moments.json").read_text())
         assert all(w["ok"] for w in payload["words"])
 
-    def test_outputs_equal_at_one_thread_and_the_default(self, tmp_path, pool):
+    def test_outputs_equal_at_one_thread_and_the_default(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", {"infinitesimal": {
             "words": ["w1 a w2 a w1 w2", "w1 a w1 a"], "dims": [4, 8, 16],
             "generators": {"a": {"kind": "diag_pm1"}}, "mc": {"n_dim": 6, "n_samples": 1000},
@@ -569,7 +569,6 @@ CONFIG_BLOCKS = [(command, (block,)) for command, cfg in sorted(SMALL_CONFIGS.it
     ("infinitesimal", ("infinitesimal", "mc")),
     ("simulate", ("ensemble", "deformation")),
     ("simulate", ("ensemble", "deformation", "quantile_spec")),
-    ("simulate", ("ensemble", "entry_law")),
     ("theory", ("fluctuation", "nu")),
 ]
 
@@ -585,6 +584,47 @@ def test_block_not_an_object_is_named(tmp_path, capsys, reports, command, path):
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: block {path[-1]!r} must be a JSON object, not list\n")
+    assert list(out.iterdir()) == []
+
+
+def test_entry_law_not_a_name_or_object_is_named(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", mutate(SMALL_CONFIGS["simulate"], ("ensemble", "entry_law"),
+                                             ["x"]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: block 'entry_law' must be a preset name "
+                                       "or a JSON object, not list\n")
+    assert list(out.iterdir()) == []
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [
+    ("theory", ("z_grid",), [[NAN, 1.0], [0.0, 2.0]]),
+    ("theory", ("pairs",), [[[0.0, 2.0], [1.0, INF]]]),
+    ("simulate", ("plan", "z_grid"), [[0.0, NAN]]),
+    ("identities", ("identities", "z_grid"), [[-INF, 1.0]]),
+    ("density", ("density", "x_grid"), [NAN, 0.5, INF]),
+    ("density", ("density", "v"), INF),
+    ("infinitesimal", ("infinitesimal", "v"), INF),
+    ("compare", ("compare", "thresholds", "bias_band"), -1.0),
+    ("compare", ("compare", "thresholds", "bias_band"), NAN),
+    ("compare", ("compare", "thresholds", "cov_band"), INF),
+    ("compare", ("compare", "thresholds", "cov_band"), 0.0),
+]
+
+
+@pytest.mark.parametrize("command,path,value", NON_FINITE,
+                         ids=[f"{c}-{p[-1]}" + (f"={v}" if isinstance(v, float) else "")
+                              for c, p, v in NON_FINITE])
+def test_non_finite_value_is_config_error(tmp_path, capsys, reports, command, path, value):
+    payload = copy.deepcopy(SMALL_CONFIGS[command])
+    if command == "compare":
+        payload["compare"]["report"] = reports["valid"]
+    cfg = write(tmp_path, "cfg.json", mutate(payload, path, value))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "finite" in err
     assert list(out.iterdir()) == []
 
 
@@ -645,6 +685,25 @@ def test_mutated_config_exits_without_traceback(reports, command, data):
         assert lines == [] or (len(lines) == 1 and lines[0].startswith(("config error:", "error:")))
         if code == 2:
             assert list(out.iterdir()) == []
+
+
+def test_report_bytes_ignore_blas_threads_and_workers(tmp_path):
+    # at N=400 a complex eigensolve's last bits depend on the BLAS thread count
+    cfg = write(tmp_path, "cfg.json", {"ensemble": gue_ensemble(400), "plan": {
+        "n_samples": 4, "z_grid": [[0.0, 2.0], [1.0, 0.5]], "master_seed": 5}})
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    blobs = set()
+    for blas in (None, "1", "2"):
+        env = base if blas is None else {**base, "OPENBLAS_NUM_THREADS": blas}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{blas}-{threads}"
+            subprocess.run([sys.executable, "-m", "wignerlab.cli", "simulate", "--config", cfg,
+                            "--out-dir", str(out), "--threads", threads, "--format", "json"],
+                           env=env, check=True)
+            blobs.add((out / "report.json").read_bytes())
+    assert len(blobs) == 1
 
 
 def loaded_after_cli_import(modules):

@@ -499,7 +499,7 @@ class TestReferenceEquivalence:
             assert res == ref, text
             assert monte_carlo_cross_check(word, n_dim, n_samples, 0.2, gens, seed) == ref
 
-    def test_cross_checks_equal_across_worker_counts(self, pool):
+    def test_cross_checks_equal_across_worker_counts(self):
         n_dim, n_samples, seed = 5, 1000, 21
         rng = np.random.default_rng(9)
         gens = {"a": random_hermitian(n_dim, rng), "b": diag_pm1(n_dim)}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wignerlab import testfn
+from wignerlab import parallel, testfn
 from wignerlab.ensemble import EnsembleParams, choose_delta, sample
 from wignerlab.errors import ParameterError, SampleError
 from wignerlab.freeconv import solve_pastur
@@ -99,23 +99,46 @@ class TestDeterminism:
         plan = small_plan(n=60, m=40)
         assert run(plan, threads=1).to_json() == run(plan, threads=8).to_json()
 
-    def test_uneven_ranges_byte_identical_across_workers(self, pool):
+    def test_uneven_ranges_byte_identical_across_workers(self):
         # 7 samples split unevenly; the lambda would fail any attempt to pickle it
         phi = testfn.from_callable(lambda x: np.arctan(x), "arctan")
         plan = small_plan(n=30, m=7, test_functions=(phi,))
         assert len({run(plan, threads=t).to_json() for t in (1, 2, 8)}) == 1
 
-    def test_workers_keep_the_callers_blas_threads(self, pool):
+    def test_workers_keep_the_callers_blas_threads(self):
         # at N=400 a complex eigensolve's bits depend on the BLAS thread count,
         # which this process may have set above one before the variable
         plan = small_plan(n=400, m=4)
         assert run(plan, threads=1).to_json() == run(plan, threads=2).to_json()
 
-    def test_rows_land_at_their_index_when_early_samples_finish_last(self, monkeypatch, pool):
+    def test_rows_land_at_their_index_when_early_samples_finish_last(self, monkeypatch):
         plan = small_plan(n=20, m=8)
         serial = run(plan).to_json()
         patch_eigenvalues(monkeypatch, 0, lambda: time.sleep(0.5))
         assert run(plan, threads=2).to_json() == serial
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_map_pins_one_blas_thread_and_restores_the_callers(self, fail, threads):
+        get_threads, set_threads = parallel._openblas()
+        before = get_threads()
+        set_threads(2)
+        caller = get_threads()  # 2, or 1 where numpy bundles no OpenBLAS
+
+        def per_sample(i):
+            if fail and i == 3:
+                raise SampleError("synthetic failure", index=i)
+            return float(get_threads())
+
+        try:
+            if fail:
+                with pytest.raises(SampleError):
+                    parallel.map_samples(per_sample, 6, threads)
+            else:
+                assert parallel.map_samples(per_sample, 6, threads).tolist() == [1.0] * 6
+            assert get_threads() == caller
+        finally:
+            set_threads(before)
 
     def test_report_round_trip_lossless(self):
         report = run(small_plan(), threads=2)
@@ -174,7 +197,7 @@ class TestEstimators:
             run(small_plan(m=8))
         assert err.value.index == 5
 
-    def test_sample_failure_in_worker_process_aborts_with_index(self, monkeypatch, pool):
+    def test_sample_failure_in_worker_process_aborts_with_index(self, monkeypatch):
         patch_eigenvalues(monkeypatch, 5, synthetic_failure)
         with pytest.raises(SampleError) as err:
             run(small_plan(m=8), threads=2)
@@ -193,6 +216,14 @@ class TestNormality:
         report = run(plan)
         flagged = [s for s in report.normality if s.stat_id == "one"]
         assert len(flagged) == 1 and flagged[0].degenerate
+
+    def test_recomputed_rows_are_the_reports_rows(self):
+        # a complex test function has no normality row, in the report or recomputed
+        fns = (testfn.resolvent(1 + 1j), testfn.smooth_bump(0.0, 1.0, 3, "bump"))
+        report = run(small_plan(n=10, m=500, test_functions=fns))
+        ids = [s.stat_id for s in report.normality]
+        assert "bump" in ids and "resolvent(1+1j)" not in ids
+        assert [s.stat_id for s in normality_check(report)] == ids
 
     def test_gaussian_statistics_reasonable(self):
         plan = small_plan(n=100, m=600, seed=12)
@@ -335,7 +366,7 @@ class TestTruncationDrift:
         assert mean >= 0.0
         assert se > 0.0
 
-    def test_worker_count_invariant(self, pool):
+    def test_worker_count_invariant(self):
         params = EnsembleParams.create(40, "gaussian_real", np.zeros(40))
         phi = testfn.from_callable(lambda x: np.arctan(x), "arctan")
         args = (params, phi, choose_delta(40), 12, 3)
