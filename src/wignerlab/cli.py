@@ -1,13 +1,15 @@
 """Command-line front end: reproducible experiments from JSON configs.
 
 Subcommands: theory, simulate, compare, density, infinitesimal, identities.
-Every command first reads its whole config (and compare the report it
-checks) and only then computes and writes, so a config error writes
-nothing. Every output file embeds (config digest, seed, version) in
-comment/meta fields, so tables are regenerable bit-exactly; Monte Carlo
-samples run their BLAS calls on one thread, so their tables keep their bits
-under any BLAS thread setting. Exit codes: 0 success, 1 acceptance
-violation (or a failure while computing), 2 configuration error.
+Every command reads its whole config (and compare the report it checks),
+then computes and returns its tables; ``main`` alone writes them, as
+``--format`` says, so a config error writes nothing. ``simulate`` also
+writes ``report.json`` under every format, because ``compare`` reads it.
+Every output file embeds (config digest, seed, version) in comment/meta
+fields, so tables are regenerable bit-exactly; Monte Carlo samples run their
+BLAS calls on one thread, so their tables keep their bits under any BLAS
+thread setting. Exit codes: 0 success, 1 acceptance violation (or a failure
+while computing), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +111,9 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _meta_lines(cfg: dict, seed) -> list[str]:
-    return [
-        f"# config_digest={_config_digest(cfg)}",
-        f"# seed={seed}",
-        f"# version={__version__}",
-    ]
+def _meta(cfg: dict, seed) -> dict:
+    """The stamp every output file carries: config digest, seed, version."""
+    return {"config_digest": _config_digest(cfg), "seed": seed, "version": __version__}
 
 
 @dataclass
@@ -130,10 +129,23 @@ class _Table:
         return [dict(zip(keys, row)) for row in self.rows]
 
 
-def _write_csv(path: Path, cfg: dict, seed, table: _Table) -> None:
+@dataclass
+class _Output:
+    """What a command computed: CSV tables by file stem, one JSON file (none
+    when ``json_name`` is None), the seed they are stamped with, and the
+    number of violated thresholds."""
+
+    seed: object
+    tables: dict[str, _Table]
+    json_name: str | None = None
+    payload: dict = field(default_factory=dict)
+    violations: int = 0
+
+
+def _write_csv(path: Path, meta: dict, table: _Table) -> None:
     with open(path, "w") as fh:
-        for line in _meta_lines(cfg, seed):
-            fh.write(line + "\n")
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
         fh.write(",".join(table.header) + "\n")
         for row in table.rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
@@ -150,17 +162,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _write_json(path: Path, cfg: dict, seed, payload: dict) -> None:
-    payload = {
-        "meta": {
-            "config_digest": _config_digest(cfg),
-            "seed": seed,
-            "version": __version__,
-        },
-        **payload,
-    }
+def _write_json(path: Path, meta: dict, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump({"meta": meta, **payload}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -201,7 +205,7 @@ def _single_atom(nu: AtomicMeasure) -> float | None:
     return None
 
 
-def cmd_theory(cfg: dict, args) -> int:
+def cmd_theory(cfg: dict, args) -> _Output:
     with _reading_config():
         params = _fluctuation_params(_block(cfg, "fluctuation"))
         zs = _z_grid(cfg)
@@ -210,7 +214,6 @@ def cmd_theory(cfg: dict, args) -> int:
             pairs = [(z1, z2) for i, z1 in enumerate(zs) for z2 in zs[i:]]
         else:
             pairs = [(_parse_z(p[0]), _parse_z(p[1])) for p in pairs]
-    out_dir = Path(args.out_dir)
     shift = _single_atom(params.nu)
     z = np.array(zs)
     b = beta(params, z)
@@ -234,19 +237,11 @@ def cmd_theory(cfg: dict, args) -> int:
                      "branch_margin", "bao_xie_residual"], _columns(
         z1.real, z1.imag, z2.real, z2.imag, kv.gamma.real, kv.gamma.imag, kv.branch_margin,
         kresidual))
-
-    if args.format in ("csv", "both"):
-        _write_csv(out_dir / "beta.csv", cfg, args.seed, betas)
-        _write_csv(out_dir / "gamma.csv", cfg, args.seed, gammas)
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "theory.json", cfg, args.seed, {
-            "beta": betas.records(),
-            "gamma": gammas.records(),
-        })
-    return EXIT_OK
+    return _Output(args.seed, {"beta": betas, "gamma": gammas}, "theory.json",
+                   {"beta": betas.records(), "gamma": gammas.records()})
 
 
-def cmd_simulate(cfg: dict, args) -> int:
+def cmd_simulate(cfg: dict, args) -> _Output:
     with _reading_config():
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
         plan_cfg = _block(cfg, "plan")
@@ -262,25 +257,23 @@ def cmd_simulate(cfg: dict, args) -> int:
             truncation=plan_cfg.get("truncation"),
         )
     report = run_plan(plan, threads=args.threads)
-    out_dir = Path(args.out_dir)
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
-    if args.format in ("csv", "both"):
-        fp = FluctuationParams.from_ensemble(params)
-        zs = np.array(report.z_grid)
-        th = beta(fp, zs).tolist()
-        gamma = gamma_kernel(fp, zs, zs.conj()).gamma.real.tolist()
-        rows = [
-            [s.z.real, s.z.imag, s.mean_tr.real, s.mean_tr.imag, s.bias_hat.real,
-             s.bias_hat.imag, b.real, b.imag, s.se_mean, s.var_hat, g,
-             min(brow["bound_crude"], brow["bound_refined"])]
-            for s, b, g, brow in zip(report.per_z, th, gamma, variance_bound_check(report, params))
-        ]
-        _write_csv(out_dir / "per_z.csv", cfg, seed, _Table(
-            ["re_z", "im_z", "re_mean_tr", "im_mean_tr", "re_bias_hat", "im_bias_hat",
-             "re_beta_theory", "im_beta_theory", "se", "var_hat", "gamma_theory", "bound"],
-            rows,
-        ))
-    return EXIT_OK
+    # the one file a command writes itself: compare reads it under any format
+    (Path(args.out_dir) / "report.json").write_text(report.to_json() + "\n")
+    fp = FluctuationParams.from_ensemble(params)
+    zs = np.array(report.z_grid)
+    th = beta(fp, zs).tolist()
+    gamma = gamma_kernel(fp, zs, zs.conj()).gamma.real.tolist()
+    rows = [
+        [s.z.real, s.z.imag, s.mean_tr.real, s.mean_tr.imag, s.bias_hat.real,
+         s.bias_hat.imag, b.real, b.imag, s.se_mean, s.var_hat, g,
+         min(brow["bound_crude"], brow["bound_refined"])]
+        for s, b, g, brow in zip(report.per_z, th, gamma, variance_bound_check(report, params))
+    ]
+    return _Output(seed, {"per_z": _Table(
+        ["re_z", "im_z", "re_mean_tr", "im_mean_tr", "re_bias_hat", "im_bias_hat",
+         "re_beta_theory", "im_beta_theory", "se", "var_hat", "gamma_theory", "bound"],
+        rows,
+    )})
 
 
 def _check_matches_report(params: FluctuationParams, config: dict) -> None:
@@ -300,7 +293,7 @@ def _check_matches_report(params: FluctuationParams, config: dict) -> None:
                           "params_config")
 
 
-def cmd_compare(cfg: dict, args) -> int:
+def cmd_compare(cfg: dict, args) -> _Output:
     with _reading_config():
         block = _block(cfg, "compare")
         report = EstimatorReport.from_json(Path(block["report"]).read_text())
@@ -344,20 +337,14 @@ def cmd_compare(cfg: dict, args) -> int:
             row["se"], row["ratio"], int(row["ok"]),
         ])
         violations += 0 if row["ok"] else 1
-    out_dir = Path(args.out_dir)
-    if args.format in ("csv", "both"):
-        _write_csv(out_dir / "compare_bias.csv", cfg, report.master_seed, bias)
-        _write_csv(out_dir / "compare_cov.csv", cfg, report.master_seed, cov)
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "compare.json", cfg, report.master_seed, {
-            "bias": bias.records(),
-            "covariance": cov.records(),
-            "violations": violations,
-        })
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    return _Output(
+        report.master_seed, {"compare_bias": bias, "compare_cov": cov}, "compare.json",
+        {"bias": bias.records(), "covariance": cov.records(), "violations": violations},
+        violations,
+    )
 
 
-def cmd_density(cfg: dict, args) -> int:
+def cmd_density(cfg: dict, args) -> _Output:
     with _reading_config():
         block = _block(cfg, "density")
         nu = AtomicMeasure.from_atoms(_block(block, "nu")["atoms"])
@@ -381,17 +368,12 @@ def cmd_density(cfg: dict, args) -> int:
         [x, value, error, 0]
         for x, value, error in zip(est.x.tolist(), est.value.tolist(), est.error.tolist())
     ])
-    out_dir = Path(args.out_dir)
-    if args.format in ("csv", "both"):
-        _write_csv(out_dir / "density.csv", cfg, args.seed, table)
     payload = {"density": table.records(error_estimate="error")}
     if fns:
         payload["integrals"] = {
             phi.fn_id: integrate_against_rho(nu, v, phi) for phi in fns
         }
-    if args.format in ("json", "both"):
-        _write_json(out_dir / "density.json", cfg, args.seed, payload)
-    return EXIT_OK
+    return _Output(args.seed, {"density": table}, "density.json", payload)
 
 
 def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
@@ -413,7 +395,7 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
     return out
 
 
-def cmd_infinitesimal(cfg: dict, args) -> int:
+def cmd_infinitesimal(cfg: dict, args) -> _Output:
     with _reading_config():
         block = _block(cfg, "infinitesimal")
         words = block.get("words")
@@ -465,28 +447,25 @@ def cmd_infinitesimal(cfg: dict, args) -> int:
                 "ok": cc.ok,
             }
             violations += 0 if cc.ok else 1
-    out_dir = Path(args.out_dir)
-    _write_json(out_dir / "moments.json", cfg, args.seed, {"words": results})
-    if args.format in ("csv", "both"):
-        rows = []
-        for entry in results:
-            for mres in entry["moments"]:
-                rows.append([entry["word"], mres["n"], mres["xi"][0], mres["xi"][1],
-                             mres["free"][0], mres["free"][1],
-                             mres["correction"][0], mres["correction"][1]])
-        _write_csv(out_dir / "moments.csv", cfg, args.seed, _Table(
-            ["word", "n", "re_xi", "im_xi", "re_free", "im_free",
-             "re_correction", "im_correction"], rows))
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    rows = [
+        [entry["word"], mres["n"], *mres["xi"], *mres["free"], *mres["correction"]]
+        for entry in results for mres in entry["moments"]
+    ]
+    moments = _Table(["word", "n", "re_xi", "im_xi", "re_free", "im_free",
+                      "re_correction", "im_correction"], rows)
+    return _Output(args.seed, {"moments": moments}, "moments.json", {"words": results},
+                   violations)
 
 
-def cmd_identities(cfg: dict, args) -> int:
+def cmd_identities(cfg: dict, args) -> _Output:
     with _reading_config():
         block = _block(cfg, "identities")
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
         seed = args.seed if args.seed is not None else block.get("seed", 0)
         master_seed = int(seed)
-        count = int(block.get("count", 20))
+        count = block.get("count", 20)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ConfigError(f"identities.count must be a positive integer, not {count!r}")
         zs = _z_grid(block, default=[[0.0, 1.0]])
     rng = np.random.default_rng(master_seed)
     rows = []
@@ -508,13 +487,10 @@ def cmd_identities(cfg: dict, args) -> int:
         violations += 0 if ok else 1
         rows.append([i, z.real, z.imag, k, rep.diag_residual, rep.trace_residual,
                      rep.trace_gap, res_id, int(ok)])
-    out_dir = Path(args.out_dir)
-    if args.format in ("csv", "both"):
-        _write_csv(out_dir / "identities.csv", cfg, seed, _Table(
-            ["sample", "re_z", "im_z", "k", "schur_diag_residual",
-             "schur_trace_residual", "trace_gap", "resolvent_identity_residual",
-             "ok"], rows))
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    table = _Table(["sample", "re_z", "im_z", "k", "schur_diag_residual", "schur_trace_residual",
+                    "trace_gap", "resolvent_identity_residual", "ok"], rows)
+    return _Output(seed, {"identities": table}, "identities.json",
+                   {"identities": table.records()}, violations)
 
 
 _COMMANDS = {
@@ -527,6 +503,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerlab",
@@ -535,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                         help="worker processes for the Monte Carlo of simulate and "
                              "infinitesimal, each sample on one BLAS thread (default "
                              "and cap: the CPU count)")
@@ -546,13 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out_dir)
     try:
         with _reading_config():
             cfg = json.loads(Path(args.config).read_text())
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if not isinstance(cfg, dict):
             raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
-        return _COMMANDS[args.command](cfg, args)
+        out = _COMMANDS[args.command](cfg, args)
+        meta = _meta(cfg, out.seed)
+        if args.format in ("csv", "both"):
+            for stem, table in out.tables.items():
+                _write_csv(out_dir / f"{stem}.csv", meta, table)
+        if args.format in ("json", "both") and out.json_name is not None:
+            _write_json(out_dir / out.json_name, meta, out.payload)
+        return EXIT_OK if out.violations == 0 else EXIT_VIOLATION
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

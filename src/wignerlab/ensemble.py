@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 MOMENT_RTOL = 1e-12
-DEFAULT_DEFORMATION_BOUND = 100.0
+DEFORMATION_BOUND = 100.0
 
 
 def _norm_cdf(x: float) -> float:
@@ -275,46 +275,28 @@ class EnsembleParams:
     ``sigma2``, ``s2``, ``tau``, ``kappa`` are the large-N limits of
     N sigma_N^2, N s_N^2, N tau_N, N^2 kappa_N; per-entry values derive from
     them exactly, so the finite-N deterministic equivalent uses the same
-    numbers.
+    numbers. ``tau`` and ``kappa`` are not settable: the entry law and
+    ``sigma2`` fix them. Deformation atoms are bounded by DEFORMATION_BOUND.
     """
 
     n: int
     sigma2: float
     s2: float
-    tau: float
-    kappa: float
     entry_law: Gaussian | Discrete
     deformation: np.ndarray
-    deformation_bound: float = DEFAULT_DEFORMATION_BOUND
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("n must be a positive integer")
         if self.sigma2 <= 0 or self.s2 <= 0:
             raise ParameterError("sigma2 and s2 must be positive")
-        # fourth-moment nonnegativity: N^2 m_N = kappa + 2 sigma2^2 + tau^2
-        if self.kappa + 2.0 * self.sigma2**2 + self.tau**2 < 0.0:
-            raise ParameterError(
-                "m_N = kappa_N + 2 sigma_N^4 + tau_N^2 must be nonnegative"
-            )
-        implied_tau, implied_kappa = _implied_tau_kappa(self.entry_law, self.sigma2)
-        if not _close(self.tau, implied_tau):
-            raise ParameterError(
-                f"tau={self.tau} inconsistent with entry law (implies {implied_tau})"
-            )
-        if not _close(self.kappa, implied_kappa):
-            raise ParameterError(
-                f"kappa={self.kappa} inconsistent with entry law (implies {implied_kappa})"
-            )
         d = np.sort(np.asarray(self.deformation, dtype=float).ravel())
         if d.size != self.n:
             raise ParameterError(f"deformation has {d.size} atoms, expected n={self.n}")
         if not np.all(np.isfinite(d)):
             raise ParameterError("deformation atoms must be finite")
-        if np.max(np.abs(d), initial=0.0) > self.deformation_bound:
-            raise ParameterError(
-                f"deformation atoms exceed the configured bound {self.deformation_bound}"
-            )
+        if np.max(np.abs(d), initial=0.0) > DEFORMATION_BOUND:
+            raise ParameterError(f"deformation atoms exceed the bound {DEFORMATION_BOUND}")
         object.__setattr__(self, "deformation", d)
         self.deformation.setflags(write=False)
         # every sample carries the digest; hash the config once, not per draw
@@ -329,9 +311,6 @@ class EnsembleParams:
         deformation,
         sigma2: float = 1.0,
         s2: float | None = None,
-        tau: float | None = None,
-        kappa: float | None = None,
-        deformation_bound: float = DEFAULT_DEFORMATION_BOUND,
     ) -> "EnsembleParams":
         """Build params with law-implied defaults.
 
@@ -341,17 +320,16 @@ class EnsembleParams:
         law = law_from_config(entry_law) if isinstance(entry_law, str) else entry_law
         if s2 is None:
             s2 = 2.0 * sigma2 if law.name == "gaussian_real" else sigma2
-        implied_tau, implied_kappa = _implied_tau_kappa(law, sigma2)
-        if tau is None:
-            tau = implied_tau
-        if kappa is None:
-            kappa = implied_kappa
-        deformation = np.asarray(deformation, dtype=float)
-        return cls(
-            n=n, sigma2=sigma2, s2=s2, tau=tau, kappa=kappa,
-            entry_law=law, deformation=deformation,
-            deformation_bound=deformation_bound,
-        )
+        return cls(n=n, sigma2=sigma2, s2=s2, entry_law=law,
+                   deformation=np.asarray(deformation, dtype=float))
+
+    @property
+    def tau(self) -> float:
+        return _implied_tau_kappa(self.entry_law, self.sigma2)[0]
+
+    @property
+    def kappa(self) -> float:
+        return _implied_tau_kappa(self.entry_law, self.sigma2)[1]
 
     # per-entry moments
     @property
@@ -391,19 +369,22 @@ class EnsembleParams:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "EnsembleParams":
+        """Params from a config block. ``tau`` and ``kappa`` may be stated, as
+        ``config()`` writes them, but must be the values the law implies."""
         n = int(cfg["n"])
-        law = law_from_config(cfg["entry_law"])
-        atoms = deformation_from_config(cfg["deformation"], n)
-        return cls.create(
+        params = cls.create(
             n=n,
-            entry_law=law,
-            deformation=atoms,
+            entry_law=law_from_config(cfg["entry_law"]),
+            deformation=deformation_from_config(cfg["deformation"], n),
             sigma2=float(cfg.get("sigma2", 1.0)),
             s2=None if cfg.get("s2") is None else float(cfg["s2"]),
-            tau=None if cfg.get("tau") is None else float(cfg["tau"]),
-            kappa=None if cfg.get("kappa") is None else float(cfg["kappa"]),
-            deformation_bound=float(cfg.get("deformation_bound", DEFAULT_DEFORMATION_BOUND)),
         )
+        for key in ("tau", "kappa"):
+            stated, implied = cfg.get(key), getattr(params, key)
+            if stated is not None and not _close(float(stated), implied):
+                raise ParameterError(
+                    f"{key}={stated} inconsistent with entry law (implies {implied})")
+        return params
 
     def digest(self) -> str:
         """First 16 hex digits of the SHA-256 of the canonical config JSON."""
@@ -432,9 +413,6 @@ class WignerSample:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
 def _rng_for(master_seed: int, index: int) -> np.random.Generator:

@@ -91,9 +91,6 @@ class AtomicMeasure:
         vals = np.asarray(values, dtype=float).ravel()
         return cls(vals, np.full(vals.size, 1.0 / vals.size))
 
-    def moment(self, k: int) -> float:
-        return float(np.sum(self.weights * self.locations**k))
-
     @property
     def support(self) -> tuple[float, float]:
         return float(self.locations[0]), float(self.locations[-1])

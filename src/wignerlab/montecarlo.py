@@ -224,9 +224,7 @@ def _covariance_jackknife(u: np.ndarray, w: np.ndarray) -> tuple[complex, float]
     if mm < 2:
         return complex(cov), float("nan")
     loo = (suw - u * w - (su - u) * (sw - w) / mm) / (mm - 1)
-    loo_mean = loo.mean()
-    se = math.sqrt((m - 1) / m * float(np.sum(np.abs(loo - loo_mean) ** 2)))
-    return complex(cov), se
+    return complex(cov), _jackknife_se(loo)
 
 
 def _variance_jackknife(u: np.ndarray) -> tuple[float, float]:
@@ -250,8 +248,10 @@ def _central_moments_loo(x: np.ndarray):
 
 
 def _jackknife_se(theta: np.ndarray) -> float:
+    """Jackknife standard error from the leave-one-out values ``theta``,
+    real or complex."""
     m = theta.shape[0]
-    return math.sqrt((m - 1) / m * float(np.sum((theta - theta.mean()) ** 2)))
+    return math.sqrt((m - 1) / m * float(np.sum(np.abs(theta - theta.mean()) ** 2)))
 
 
 def _normality_summary(stat_id: str, x: np.ndarray) -> NormalitySummary:
@@ -472,7 +472,5 @@ def truncation_drift(
         cooked = linear_statistic(eigenvalues(truncate_center_homogenize(smp, delta)), phi)
         return abs(raw - cooked)
 
-    diffs = map_samples(per_sample, n_samples, threads)
-    mean = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / math.sqrt(n_samples))
-    return mean, se
+    mean, se = mean_and_se(map_samples(per_sample, n_samples, threads))
+    return mean.real, se

@@ -43,10 +43,6 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", np.sort(ev))
         self.eigenvalues.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
 
 def eigenvalues(smp: WignerSample | np.ndarray) -> Spectrum:
     """Spectrum of a Hermitian sample (or raw Hermitian matrix)."""

@@ -416,6 +416,19 @@ class TestConfigErrors:
         pytest.param("identities", {
             "ensemble": gue_ensemble(10), "identities": {"count": "x"},
         }, id="identities_count_text"),
+        pytest.param("identities", {
+            "ensemble": gue_ensemble(10), "identities": {"count": -3},
+        }, id="identities_count_negative"),
+        pytest.param("identities", {
+            "ensemble": gue_ensemble(10), "identities": {"count": 0},
+        }, id="identities_count_zero"),
+        pytest.param("identities", {
+            "ensemble": gue_ensemble(10), "identities": {"count": 2.7},
+        }, id="identities_count_fractional"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "tau": 0.5},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="ensemble_tau_not_implied_by_law"),
         pytest.param("density", {
             "density": {"v": "x", "nu": {"atoms": [[0.0, 1.0]]}},
         }, id="density_v_text"),
@@ -626,6 +639,62 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, reports, command, pa
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and "finite" in err
     assert list(out.iterdir()) == []
+
+
+# the CSV stems and the JSON file of each command; simulate writes report.json
+# under every format and has no other JSON file
+OUTPUT_FILES = {
+    "theory": (["beta", "gamma"], "theory.json"),
+    "simulate": (["per_z"], None),
+    "compare": (["compare_bias", "compare_cov"], "compare.json"),
+    "density": (["density"], "density.json"),
+    "infinitesimal": (["moments"], "moments.json"),
+    "identities": (["identities"], "identities.json"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_format_decides_the_files_written(tmp_path, reports, command, fmt):
+    payload = copy.deepcopy(SMALL_CONFIGS[command])
+    if command == "compare":
+        payload["compare"]["report"] = reports["valid"]
+    cfg = write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out), "--format", fmt,
+                 "--threads", "1"]) == 0
+    stems, json_name = OUTPUT_FILES[command]
+    want = {"report.json"} if command == "simulate" else set()
+    if fmt in ("csv", "both"):
+        want |= {f"{stem}.csv" for stem in stems}
+    if fmt in ("json", "both") and json_name is not None:
+        want.add(json_name)
+    assert {p.name for p in out.iterdir()} == want
+
+
+def test_identities_json_holds_the_csv_rows(tmp_path):
+    cfg = write(tmp_path, "cfg.json", SMALL_CONFIGS["identities"])
+    assert main(["identities", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "identities.json").read_text())
+    lines = (tmp_path / "identities.csv").read_text().splitlines()
+    assert payload["meta"]["seed"] == 3 and lines[1] == "# seed=3"
+    header, *rows = lines[3:]
+    keys = header.split(",")
+    assert all(sorted(r) == sorted(keys) for r in payload["identities"])
+    # a CSV cell is the repr of its number, for ints and floats alike
+    assert [",".join(repr(r[k]) for k in keys) for r in payload["identities"]] == rows
+    assert len(rows) == SMALL_CONFIGS["identities"]["identities"]["count"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_non_positive_threads_refused(tmp_path, capsys, threads):
+    cfg = write(tmp_path, "cfg.json", SMALL_CONFIGS["theory"])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--config", cfg, "--out-dir", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 DELETE = object()

@@ -84,23 +84,18 @@ class TestEntryLawMoments:
         with pytest.raises(ParameterError):
             Discrete("two_point", (-2.0, 2.0), (-1.0, 1.0))
 
+    @staticmethod
+    def config(law, **stated):
+        return {"n": 20, "entry_law": law, "deformation": {"quantile_spec": {"kind": "zero"}},
+                **stated}
+
     def test_inconsistent_tau_rejected(self):
-        with pytest.raises(ParameterError):
-            make_params(20, "gaussian_complex", tau=0.5)
+        with pytest.raises(ParameterError, match="tau=0.5 inconsistent"):
+            EnsembleParams.from_config(self.config("gaussian_complex", tau=0.5))
 
     def test_inconsistent_kappa_rejected(self):
-        with pytest.raises(ParameterError):
-            make_params(20, "rademacher_real", kappa=0.0)
-
-    def test_fourth_moment_nonnegativity_guard(self):
-        law = custom_law([[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]], PM1_HALVES)
-        # kappa + 2 sigma2^2 + tau^2 = -2 + 2 + 1 >= 0 holds for the law itself;
-        # force an invalid combination directly
-        with pytest.raises(ParameterError):
-            EnsembleParams(
-                n=10, sigma2=1.0, s2=1.0, tau=1.0, kappa=-4.0,
-                entry_law=law, deformation=np.zeros(10),
-            )
+        with pytest.raises(ParameterError, match="kappa=0.0 inconsistent"):
+            EnsembleParams.from_config(self.config("rademacher_real", kappa=0.0))
 
     def test_goe_default_diagonal_scale(self):
         assert make_params(20, "gaussian_real").s2 == 2.0
@@ -127,8 +122,8 @@ class TestSampling:
     )
     def test_exact_hermiticity(self, law):
         p = make_params(40, law, atoms=np.linspace(-1, 1, 40))
-        smp = sample(p, 5, 0)
-        assert smp.hermiticity_defect() == 0.0
+        m = sample(p, 5, 0).matrix
+        assert np.max(np.abs(m - m.conj().T)) == 0.0
 
     def test_rademacher_entries_exact_two_point(self):
         # sigma_n = sqrt(1/100) = 0.1 exactly representable
@@ -194,7 +189,7 @@ class TestTruncation:
         out = truncate_center_homogenize(smp, delta)
         w = out.matrix - np.diag(p.deformation)
         assert np.max(np.abs(w)) <= 2.0 * delta
-        assert out.hermiticity_defect() == 0.0
+        assert np.max(np.abs(out.matrix - out.matrix.conj().T)) == 0.0
 
     def test_variance_restored(self):
         # after homogenization the law-level variance is exactly sigma_n2

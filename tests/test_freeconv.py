@@ -62,8 +62,8 @@ class TestAtomicMeasure:
 
     def test_moments(self):
         nu = AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
-        assert nu.moment(1) == 0.0
-        assert nu.moment(2) == 1.0
+        assert nu.weights @ nu.locations**1 == 0.0
+        assert nu.weights @ nu.locations**2 == 1.0
 
 
 class TestStieltjes:
