@@ -106,6 +106,13 @@ def _block(cfg: dict, key: str, optional: bool = False) -> dict:
     return block
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a count: a JSON integer of at least 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+    return value
+
+
 def _config_digest(cfg: dict) -> str:
     payload = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -250,7 +257,7 @@ def cmd_simulate(cfg: dict, args) -> _Output:
             raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
         plan = ExperimentPlan(
             params=params,
-            n_samples=int(plan_cfg["n_samples"]),
+            n_samples=_count(plan_cfg["n_samples"], "plan.n_samples"),
             z_grid=tuple(_z_grid(plan_cfg)),
             master_seed=int(seed),
             test_functions=[testfn.from_spec(s) for s in plan_cfg.get("test_functions") or ()],
@@ -356,9 +363,10 @@ def cmd_density(cfg: dict, args) -> _Output:
             xs = np.atleast_1d(np.asarray(xs, dtype=float))
             if not np.all(np.isfinite(xs)):
                 raise ConfigError("density.x_grid values must be finite")
-        points = xs.size if xs is not None else int(block.get("points", 201))
-        if points < 1:
-            raise ConfigError("density needs at least one point")
+            if xs.size == 0:
+                raise ConfigError("density needs at least one point")
+        else:
+            points = _count(block.get("points", 201), "density.points")
         fns = [testfn.from_spec(s) for s in block.get("test_functions") or ()]
     if xs is None:
         xs = np.linspace(*support_window(nu, v), points)
@@ -399,22 +407,20 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
     with _reading_config():
         block = _block(cfg, "infinitesimal")
         words = block.get("words")
-        if not words:
-            raise ConfigError("infinitesimal.words must be a nonempty list")
+        if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
+            raise ConfigError("infinitesimal.words must be a nonempty list of strings")
         # each word is parsed once, so its pairing cycles are enumerated once
         parsed = [parse_word(text) for text in words]
-        dims = [int(d) for d in block.get("dims", [8, 16, 32, 64])]
+        dims = [_count(d, "infinitesimal.dims") for d in block.get("dims", [8, 16, 32, 64])]
         v = float(block.get("v", 1.0))
         if not 0.0 < v < np.inf:
             raise ConfigError("infinitesimal.v must be positive and finite")
         mc = _block(block, "mc", optional=True)
         sizes = list(dims)
         if mc:
-            n_dim = int(mc.get("n_dim", 50))
-            n_samples = int(mc.get("n_samples", 5000))
+            n_dim = _count(mc.get("n_dim", 50), "infinitesimal.mc.n_dim")
+            n_samples = _count(mc.get("n_samples", 5000), "infinitesimal.mc.n_samples")
             sizes.append(n_dim)
-        if min(sizes, default=1) < 1:
-            raise ConfigError("infinitesimal dimensions (dims, mc.n_dim) must be positive")
         spec = _block(block, "generators", optional=True)
         generators = {n: _generators(spec, n) for n in sizes}
     violations = 0
@@ -463,9 +469,7 @@ def cmd_identities(cfg: dict, args) -> _Output:
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
         seed = args.seed if args.seed is not None else block.get("seed", 0)
         master_seed = int(seed)
-        count = block.get("count", 20)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ConfigError(f"identities.count must be a positive integer, not {count!r}")
+        count = _count(block.get("count", 20), "identities.count")
         zs = _z_grid(block, default=[[0.0, 1.0]])
     rng = np.random.default_rng(master_seed)
     rows = []

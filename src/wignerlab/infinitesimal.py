@@ -14,7 +14,9 @@ enumerates its pairings and their cycles once (``PairedWord.pairing_cycles``);
 every dimension and both sums reuse them.
 
 The Monte Carlo cross-check draws each sample's GUE matrices once for all
-words and shares the products of common word prefixes; each word still gets
+words and traces each word as Tr(L R) of the products L, R of its two
+halves. Halves share the products of common prefixes, and a diagonal
+separator scales columns instead of multiplying; each word still gets
 bitwise the value it would get if checked alone. Its samples run on the
 index-ordered map of ``parallel``, serially or on forked workers.
 """
@@ -330,11 +332,11 @@ def infinitesimal_check(
 
     The semicircular variance v = N sigma_N^2 is held fixed, so the leading
     correction must scale like N^-2 (fitted slope <= -1.9, or corrections
-    identically zero).
+    identically zero). The fit needs at least 3 distinct dimensions.
     """
     dims = list(dims)
-    if len(dims) < 3:
-        raise ParameterError("need at least 3 dimensions to fit a slope")
+    if len(set(dims)) < 3:
+        raise ParameterError(f"need at least 3 distinct dimensions to fit a slope, not {dims}")
     results = []
     for n_dim in dims:
         gens = generator_factory(n_dim) if generator_factory is not None else {}
@@ -408,9 +410,16 @@ def monte_carlo_cross_checks(
 
     Sample m draws its GUE matrices from a Philox stream keyed by
     (seed, m); a word takes the i-th draw for its i-th color in sorted
-    order, so its result does not depend on the other words. Each sample's
-    draws are shared by all words, and so are the products of common
-    prefixes (same draw slots, same separators) of the left-to-right fold.
+    order, so its result does not depend on the other words. A word's
+    factors (draws and separator products) split at ceil(k/2) into two
+    halves, each folded left to right into L and R, and its trace is
+    ``sum(L * R.T)``, which is Tr(L R) in O(N^2); a one-factor word is
+    ``trace(L)``. Each sample's draws are shared by all words, and so are
+    the products of common prefixes (same draw slots, same separators) of
+    the halves. A separator that is a diagonal matrix multiplies a product
+    as a column scaling ``prod * d``, which gives the bits of ``prod @ D``.
+    The means and SEs can differ in their last digits from a fold of the
+    whole word, as the sum is taken in another order.
     One sample gives one row, its traces of every word, and the rows run
     on ``parallel.map_samples`` with ``threads`` as in ``montecarlo.run``:
     the results are bitwise the same for every worker count.
@@ -419,7 +428,8 @@ def monte_carlo_cross_checks(
         raise ParameterError("cross-check needs at least 1000 samples")
     gens = generators or {}
     separators: dict[tuple[str, ...], np.ndarray] = {}
-    plans = []  # per word: the factors of its product, a draw slot or separator names
+    diagonals: dict[tuple[str, ...], np.ndarray] = {}  # of the separators that are diagonal
+    halves = []  # per word: its factors, a draw slot or separator names, split in two
     for word in words:
         mats = _separator_matrices(word, gens, n_dim)
         slot = {c: i for i, c in enumerate(sorted(set(word.colors)))}
@@ -429,9 +439,13 @@ def monte_carlo_cross_checks(
             if mat is not None:
                 factors.append(names)
                 separators[names] = mat
-        plans.append(tuple(factors))
-    # only prefixes that more than one product starts with are kept
-    uses = Counter(plan[:k] for plan in plans for k in range(1, len(plan) + 1))
+                d = np.diagonal(mat)
+                if np.array_equal(mat, np.diag(d)):
+                    diagonals[names] = d.copy()
+        mid = (len(factors) + 1) // 2
+        halves.append((tuple(factors[:mid]), tuple(factors[mid:])))
+    # only prefixes that more than one half starts with are kept
+    uses = Counter(half[:k] for pair in halves for half in pair for k in range(1, len(half) + 1))
     exacts = [xi_exact(word, n_dim, sigma_n2, gens) for word in words]
     n_draws = max((len(set(word.colors)) for word in words), default=0)
 
@@ -439,19 +453,31 @@ def monte_carlo_cross_checks(
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
         draws = [sample_gue(n_dim, sigma_n2, rng) for _ in range(n_draws)]
         prefixes: dict[tuple, np.ndarray] = {}
-        row = np.empty(len(plans), dtype=complex)
-        for j, plan in enumerate(plans):
+
+        def fold(half: tuple) -> np.ndarray:
             prod = None
-            for k, factor in enumerate(plan):
-                key = plan[: k + 1]
+            for k, factor in enumerate(half):
+                key = half[: k + 1]
                 known = prefixes.get(key)
                 if known is None:
                     mat = draws[factor] if isinstance(factor, int) else separators[factor]
-                    known = mat if prod is None else prod @ mat
+                    if prod is None:
+                        known = mat
+                    elif factor in diagonals:
+                        known = prod * diagonals[factor]
+                    else:
+                        known = prod @ mat
                     if uses[key] > 1:
                         prefixes[key] = known
                 prod = known
-            row[j] = np.trace(prod) / n_dim
+            return prod
+
+        row = np.empty(len(halves), dtype=complex)
+        for j, (left, right) in enumerate(halves):
+            if right:
+                row[j] = np.sum(fold(left) * fold(right).T) / n_dim
+            else:
+                row[j] = np.trace(fold(left)) / n_dim
         return row
 
     rows = map_samples(per_sample, n_samples, threads)

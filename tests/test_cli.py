@@ -426,6 +426,28 @@ class TestConfigErrors:
             "ensemble": gue_ensemble(10), "identities": {"count": 2.7},
         }, id="identities_count_fractional"),
         pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": 4.9, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="plan_n_samples_fractional"),
+        pytest.param("density", {
+            "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "points": 4.5},
+        }, id="density_points_fractional"),
+        pytest.param("density", {
+            "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "points": True},
+        }, id="density_points_bool"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [8, 16, 32.9]}}, id="infinitesimal_dims_fractional"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [True, 8, 16]}}, id="infinitesimal_dims_bool"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1 w1 w1"], "dims": [8, 8, 8]}}, id="infinitesimal_dims_repeated"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [4, 8, 16], "mc": {"n_dim": 4.7}}},
+            id="mc_n_dim_fractional"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [4, 8, 16], "mc": {"n_dim": 4, "n_samples": 1000.5}}},
+            id="mc_n_samples_fractional"),
+        pytest.param("simulate", {
             "ensemble": {**gue_ensemble(10), "tau": 0.5},
             "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
         }, id="ensemble_tau_not_implied_by_law"),
@@ -597,6 +619,16 @@ def test_block_not_an_object_is_named(tmp_path, capsys, reports, command, path):
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: block {path[-1]!r} must be a JSON object, not list\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("words", ["w1 w1", [], ["w1 w1", 3], {"w1 w1": 1}])
+def test_words_not_a_list_of_strings_is_named(tmp_path, capsys, words):
+    cfg = write(tmp_path, "cfg.json", {"infinitesimal": {"words": words, "dims": [4, 8, 16]}})
+    out = tmp_path / "out"
+    assert main(["infinitesimal", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: infinitesimal.words must be a nonempty list of strings\n")
     assert list(out.iterdir()) == []
 
 

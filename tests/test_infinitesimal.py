@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wignerlab.infinitesimal as infinitesimal
 from wignerlab.errors import ParameterError
@@ -309,6 +309,11 @@ class TestInfinitesimalCheck:
         with pytest.raises(ParameterError):
             infinitesimal_check(parse_word("w1 w1"), [8, 16], 1.0)
 
+    @pytest.mark.parametrize("dims", [[8, 8, 8], [8, 16, 16, 8]])
+    def test_needs_three_distinct_dims(self, dims):
+        with pytest.raises(ParameterError, match="distinct"):
+            infinitesimal_check(parse_word("w1 w1 w1 w1"), dims, 1.0)
+
 
 class TestMonteCarloCrossCheck:
     def test_gue_sampler_moments(self):
@@ -441,23 +446,61 @@ def reference_sample_gue(n_dim, sigma_n2, rng):
     return out
 
 
-def reference_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
-    mats = _reference_separators(word, generators)
+def _reference_result(word, n_dim, sigma_n2, generators, values):
     exact = reference_xi_exact(word, n_dim, sigma_n2, generators)
-    color_set = sorted(set(word.colors))
+    n_samples = values.size
+    mean = complex(values.mean())
+    se = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n_samples - 1) / n_samples))
+    return CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples)
+
+
+def _reference_draws(word, n_dim, sigma_n2, seed, m):
+    """Sample m's GUE matrix for each color of the word."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
+    return {c: reference_sample_gue(n_dim, sigma_n2, rng) for c in sorted(set(word.colors))}
+
+
+def _reference_fold(mats):
+    prod = mats[0]
+    for mat in mats[1:]:
+        prod = prod @ mat
+    return prod
+
+
+def reference_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
+    """One word on its own: its factors split at ceil(k/2), each half folded
+    with @, and the trace of the product of the halves as sum(L * R.T)."""
+    mats = _reference_separators(word, generators)
     values = np.empty(n_samples, dtype=complex)
     for m in range(n_samples):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
-        gaussians = {c: reference_sample_gue(n_dim, sigma_n2, rng) for c in color_set}
+        gaussians = _reference_draws(word, n_dim, sigma_n2, seed, m)
+        factors = []
+        for t in range(word.n):
+            factors.append(gaussians[word.colors[t]])
+            if mats[t] is not None:
+                factors.append(mats[t])
+        mid = (len(factors) + 1) // 2
+        left = _reference_fold(factors[:mid])
+        if mid < len(factors):
+            values[m] = np.sum(left * _reference_fold(factors[mid:]).T) / n_dim
+        else:
+            values[m] = np.trace(left) / n_dim
+    return _reference_result(word, n_dim, sigma_n2, generators, values)
+
+
+def reference_whole_word_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
+    """One word on its own, as the trace of the left fold of the whole word."""
+    mats = _reference_separators(word, generators)
+    values = np.empty(n_samples, dtype=complex)
+    for m in range(n_samples):
+        gaussians = _reference_draws(word, n_dim, sigma_n2, seed, m)
         prod = np.eye(n_dim, dtype=complex)
         for t in range(word.n):
             prod = prod @ gaussians[word.colors[t]]
             if mats[t] is not None:
                 prod = prod @ mats[t]
         values[m] = np.trace(prod) / n_dim
-    mean = complex(values.mean())
-    se = float(np.sqrt(np.sum(np.abs(values - mean) ** 2) / (n_samples - 1) / n_samples))
-    return CrossCheckResult(exact=exact, mc_mean=mean, mc_se=se, n_samples=n_samples)
+    return _reference_result(word, n_dim, sigma_n2, generators, values)
 
 
 def random_hermitian(n_dim, rng):
@@ -477,20 +520,23 @@ class TestReferenceEquivalence:
             # both consumed the same stream
             assert rng_new.standard_normal() == rng_ref.standard_normal()
 
+    CROSS_CHECK_TEXTS = [
+        "w2 w2",  # only color 2: takes the first draw, as when checked alone
+        "w1 w1",
+        "w1 w1 w1 w1",  # shares its prefixes with the word above
+        "w1 w2 w1 w2",
+        "w2 a w1 a w2 a w1 a",
+        "w1 a w1 a",
+        "w1 a w1 a w1 a w1 a",
+        "w1 a b w1 b a",
+        "w1 b w1 b w1 b",  # its right half starts with the diagonal separator
+    ]
+
     def test_cross_checks_match_per_word_reference(self):
         n_dim, n_samples, seed = 6, 1000, 13
         rng = np.random.default_rng(5)
         gens = {"a": random_hermitian(n_dim, rng), "b": diag_pm1(n_dim)}
-        texts = [
-            "w2 w2",  # only color 2: takes the first draw, as when checked alone
-            "w1 w1",
-            "w1 w1 w1 w1",  # shares its prefixes with the word above
-            "w1 w2 w1 w2",
-            "w2 a w1 a w2 a w1 a",
-            "w1 a w1 a",
-            "w1 a w1 a w1 a w1 a",
-            "w1 a b w1 b a",
-        ]
+        texts = self.CROSS_CHECK_TEXTS
         words = [parse_word(t) for t in texts]
         got = monte_carlo_cross_checks(words, n_dim, n_samples, 0.2, gens, seed)
         assert len(got) == len(words)
@@ -498,6 +544,19 @@ class TestReferenceEquivalence:
             ref = reference_cross_check(word, n_dim, n_samples, 0.2, gens, seed)
             assert res == ref, text
             assert monte_carlo_cross_check(word, n_dim, n_samples, 0.2, gens, seed) == ref
+
+    def test_cross_checks_match_the_whole_word_fold(self):
+        # the halves sum the same products in another order: the means agree
+        # to rounding with the trace of the whole word's left fold
+        n_dim, n_samples, seed = 6, 1000, 13
+        rng = np.random.default_rng(5)
+        gens = {"a": random_hermitian(n_dim, rng), "b": diag_pm1(n_dim)}
+        words = [parse_word(t) for t in self.CROSS_CHECK_TEXTS]
+        got = monte_carlo_cross_checks(words, n_dim, n_samples, 0.2, gens, seed)
+        for text, word, res in zip(self.CROSS_CHECK_TEXTS, words, got):
+            ref = reference_whole_word_cross_check(word, n_dim, n_samples, 0.2, gens, seed)
+            assert res.exact == ref.exact, text
+            assert abs(res.mc_mean - ref.mc_mean) <= 1e-12 * max(1.0, abs(ref.exact)), text
 
     def test_cross_checks_equal_across_worker_counts(self):
         n_dim, n_samples, seed = 5, 1000, 21
@@ -562,3 +621,39 @@ def test_exact_sums_match_reference(word, n_dim, seed):
     assert free_moment(word, 1.7, trace_functional=table) == reference_free_moment(
         word, 1.7, phi_table
     )
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 7, 16, 50, 101, 200])
+def test_column_scaling_is_the_diagonal_product(n_dim):
+    # the cross-check multiplies by a diagonal separator as P * d
+    rng = np.random.default_rng(n_dim)
+    for _ in range(5):
+        p = rng.standard_normal((n_dim, n_dim)) + 1j * rng.standard_normal((n_dim, n_dim))
+        d = rng.standard_normal(n_dim)
+        for diag in (d, d.astype(complex)):
+            assert np.array_equal(p * diag, p @ np.diag(diag))
+
+
+@st.composite
+def _cross_check_words(draw):
+    # any colors, so odd words and words without pairings occur; "d" is a
+    # diagonal separator, "a" a full one, and their products are either
+    colors = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=5))
+    seps = draw(st.lists(st.sampled_from([(), ("d",), ("a",), ("d", "d"), ("a", "d")]),
+                         min_size=len(colors), max_size=len(colors)))
+    return PairedWord(colors=tuple(colors), separators=tuple(seps))
+
+
+@settings(max_examples=20, deadline=None)
+@example(words=[PairedWord((1,), ((),)), PairedWord((1, 2, 1), (("d",), (), ("a",)))],
+         n_dim=3, seed=0)
+@given(words=st.lists(_cross_check_words(), min_size=1, max_size=3),
+       n_dim=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_cross_checks_match_reference_at_any_worker_count(words, n_dim, seed):
+    rng = np.random.default_rng(seed)
+    gens = {"a": random_hermitian(n_dim, rng), "d": np.diag(rng.standard_normal(n_dim))}
+    refs = [reference_cross_check(word, n_dim, 1000, 0.3, gens, seed) for word in words]
+    for threads in (1, 2):
+        assert monte_carlo_cross_checks(words, n_dim, 1000, 0.3, gens, seed,
+                                        threads=threads) == refs
