@@ -106,10 +106,12 @@ def _block(cfg: dict, key: str, optional: bool = False) -> dict:
     return block
 
 
-def _count(value, name: str) -> int:
-    """``value`` as a count: a JSON integer of at least 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as a count: a JSON integer (not a bool) of at least
+    ``least``, which is 1 for a count and 0 for a seed."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ConfigError(f"{name} must be a {kind} integer, not {value!r}")
     return value
 
 
@@ -202,7 +204,7 @@ def _fluctuation_params(block: dict) -> FluctuationParams:
         kappa=float(block.get("kappa", 0.0)),
         nu=AtomicMeasure.from_atoms(_block(block, "nu")["atoms"]),
         mode=block.get("mode", "limit"),
-        n=None if block.get("n") is None else int(block["n"]),
+        n=None if block.get("n") is None else _count(block["n"], "fluctuation.n"),
     )
 
 
@@ -252,14 +254,16 @@ def cmd_simulate(cfg: dict, args) -> _Output:
     with _reading_config():
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
         plan_cfg = _block(cfg, "plan")
-        seed = args.seed if args.seed is not None else plan_cfg.get("master_seed")
+        seed = args.seed
         if seed is None:
-            raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
+            if plan_cfg.get("master_seed") is None:
+                raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
+            seed = _count(plan_cfg["master_seed"], "plan.master_seed", least=0)
         plan = ExperimentPlan(
             params=params,
             n_samples=_count(plan_cfg["n_samples"], "plan.n_samples"),
             z_grid=tuple(_z_grid(plan_cfg)),
-            master_seed=int(seed),
+            master_seed=seed,
             test_functions=[testfn.from_spec(s) for s in plan_cfg.get("test_functions") or ()],
             truncation=plan_cfg.get("truncation"),
         )
@@ -393,7 +397,11 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
         if kind == "diag_pm1":
             out[name] = diag_pm1(n_dim)
         elif kind == "diag_values":
-            vals = np.asarray(g["values"], dtype=float)
+            vals = g["values"]
+            if not (isinstance(vals, list) and vals
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vals)):
+                raise ConfigError(f"generator {name!r}: values must be a nonempty list of numbers")
+            vals = np.asarray(vals, dtype=float)
             reps = int(np.ceil(n_dim / vals.size))
             out[name] = np.diag(np.tile(vals, reps)[:n_dim])
         elif kind == "identity":
@@ -415,9 +423,11 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
         v = float(block.get("v", 1.0))
         if not 0.0 < v < np.inf:
             raise ConfigError("infinitesimal.v must be positive and finite")
+        # a given mc block runs the cross-check, an empty one at its defaults
+        run_mc = block.get("mc") is not None
         mc = _block(block, "mc", optional=True)
         sizes = list(dims)
-        if mc:
+        if run_mc:
             n_dim = _count(mc.get("n_dim", 50), "infinitesimal.mc.n_dim")
             n_samples = _count(mc.get("n_samples", 5000), "infinitesimal.mc.n_samples")
             sizes.append(n_dim)
@@ -440,7 +450,7 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
             ],
         })
         violations += 0 if rep.ok else 1
-    if mc:
+    if run_mc:
         checks = monte_carlo_cross_checks(
             parsed, n_dim, n_samples, v / n_dim,
             generators[n_dim], seed=int(args.seed or 0), threads=args.threads,
@@ -467,8 +477,9 @@ def cmd_identities(cfg: dict, args) -> _Output:
     with _reading_config():
         block = _block(cfg, "identities")
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
-        seed = args.seed if args.seed is not None else block.get("seed", 0)
-        master_seed = int(seed)
+        master_seed = args.seed
+        if master_seed is None:
+            master_seed = _count(block.get("seed", 0), "identities.seed", least=0)
         count = _count(block.get("count", 20), "identities.count")
         zs = _z_grid(block, default=[[0.0, 1.0]])
     rng = np.random.default_rng(master_seed)
@@ -493,7 +504,7 @@ def cmd_identities(cfg: dict, args) -> _Output:
                      rep.trace_gap, res_id, int(ok)])
     table = _Table(["sample", "re_z", "im_z", "k", "schur_diag_residual", "schur_trace_residual",
                     "trace_gap", "resolvent_identity_residual", "ok"], rows)
-    return _Output(seed, {"identities": table}, "identities.json",
+    return _Output(master_seed, {"identities": table}, "identities.json",
                    {"identities": table.records()}, violations)
 
 

@@ -126,7 +126,7 @@ class SubordinationSolution:
 
 def _transform(nu: AtomicMeasure, omega: np.ndarray, power: int) -> np.ndarray:
     """sum_i w_i (omega - d_i)^-power at every point of a 1-d array omega."""
-    return np.sum(nu.weights / (omega[:, None] - nu.locations) ** power, axis=1)
+    return np.add.reduce(nu.weights / (omega[:, None] - nu.locations) ** power, axis=1)
 
 
 def _pastur_upper(nu: AtomicMeasure, v: float, z: np.ndarray, g: np.ndarray):
@@ -135,14 +135,19 @@ def _pastur_upper(nu: AtomicMeasure, v: float, z: np.ndarray, g: np.ndarray):
     Starts from g and runs each point's own iteration: damped fixed-point
     steps until the residual |G - G_nu(z - vG)| drops below _NEWTON_SWITCH,
     then Newton steps for as long as each one lowers it, with a damped step
-    whenever one does not. Returns (G, iterations, residual) arrays.
+    whenever one does not. Each point keeps the map's value G_nu(z - vG) at
+    its current G, which its residual, its next damped step and its next
+    Newton step all read, so an accepted iterate costs one evaluation of the
+    map (and a Newton step one of G_nu' as well). Returns (G, iterations,
+    residual) arrays.
     """
     g = np.where(g.imag > 0.0, g.conj(), g)
 
     def fixed_map(idx, gg):
         return _transform(nu, z[idx] - v * gg, 1)
 
-    residual = np.abs(g - fixed_map(slice(None), g))
+    mapped = fixed_map(slice(None), g)
+    residual = np.abs(g - mapped)
     iterations = np.zeros(z.size, dtype=int)
     newton = np.zeros(z.size, dtype=bool)
     active = np.flatnonzero(residual > _PASTUR_TOL)
@@ -153,20 +158,25 @@ def _pastur_upper(nu: AtomicMeasure, v: float, z: np.ndarray, g: np.ndarray):
         accepted = np.zeros(active.size, dtype=bool)
         if tried.any():
             idx = active[tried]
-            omega = z[idx] - v * g[idx]
-            deriv = 1.0 - v * _transform(nu, omega, 2)
+            g_old = g[idx]
+            deriv = 1.0 - v * _transform(nu, z[idx] - v * g_old, 2)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                g_new = g[idx] - (g[idx] - _transform(nu, omega, 1)) / deriv
-            r_new = np.full(idx.size, np.inf)
+                g_new = g_old - (g_old - mapped[idx]) / deriv
             ok = (np.abs(deriv) > 1e-14) & (g_new.imag < 0.0)
-            r_new[ok] = np.abs(g_new[ok] - fixed_map(idx[ok], g_new[ok]))
+            m_new = np.zeros(idx.size, dtype=complex)
+            m_new[ok] = fixed_map(idx[ok], g_new[ok])
+            r_new = np.full(idx.size, np.inf)
+            r_new[ok] = np.abs(g_new[ok] - m_new[ok])
             better = r_new < residual[idx]
-            g[idx[better]], residual[idx[better]] = g_new[better], r_new[better]
+            took = idx[better]
+            g[took], residual[took], mapped[took] = g_new[better], r_new[better], m_new[better]
             newton[idx] = better
             accepted[tried] = better
         idx = active[~accepted]
-        g[idx] = 0.5 * g[idx] + 0.5 * fixed_map(idx, g[idx])
-        residual[idx] = np.abs(g[idx] - fixed_map(idx, g[idx]))
+        if idx.size:
+            g[idx] = 0.5 * g[idx] + 0.5 * mapped[idx]
+            mapped[idx] = fixed_map(idx, g[idx])
+            residual[idx] = np.abs(g[idx] - mapped[idx])
         iterations[active] += 1
         active = active[residual[active] > _PASTUR_TOL]
     if active.size:

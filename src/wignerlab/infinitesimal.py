@@ -10,8 +10,12 @@ n/2 + 1 - |pi gamma| is even, positive exactly for crossing pairings).
 
 Enumeration is exhaustive and exact; n is capped (default 16) since the
 point is correctness at desk scale, not asymptotic speed. Each word
-enumerates its pairings and their cycles once (``PairedWord.pairing_cycles``);
-every dimension and both sums reuse them.
+enumerates its pairings and walks their cycles once
+(``PairedWord.cycle_classes``), sorting the pairings into classes by the
+separators along each cycle: all 10,395 pairings of w1^12 fall into 4. At
+every dimension each class's product is then formed once, and the sums add
+the class products pairing by pairing, so they keep the bits of a loop that
+multiplies out every pairing.
 
 The Monte Carlo cross-check draws each sample's GUE matrices once for all
 words and traces each word as Tr(L R) of the products L, R of its two
@@ -78,7 +82,9 @@ class PairedWord:
     """Colored word: Gaussian letter colors plus separator words.
 
     ``separators[t]`` is the tuple of generator names multiplied together
-    after letter t; the empty tuple is the identity.
+    after letter t; the empty tuple is the identity. ``cycle_classes``
+    enumerates the word's pairings once and sorts them into the classes
+    that the Wick sums evaluate.
     """
 
     colors: tuple[int, ...]
@@ -101,14 +107,24 @@ class PairedWord:
         return {g for sep in self.separators for g in sep}
 
     @cached_property
-    def pairing_cycles(self) -> tuple:
-        """(cycles of pi*gamma, non-crossing) for each color-respecting
-        pairing, in ``enumerate_pairings`` order; computed once per word."""
-        out = []
+    def cycle_classes(self) -> tuple[tuple, tuple[int, ...]]:
+        """(classes, class of each pairing), computed once per word.
+
+        Walks the cycles of pi*gamma of each color-respecting pairing once.
+        A cycle's key is the tuple of the non-empty separators along it, and
+        a class is (the keys of a pairing's cycles in cycle order,
+        non-crossing); ``classes`` lists the distinct ones, and the second
+        tuple gives each pairing's index into it, in ``enumerate_pairings``
+        order. Pairings of one class contribute equal products to both sums.
+        """
+        labels = [sep or None for sep in self.separators]
+        classes: dict[tuple, int] = {}
+        of_pairing = []
         for pairing in enumerate_pairings(self.n, self.colors):
-            cycles = tuple(cycle_structure(pairing))
-            out.append((cycles, self.n // 2 + 1 == len(cycles)))
-        return tuple(out)
+            keys = tuple(_cycles(pairing.partner, labels))
+            cls = (keys, self.n // 2 + 1 == len(keys))
+            of_pairing.append(classes.setdefault(cls, len(classes)))
+        return tuple(classes), tuple(of_pairing)
 
 
 def parse_word(text: str) -> PairedWord:
@@ -173,8 +189,13 @@ def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[Pair
 
 def cycle_structure(pairing: Pairing) -> list[tuple[int, ...]]:
     """Cycles of the permutation pi*gamma, gamma: t -> t+1 mod n."""
-    n = pairing.n
-    perm = [pairing.partner[(t + 1) % n] for t in range(n)]
+    return _cycles(pairing.partner, range(pairing.n))
+
+
+def _cycles(partner: Sequence[int], labels: Sequence) -> list[tuple]:
+    """Cycles of pi*gamma, each from its smallest t, as the tuple of the
+    labels[t] along it that are not None."""
+    n = len(partner)
     seen = [False] * n
     cycles = []
     for start in range(n):
@@ -184,14 +205,16 @@ def cycle_structure(pairing: Pairing) -> list[tuple[int, ...]]:
         t = start
         while not seen[t]:
             seen[t] = True
-            cycle.append(t)
-            t = perm[t]
+            if labels[t] is not None:
+                cycle.append(labels[t])
+            t = partner[(t + 1) % n]
         cycles.append(tuple(cycle))
     return cycles
 
 
 def _separator_matrices(word: PairedWord, generators: Mapping[str, np.ndarray], n_dim: int):
-    """Products of generator matrices for each separator; None = identity."""
+    """Product of the generator matrices of each distinct non-empty
+    separator of the word, keyed by its tuple of names."""
     mats = {}
     for name in word.generator_names():
         if name not in generators:
@@ -204,27 +227,23 @@ def _separator_matrices(word: PairedWord, generators: Mapping[str, np.ndarray], 
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ParameterError(f"generator {name!r} is not Hermitian")
         mats[name] = m
-    out = []
+    out = {}
     for sep in word.separators:
-        if not sep:
-            out.append(None)
-        else:
+        if sep and sep not in out:
             prod = mats[sep[0]]
             for name in sep[1:]:
                 prod = prod @ mats[name]
-            out.append(prod)
+            out[sep] = prod
     return out
 
 
-def _cycle_product_trace(cycle, mats, n_dim: int) -> complex:
-    prod = None
-    for t in cycle:
-        m = mats[t]
-        if m is None:
-            continue
-        prod = m if prod is None else prod @ m
-    if prod is None:
+def _cycle_product_trace(key, separators, n_dim: int) -> complex:
+    """Trace of the product, in cycle order, of the separators a cycle key names."""
+    if not key:
         return complex(n_dim)
+    prod = separators[key[0]]
+    for names in key[1:]:
+        prod = prod @ separators[names]
     return complex(np.trace(prod))
 
 
@@ -240,28 +259,39 @@ def xi_exact(
     sum over color-respecting pairings of the product over cycles of
     pi*gamma of the trace of the ordered separator product.
     """
-    mats = _separator_matrices(word, generators or {}, n_dim)
+    separators = _separator_matrices(word, generators or {}, n_dim)
     total = _sum_over_pairings(
-        word, lambda cycle: _cycle_product_trace(cycle, mats, n_dim), noncrossing_only=False
+        word, lambda key: _cycle_product_trace(key, separators, n_dim), noncrossing_only=False
     )
     return sigma_n2 ** (word.n / 2) / n_dim * total
 
 
 def _sum_over_pairings(word: PairedWord, cycle_value, noncrossing_only: bool) -> complex:
     """Sum over the word's pairings of the product of ``cycle_value`` over
-    the cycles of pi*gamma, each distinct cycle evaluated once."""
-    values: dict[tuple[int, ...], complex] = {}
-    total = 0.0 + 0.0j
-    for cycles, noncrossing in word.pairing_cycles:
+    the cycles of pi*gamma.
+
+    Each cycle key is evaluated once and each class's product is formed
+    once, in cycle order; the products are then added pairing by pairing in
+    enumeration order, so the sum has the bits of a per-pairing loop.
+    """
+    classes, of_pairing = word.cycle_classes
+    values: dict[tuple, complex] = {}
+    products = []
+    for keys, noncrossing in classes:
         if noncrossing_only and not noncrossing:
+            products.append(None)
             continue
         contrib = 1.0 + 0.0j
-        for cycle in cycles:
-            value = values.get(cycle)
+        for key in keys:
+            value = values.get(key)
             if value is None:
-                value = values[cycle] = cycle_value(cycle)
+                value = values[key] = cycle_value(key)
             contrib *= value
-        total += contrib
+        products.append(contrib)
+    total = 0.0 + 0.0j
+    for k in of_pairing:
+        if products[k] is not None:
+            total += products[k]
     return total
 
 
@@ -285,18 +315,15 @@ def free_moment(
     if trace_functional is None:
         if n_dim is None:
             raise ParameterError("concrete mode needs the matrix dimension n_dim")
-        mats = _separator_matrices(word, generators or {}, n_dim)
+        separators = _separator_matrices(word, generators or {}, n_dim)
 
-        def phi_cycle(cycle) -> complex:
-            return _cycle_product_trace(cycle, mats, n_dim) / n_dim
+        def phi_cycle(key) -> complex:
+            return _cycle_product_trace(key, separators, n_dim) / n_dim
 
     else:
 
-        def phi_cycle(cycle) -> complex:
-            word_out: list[str] = []
-            for t in cycle:
-                word_out.extend(word.separators[t])
-            return complex(trace_functional(tuple(word_out)))
+        def phi_cycle(key) -> complex:
+            return complex(trace_functional(tuple(name for names in key for name in names)))
 
     return v ** (word.n / 2) * _sum_over_pairings(word, phi_cycle, noncrossing_only=True)
 
@@ -431,17 +458,17 @@ def monte_carlo_cross_checks(
     diagonals: dict[tuple[str, ...], np.ndarray] = {}  # of the separators that are diagonal
     halves = []  # per word: its factors, a draw slot or separator names, split in two
     for word in words:
-        mats = _separator_matrices(word, gens, n_dim)
+        for names, mat in _separator_matrices(word, gens, n_dim).items():
+            separators[names] = mat
+            d = np.diagonal(mat)
+            if np.array_equal(mat, np.diag(d)):
+                diagonals[names] = d.copy()
         slot = {c: i for i, c in enumerate(sorted(set(word.colors)))}
         factors: list = []
-        for color, names, mat in zip(word.colors, word.separators, mats):
+        for color, names in zip(word.colors, word.separators):
             factors.append(slot[color])
-            if mat is not None:
+            if names:
                 factors.append(names)
-                separators[names] = mat
-                d = np.diagonal(mat)
-                if np.array_equal(mat, np.diag(d)):
-                    diagonals[names] = d.copy()
         mid = (len(factors) + 1) // 2
         halves.append((tuple(factors[:mid]), tuple(factors[mid:])))
     # only prefixes that more than one half starts with are kept

@@ -257,6 +257,18 @@ class TestInfinitesimalCommand:
             outputs.append([(out / name).read_bytes() for name in ("moments.json", "moments.csv")])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("mc", [{}, None])
+    def test_a_given_mc_block_runs_even_when_empty(self, tmp_path, mc):
+        # an empty block runs the cross-check at its defaults; null skips it
+        cfg = write(tmp_path, "cfg.json", {"infinitesimal": {
+            "words": ["w1 w1"], "dims": [4, 8, 16], "mc": mc}})
+        assert main(["infinitesimal", "--config", cfg, "--out-dir", str(tmp_path),
+                     "--seed", "1", "--threads", "1"]) == 0
+        (word,) = json.loads((tmp_path / "moments.json").read_text())["words"]
+        assert ("mc" in word) == (mc is not None)
+        if mc is not None:
+            assert word["mc"]["exact"] == [1.0, 0.0] and word["mc"]["ok"]
+
 
 class TestDensityCommand:
     def test_density_table(self, tmp_path):
@@ -542,6 +554,22 @@ class TestConfigErrors:
                      id="identities_z_grid_empty"),
         pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": {"z_grid": 5}},
                      id="identities_z_grid_not_a_list"),
+        pytest.param("theory", {"fluctuation": {**POINT_MASS, "mode": "finite_N", "n": 10.7},
+                                "z_grid": [[0.0, 2.0]]}, id="fluctuation_n_fractional"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 4.9},
+        }, id="plan_master_seed_fractional"),
+        pytest.param("identities", {"ensemble": gue_ensemble(10), "identities": {"seed": 1.5}},
+                     id="identities_seed_fractional"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 a w1 a"], "dims": [4, 8, 16],
+            "generators": {"a": {"kind": "diag_values", "values": 2.0}}}},
+            id="generator_values_not_a_list"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 a w1 a"], "dims": [4, 8, 16],
+            "generators": {"a": {"kind": "diag_values", "values": []}}}},
+            id="generator_values_empty"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, reports, command, payload):
         # a report path "@name" stands for the `reports` file of that name
@@ -630,6 +658,24 @@ def test_words_not_a_list_of_strings_is_named(tmp_path, capsys, words):
     assert capsys.readouterr().err == (
         "config error: infinitesimal.words must be a nonempty list of strings\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("values", [[], 2.0, ["x"], [1.0, True]])
+def test_generator_values_not_a_list_of_numbers_is_named(tmp_path, capsys, values):
+    cfg = write(tmp_path, "cfg.json", {"infinitesimal": {
+        "words": ["w1 a w1 a"], "dims": [4, 8, 16],
+        "generators": {"a": {"kind": "diag_values", "values": values}}}})
+    out = tmp_path / "out"
+    assert main(["infinitesimal", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: generator 'a': values must be a nonempty list of numbers\n")
+    assert list(out.iterdir()) == []
+
+
+def test_master_seed_zero_is_legal(tmp_path):
+    cfg = write(tmp_path, "cfg.json", mutate(SMALL_CONFIGS["simulate"], ("plan", "master_seed"), 0))
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["master_seed"] == 0
 
 
 def test_entry_law_not_a_name_or_object_is_named(tmp_path, capsys):

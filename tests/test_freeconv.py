@@ -1,12 +1,15 @@
 import cmath
 import math
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from wignerlab.errors import DomainError
+import wignerlab.freeconv as freeconv
+from wignerlab.errors import DomainError, EdgeSingularityError, SolverError
 from wignerlab.freeconv import (
     _GAUSS,
     _KRONROD,
@@ -269,6 +272,87 @@ class TestSolverProperties:
         assert batch.G.shape == (len(zs),)
         for k, z in enumerate(zs):
             assert batch.at(k) == solve_pastur(nu, v, z)
+
+
+def _recomputing_upper(nu, v, z, g):
+    """The array Pastur loop as it ran before each point kept its map value:
+    it evaluates G_nu(z - vG) afresh for every residual, damped step and
+    Newton step. solve_pastur_array must reproduce it bit for bit."""
+
+    def transform(omega, power):
+        return np.sum(nu.weights / (omega[:, None] - nu.locations) ** power, axis=1)
+
+    g = np.where(g.imag > 0.0, g.conj(), g)
+
+    def fixed_map(idx, gg):
+        return transform(z[idx] - v * gg, 1)
+
+    residual = np.abs(g - fixed_map(slice(None), g))
+    iterations = np.zeros(z.size, dtype=int)
+    newton = np.zeros(z.size, dtype=bool)
+    active = np.flatnonzero(residual > 1e-13)
+    for _ in range(10_000):
+        if active.size == 0:
+            break
+        tried = newton[active] | (residual[active] < 1e-3)
+        accepted = np.zeros(active.size, dtype=bool)
+        if tried.any():
+            idx = active[tried]
+            omega = z[idx] - v * g[idx]
+            deriv = 1.0 - v * transform(omega, 2)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                g_new = g[idx] - (g[idx] - transform(omega, 1)) / deriv
+            r_new = np.full(idx.size, np.inf)
+            ok = (np.abs(deriv) > 1e-14) & (g_new.imag < 0.0)
+            r_new[ok] = np.abs(g_new[ok] - fixed_map(idx[ok], g_new[ok]))
+            better = r_new < residual[idx]
+            g[idx[better]], residual[idx[better]] = g_new[better], r_new[better]
+            newton[idx] = better
+            accepted[tried] = better
+        idx = active[~accepted]
+        g[idx] = 0.5 * g[idx] + 0.5 * fixed_map(idx, g[idx])
+        residual[idx] = np.abs(g[idx] - fixed_map(idx, g[idx]))
+        iterations[active] += 1
+        active = active[residual[active] > 1e-13]
+    if active.size:
+        raise SolverError("reference iteration did not converge")
+    return g, iterations, residual
+
+
+@st.composite
+def atomic_measures(draw):
+    n = draw(st.integers(1, 40))
+    locations = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return AtomicMeasure(np.array(locations), weights / weights.sum())
+
+
+@st.composite
+def low_points(draw):
+    """z in either half-plane, often under the eta walk's start height 0.05."""
+    height = draw(st.one_of(st.floats(1e-3, 0.05), st.floats(0.05, 3.0)))
+    z = complex(draw(st.floats(-6.0, 6.0)), height)
+    return z.conjugate() if draw(st.booleans()) else z
+
+
+@settings(max_examples=150, deadline=None)
+@given(atomic_measures(), variances, st.lists(low_points(), min_size=1, max_size=12))
+def test_solver_bitwise_equals_recomputing_loop(nu, v, zs):
+    def solve():
+        try:
+            return solve_pastur_array(nu, v, zs)
+        except (SolverError, EdgeSingularityError) as exc:
+            return repr(exc)
+
+    with mock.patch.object(freeconv, "_pastur_upper", _recomputing_upper):
+        expected = solve()
+    got = solve()
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    for f in fields(got):
+        if f.name != "v":
+            assert getattr(got, f.name).tobytes() == getattr(expected, f.name).tobytes(), f.name
 
 
 class TestDensity:

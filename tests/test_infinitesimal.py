@@ -128,7 +128,8 @@ class TestPairingEnumeration:
         pairings = enumerate_pairings(n)
         assert len(pairings) == double_factorial(n - 1)
         word = PairedWord(colors=(1,) * n, separators=((),) * n)
-        flags = [noncrossing for _, noncrossing in word.pairing_cycles]
+        classes, of_pairing = word.cycle_classes
+        flags = [classes[k][1] for k in of_pairing]
         assert flags == [not crossing(p) for p in pairings]
         assert sum(flags) == catalan(n // 2)
 
@@ -617,6 +618,31 @@ def test_exact_sums_match_reference(word, n_dim, seed):
 
     def phi_table(cycle):
         return complex(table(tuple(g for t in cycle for g in word.separators[t])))
+
+    assert free_moment(word, 1.7, trace_functional=table) == reference_free_moment(
+        word, 1.7, phi_table
+    )
+
+
+@pytest.mark.parametrize("text", [" ".join(["w1"] * 12), "w1 a w2 b w1 a w2 b"])
+@pytest.mark.parametrize("n_dim", [3, 8])
+def test_class_sums_match_reference_with_non_integer_values(text, n_dim):
+    # with non-integer separator moments the class products are inexact, so
+    # the sums keep the reference's bits only if added pairing by pairing
+    rng = np.random.default_rng(n_dim)
+    gens = {"a": random_hermitian(n_dim, rng), "b": random_hermitian(n_dim, rng)}
+    word = parse_word(text)
+    mats = _reference_separators(word, gens)
+    assert xi_exact(word, n_dim, 0.3, gens) == reference_xi_exact(word, n_dim, 0.3, gens)
+    assert free_moment(word, 1.7, gens, n_dim) == reference_free_moment(
+        word, 1.7, lambda cycle: _reference_cycle_trace(cycle, mats, n_dim) / n_dim
+    )
+
+    def table(names):
+        return complex(0.7 + 0.1 * len(names), 0.3 * names.count("a") - 0.2)
+
+    def phi_table(cycle):
+        return table(tuple(g for t in cycle for g in word.separators[t]))
 
     assert free_moment(word, 1.7, trace_functional=table) == reference_free_moment(
         word, 1.7, phi_table
