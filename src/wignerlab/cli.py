@@ -3,7 +3,8 @@
 Subcommands: theory, simulate, compare, density, infinitesimal, identities.
 Every command reads its whole config (and compare the report it checks),
 then computes and returns its tables; ``main`` alone writes them, as
-``--format`` says, so a config error writes nothing. ``simulate`` also
+``--format`` says, so a config error writes nothing. A config key that the
+command never read is such an error (an unknown key). ``simulate`` also
 writes ``report.json`` under every format, because ``compare`` reads it.
 Every output file embeds (config digest, seed, version) in comment/meta
 fields, so tables are regenerable bit-exactly; Monte Carlo samples run their
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .ensemble import EnsembleParams, sample
-from .errors import ConfigError, ParameterError, WignerlabError
+from .errors import ConfigError, ParameterError, WignerlabError, check_block, check_count
 from .freeconv import (
     AtomicMeasure,
     density as density_at,
@@ -73,18 +74,51 @@ EXIT_CONFIG = 2
 REPORT_MATCH_RTOL = 1e-9
 
 
+class _Object(dict):
+    """A JSON object of a config that records the keys read from it; the
+    others are unknown, as a misspelt key would fall back to its default."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _unread(node, where="the config"):
+    """'key' in where, for each key of the config's objects never read."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _unread(item, where)
+    elif isinstance(node, _Object):
+        for key, value in node.items():
+            if key in node.read:
+                yield from _unread(value, f"block {key!r}")
+            else:
+                yield f"{key!r} in {where}"
+
+
 @contextmanager
-def _reading_config():
+def _reading_config(cfg=None):
     """Raise any exception from the block as one ConfigError.
 
     A command reads its whole config inside this block, before it computes
     or writes anything. Whatever fails there (a missing key, a value of the
     wrong type, a report that is not JSON, a constructor's ParameterError)
     is wrong input, so the exception is caught whatever its type. A missing
-    key is named as such.
+    key is named as such, and so is each key of ``cfg`` never read.
     """
     try:
         yield
+        unknown = list(_unread(cfg))
+        if unknown:
+            raise ConfigError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(unknown)}")
     except Exception as exc:
         if isinstance(exc, WignerlabError):
             text = str(exc)
@@ -99,20 +133,12 @@ def _block(cfg: dict, key: str, optional: bool = False) -> dict:
     """The config block ``key`` of ``cfg``, which must be a JSON object; an
     optional block that is absent or null reads as empty."""
     block = cfg.get(key) if optional else cfg[key]
-    if optional and block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"block {key!r} must be a JSON object, not {type(block).__name__}")
-    return block
+    return {} if optional and block is None else check_block(block, key)
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """``value`` as a count: a JSON integer (not a bool) of at least
-    ``least``, which is 1 for a count and 0 for a seed."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        kind = "positive" if least == 1 else "non-negative"
-        raise ConfigError(f"{name} must be a {kind} integer, not {value!r}")
-    return value
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _config_digest(cfg: dict) -> str:
@@ -178,7 +204,9 @@ def _write_json(path: Path, meta: dict, payload: dict) -> None:
 
 
 def _parse_z(pair) -> complex:
-    z = complex(float(pair[0]), float(pair[1]))
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+        raise ConfigError(f"z must be a list of two numbers [re, im], not {pair!r}")
+    z = complex(pair[0], pair[1])
     if not np.isfinite(z):
         raise ConfigError(f"z={z} is not finite")
     if z.imag == 0.0:
@@ -204,7 +232,7 @@ def _fluctuation_params(block: dict) -> FluctuationParams:
         kappa=float(block.get("kappa", 0.0)),
         nu=AtomicMeasure.from_atoms(_block(block, "nu")["atoms"]),
         mode=block.get("mode", "limit"),
-        n=None if block.get("n") is None else _count(block["n"], "fluctuation.n"),
+        n=None if block.get("n") is None else check_count(block["n"], "fluctuation.n"),
     )
 
 
@@ -215,7 +243,7 @@ def _single_atom(nu: AtomicMeasure) -> float | None:
 
 
 def cmd_theory(cfg: dict, args) -> _Output:
-    with _reading_config():
+    with _reading_config(cfg):
         params = _fluctuation_params(_block(cfg, "fluctuation"))
         zs = _z_grid(cfg)
         pairs = cfg.get("pairs")
@@ -251,17 +279,17 @@ def cmd_theory(cfg: dict, args) -> _Output:
 
 
 def cmd_simulate(cfg: dict, args) -> _Output:
-    with _reading_config():
+    with _reading_config(cfg):
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
         plan_cfg = _block(cfg, "plan")
-        seed = args.seed
+        seed, stated = args.seed, plan_cfg.get("master_seed")
         if seed is None:
-            if plan_cfg.get("master_seed") is None:
+            if stated is None:
                 raise ConfigError("a master seed is required (config plan.master_seed or --seed)")
-            seed = _count(plan_cfg["master_seed"], "plan.master_seed", least=0)
+            seed = check_count(stated, "plan.master_seed", least=0)
         plan = ExperimentPlan(
             params=params,
-            n_samples=_count(plan_cfg["n_samples"], "plan.n_samples"),
+            n_samples=check_count(plan_cfg["n_samples"], "plan.n_samples"),
             z_grid=tuple(_z_grid(plan_cfg)),
             master_seed=seed,
             test_functions=[testfn.from_spec(s) for s in plan_cfg.get("test_functions") or ()],
@@ -305,7 +333,7 @@ def _check_matches_report(params: FluctuationParams, config: dict) -> None:
 
 
 def cmd_compare(cfg: dict, args) -> _Output:
-    with _reading_config():
+    with _reading_config(cfg):
         block = _block(cfg, "compare")
         report = EstimatorReport.from_json(Path(block["report"]).read_text())
         fluctuation = _block(cfg, "fluctuation")
@@ -356,12 +384,13 @@ def cmd_compare(cfg: dict, args) -> _Output:
 
 
 def cmd_density(cfg: dict, args) -> _Output:
-    with _reading_config():
+    with _reading_config(cfg):
         block = _block(cfg, "density")
         nu = AtomicMeasure.from_atoms(_block(block, "nu")["atoms"])
         v = float(block["v"])
         if not 0.0 < v < np.inf:
             raise ConfigError("density.v must be positive and finite")
+        points = check_count(block.get("points", 201), "density.points")
         xs = block.get("x_grid")
         if xs is not None:
             xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -369,8 +398,6 @@ def cmd_density(cfg: dict, args) -> _Output:
                 raise ConfigError("density.x_grid values must be finite")
             if xs.size == 0:
                 raise ConfigError("density needs at least one point")
-        else:
-            points = _count(block.get("points", 201), "density.points")
         fns = [testfn.from_spec(s) for s in block.get("test_functions") or ()]
     if xs is None:
         xs = np.linspace(*support_window(nu, v), points)
@@ -398,8 +425,7 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
             out[name] = diag_pm1(n_dim)
         elif kind == "diag_values":
             vals = g["values"]
-            if not (isinstance(vals, list) and vals
-                    and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vals)):
+            if not (isinstance(vals, list) and vals and all(map(_is_number, vals))):
                 raise ConfigError(f"generator {name!r}: values must be a nonempty list of numbers")
             vals = np.asarray(vals, dtype=float)
             reps = int(np.ceil(n_dim / vals.size))
@@ -412,14 +438,14 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
 
 
 def cmd_infinitesimal(cfg: dict, args) -> _Output:
-    with _reading_config():
+    with _reading_config(cfg):
         block = _block(cfg, "infinitesimal")
         words = block.get("words")
         if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
             raise ConfigError("infinitesimal.words must be a nonempty list of strings")
         # each word is parsed once, so its pairing cycles are enumerated once
         parsed = [parse_word(text) for text in words]
-        dims = [_count(d, "infinitesimal.dims") for d in block.get("dims", [8, 16, 32, 64])]
+        dims = [check_count(d, "infinitesimal.dims") for d in block.get("dims", [8, 16, 32, 64])]
         v = float(block.get("v", 1.0))
         if not 0.0 < v < np.inf:
             raise ConfigError("infinitesimal.v must be positive and finite")
@@ -428,8 +454,8 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
         mc = _block(block, "mc", optional=True)
         sizes = list(dims)
         if run_mc:
-            n_dim = _count(mc.get("n_dim", 50), "infinitesimal.mc.n_dim")
-            n_samples = _count(mc.get("n_samples", 5000), "infinitesimal.mc.n_samples")
+            n_dim = check_count(mc.get("n_dim", 50), "infinitesimal.mc.n_dim")
+            n_samples = check_count(mc.get("n_samples", 5000), "infinitesimal.mc.n_samples")
             sizes.append(n_dim)
         spec = _block(block, "generators", optional=True)
         generators = {n: _generators(spec, n) for n in sizes}
@@ -474,13 +500,13 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
 
 
 def cmd_identities(cfg: dict, args) -> _Output:
-    with _reading_config():
+    with _reading_config(cfg):
         block = _block(cfg, "identities")
         params = EnsembleParams.from_config(_block(cfg, "ensemble"))
-        master_seed = args.seed
+        master_seed, stated = args.seed, block.get("seed", 0)
         if master_seed is None:
-            master_seed = _count(block.get("seed", 0), "identities.seed", least=0)
-        count = _count(block.get("count", 20), "identities.count")
+            master_seed = check_count(stated, "identities.seed", least=0)
+        count = check_count(block.get("count", 20), "identities.count")
         zs = _z_grid(block, default=[[0.0, 1.0]])
     rng = np.random.default_rng(master_seed)
     rows = []
@@ -547,7 +573,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     try:
         with _reading_config():
-            cfg = json.loads(Path(args.config).read_text())
+            cfg = json.loads(Path(args.config).read_text(), object_pairs_hook=_Object)
         out_dir.mkdir(parents=True, exist_ok=True)
         if not isinstance(cfg, dict):
             raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")

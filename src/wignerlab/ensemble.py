@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, ParameterError
+from .errors import DegenerateTruncationError, ParameterError, check_block, check_count
 from .freeconv import AtomicMeasure
 
 __all__ = [
@@ -212,13 +212,6 @@ _PRESETS = {
 }
 
 
-def _config_block(spec, key: str) -> dict:
-    """The config block ``key`` read as ``spec``, which must be a JSON object."""
-    if not isinstance(spec, dict):
-        raise ParameterError(f"block {key!r} must be a JSON object, not {type(spec).__name__}")
-    return spec
-
-
 def law_from_config(spec) -> Gaussian | Discrete:
     """Entry law from a preset name, ``{"name": preset}``, or a
     ``custom_discrete`` spec with ``offdiag`` triples [re, im, weight] and
@@ -245,13 +238,13 @@ def law_from_config(spec) -> Gaussian | Discrete:
 
 def deformation_from_config(spec, n: int) -> np.ndarray:
     """Deformation atoms from an explicit list or a quantile description."""
-    if "atoms" in _config_block(spec, "deformation"):
+    if "atoms" in check_block(spec, "deformation"):
         atoms = np.asarray(spec["atoms"], dtype=float)
         return np.sort(atoms)
     q = spec.get("quantile_spec")
     if q is None:
         raise ParameterError("deformation needs 'atoms' or 'quantile_spec'")
-    kind = _config_block(q, "quantile_spec").get("kind")
+    kind = check_block(q, "quantile_spec").get("kind")
     if kind == "zero":
         return np.zeros(n)
     if kind == "two_point":
@@ -371,7 +364,7 @@ class EnsembleParams:
     def from_config(cls, cfg: dict) -> "EnsembleParams":
         """Params from a config block. ``tau`` and ``kappa`` may be stated, as
         ``config()`` writes them, but must be the values the law implies."""
-        n = int(cfg["n"])
+        n = check_count(cfg["n"], "n")
         params = cls.create(
             n=n,
             entry_law=law_from_config(cfg["entry_law"]),
@@ -434,26 +427,35 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
+def hermitian(off: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The n x n Hermitian matrix with diagonal ``diag`` and strict upper
+    triangle ``off`` (its n(n-1)/2 entries in row-major order, or an n x n
+    array's), mirrored conjugated below through the cached triangle mask."""
+    n = len(diag)
+    mask = _strict_upper(n)
+    if off.ndim == 2:
+        off = off[mask]
+    w = np.zeros((n, n), dtype=off.dtype)
+    w[mask] = off
+    w.T[mask] = off.conj()
+    w.flat[:: n + 1] = diag
+    return w
+
+
 def sample(params: EnsembleParams, master_seed: int, index: int = 0) -> WignerSample:
     """Draw X = W + D deterministically from (master_seed, index).
 
     The off-diagonal draws fill the upper triangle and, conjugated, the lower
-    one through the cached triangle mask; the diagonal is written once, noise
-    plus deformation. The golden digests in the tests pin the bits.
+    one (``hermitian``); the diagonal is written once, noise plus
+    deformation. The golden digests in the tests pin the bits.
     """
     n = params.n
     rng = _rng_for(master_seed, index)
     off = params.entry_law.sample_offdiag(rng, n * (n - 1) // 2)  # a fresh array
     off *= math.sqrt(params.sigma_n2)
     diag = params.entry_law.sample_diag(rng, n).real * math.sqrt(params.s_n2)
-
-    w = np.zeros((n, n), dtype=off.dtype)
-    mask = _strict_upper(n)
-    w[mask] = off
-    w.T[mask] = off.conj()
-    w.flat[:: n + 1] = diag + params.deformation
     return WignerSample(
-        matrix=w,
+        matrix=hermitian(off, diag + params.deformation),
         seed_path=(int(master_seed), int(index)),
         params_hash=params.digest(),
         params=params,
@@ -489,9 +491,9 @@ def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSampl
     never from the sample. When truncation provably does nothing (law support
     inside the level, zero mean, exact variance) the sample is returned
     unchanged. Otherwise one copy of the matrix is cut, recentered and
-    rescaled in place, and the lower triangle is mirrored from the upper one
-    through the cached triangle mask; the golden digests in the tests pin
-    the bits.
+    rescaled in place, and ``hermitian`` assembles the result from its upper
+    triangle and the new diagonal; the golden digests in the tests pin the
+    bits.
     """
     params = smp.params
     n = smp.n
@@ -523,12 +525,8 @@ def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSampl
     diag = (w.diagonal().real - diag_mean) * diag_scale
     w -= off_mean if params.entry_law.is_complex else off_mean.real
     w *= off_scale
-    w.flat[:: n + 1] = diag + params.deformation
-    # exact Hermitian symmetrization of the off-diagonal part
-    mask = _strict_upper(n)
-    w.T[mask] = w[mask].conj()
     return WignerSample(
-        matrix=w,
+        matrix=hermitian(w, diag + params.deformation),
         seed_path=smp.seed_path,
         params_hash=smp.params_hash,
         params=params,

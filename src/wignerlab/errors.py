@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config checks of several modules."""
 
 
 class WignerlabError(Exception):
@@ -56,3 +56,19 @@ class SampleError(WignerlabError, RuntimeError):
         # the default rebuilds from args alone, which lack the index; a
         # failure raised in a worker process must reach the caller whole
         return type(self), (self.args[0], self.index)
+
+
+def check_block(block, key: str) -> dict:
+    """``block``, the config block ``key``, which must be a JSON object."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"block {key!r} must be a JSON object, not {type(block).__name__}")
+    return block
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a count: a JSON integer (not a bool) of at least
+    ``least``, which is 1 for a count and 0 for a seed."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ConfigError(f"{name} must be a {kind} integer, not {value!r}")
+    return value

@@ -9,7 +9,8 @@ moment, and the difference decays like 1/N^2 (the genus term
 n/2 + 1 - |pi gamma| is even, positive exactly for crossing pairings).
 
 Enumeration is exhaustive and exact; n is capped (default 16) since the
-point is correctness at desk scale, not asymptotic speed. Each word
+point is correctness at desk scale, not asymptotic speed. A pairing is its
+partner tuple: ``p[t]`` is the letter that t is paired with. Each word
 enumerates its pairings and walks their cycles once
 (``PairedWord.cycle_classes``), sorting the pairings into classes by the
 separators along each cycle: all 10,395 pairings of w1^12 fall into 4. At
@@ -18,8 +19,9 @@ the class products pairing by pairing, so they keep the bits of a loop that
 multiplies out every pairing.
 
 The Monte Carlo cross-check draws each sample's GUE matrices once for all
-words and traces each word as Tr(L R) of the products L, R of its two
-halves. Halves share the products of common prefixes, and a diagonal
+words, assembled by ``ensemble.hermitian`` as ``ensemble.sample`` assembles
+its matrices, and traces each word as Tr(L R) of the products L, R of its
+two halves. Halves share the products of common prefixes, and a diagonal
 separator scales columns instead of multiplying; each word still gets
 bitwise the value it would get if checked alone. Its samples run on the
 index-ordered map of ``parallel``, serially or on forked workers.
@@ -28,25 +30,25 @@ index-ordered map of ``parallel``, serially or on forked workers.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .ensemble import hermitian
 from .errors import ParameterError
 from .parallel import map_samples, mean_and_se
 
 __all__ = [
-    "Pairing",
     "PairedWord",
     "MomentResult",
     "InfinitesimalReport",
     "CrossCheckResult",
     "parse_word",
     "enumerate_pairings",
-    "cycle_structure",
     "xi_exact",
     "free_moment",
     "infinitesimal_check",
@@ -57,24 +59,6 @@ __all__ = [
 ]
 
 MAX_LETTERS = 16
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """Fixed-point-free involution of {0..n-1} stored as a partner array."""
-
-    partner: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.partner
-        n = len(p)
-        for t in range(n):
-            if p[t] == t or not 0 <= p[t] < n or p[p[t]] != t:
-                raise ValueError(f"not a fixed-point-free involution: {p}")
-
-    @property
-    def n(self) -> int:
-        return len(self.partner)
 
 
 @dataclass(frozen=True)
@@ -103,26 +87,36 @@ class PairedWord:
     def n(self) -> int:
         return len(self.colors)
 
-    def generator_names(self) -> set[str]:
-        return {g for sep in self.separators for g in sep}
-
     @cached_property
     def cycle_classes(self) -> tuple[tuple, tuple[int, ...]]:
         """(classes, class of each pairing), computed once per word.
 
-        Walks the cycles of pi*gamma of each color-respecting pairing once.
-        A cycle's key is the tuple of the non-empty separators along it, and
-        a class is (the keys of a pairing's cycles in cycle order,
+        Walks the cycles of pi*gamma, gamma: t -> t+1 mod n, of each
+        color-respecting pairing once, each cycle from its smallest t. A
+        cycle's key is the tuple of the non-empty separators along it, and a
+        class is (the keys of a pairing's cycles in cycle order,
         non-crossing); ``classes`` lists the distinct ones, and the second
         tuple gives each pairing's index into it, in ``enumerate_pairings``
         order. Pairings of one class contribute equal products to both sums.
         """
-        labels = [sep or None for sep in self.separators]
+        n, seps = self.n, self.separators
         classes: dict[tuple, int] = {}
         of_pairing = []
-        for pairing in enumerate_pairings(self.n, self.colors):
-            keys = tuple(_cycles(pairing.partner, labels))
-            cls = (keys, self.n // 2 + 1 == len(keys))
+        for partner in enumerate_pairings(n, self.colors):
+            seen = [False] * n
+            keys = []
+            for start in range(n):
+                if seen[start]:
+                    continue
+                key = []
+                t = start
+                while not seen[t]:
+                    seen[t] = True
+                    if seps[t]:
+                        key.append(seps[t])
+                    t = partner[(t + 1) % n]
+                keys.append(tuple(key))
+            cls = (tuple(keys), n // 2 + 1 == len(keys))
             of_pairing.append(classes.setdefault(cls, len(classes)))
         return tuple(classes), tuple(of_pairing)
 
@@ -157,8 +151,9 @@ def _is_letter(tok: str) -> bool:
     return len(tok) > 1 and tok[0] == "w" and tok[1:].isdigit()
 
 
-def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[Pairing]:
-    """All fixed-point-free involutions pairing only equal colors.
+def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """All fixed-point-free involutions of {0..n-1} pairing only equal
+    colors, as partner tuples.
 
     Empty for odd n or color multisets with an odd count of some color.
     """
@@ -168,14 +163,14 @@ def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[Pair
         raise ParameterError("colors must have length n")
     if n % 2:
         return []
-    out: list[Pairing] = []
+    out: list[tuple[int, ...]] = []
     partner = [-1] * n
 
     def recurse():
         try:
             t = partner.index(-1)
         except ValueError:
-            out.append(Pairing(tuple(partner)))
+            out.append(tuple(partner))
             return
         for s in range(t + 1, n):
             if partner[s] == -1 and colors[s] == colors[t]:
@@ -187,36 +182,11 @@ def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[Pair
     return out
 
 
-def cycle_structure(pairing: Pairing) -> list[tuple[int, ...]]:
-    """Cycles of the permutation pi*gamma, gamma: t -> t+1 mod n."""
-    return _cycles(pairing.partner, range(pairing.n))
-
-
-def _cycles(partner: Sequence[int], labels: Sequence) -> list[tuple]:
-    """Cycles of pi*gamma, each from its smallest t, as the tuple of the
-    labels[t] along it that are not None."""
-    n = len(partner)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = []
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            if labels[t] is not None:
-                cycle.append(labels[t])
-            t = partner[(t + 1) % n]
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 def _separator_matrices(word: PairedWord, generators: Mapping[str, np.ndarray], n_dim: int):
     """Product of the generator matrices of each distinct non-empty
     separator of the word, keyed by its tuple of names."""
     mats = {}
-    for name in word.generator_names():
+    for name in {g for sep in word.separators for g in sep}:
         if name not in generators:
             raise ParameterError(f"generator {name!r} not supplied")
         m = np.asarray(generators[name])
@@ -227,24 +197,15 @@ def _separator_matrices(word: PairedWord, generators: Mapping[str, np.ndarray], 
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ParameterError(f"generator {name!r} is not Hermitian")
         mats[name] = m
-    out = {}
-    for sep in word.separators:
-        if sep and sep not in out:
-            prod = mats[sep[0]]
-            for name in sep[1:]:
-                prod = prod @ mats[name]
-            out[sep] = prod
-    return out
+    return {sep: reduce(operator.matmul, [mats[name] for name in sep])
+            for sep in dict.fromkeys(word.separators) if sep}
 
 
 def _cycle_product_trace(key, separators, n_dim: int) -> complex:
     """Trace of the product, in cycle order, of the separators a cycle key names."""
     if not key:
         return complex(n_dim)
-    prod = separators[key[0]]
-    for names in key[1:]:
-        prod = prod @ separators[names]
-    return complex(np.trace(prod))
+    return complex(np.trace(reduce(operator.matmul, [separators[names] for names in key])))
 
 
 def xi_exact(
@@ -392,10 +353,7 @@ def sample_gue(n_dim: int, sigma_n2: float, rng: np.random.Generator) -> np.ndar
     scale = math.sqrt(sigma_n2)
     re = rng.standard_normal((n_dim, n_dim))
     im = rng.standard_normal((n_dim, n_dim))
-    out = np.triu(scale * (re + 1j * im) / math.sqrt(2.0), 1)
-    out += out.conj().T
-    np.fill_diagonal(out, scale * rng.standard_normal(n_dim))
-    return out
+    return hermitian(scale * (re + 1j * im) / math.sqrt(2.0), scale * rng.standard_normal(n_dim))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,11 @@ class TestConfigErrors:
             "fluctuation": {"nu": {"atoms": [[0.0, 1.0]]}},
             "z_grid": [3],
         }, id="z_not_a_pair"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": ["12"]}, id="z_a_string"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[1, 2, 3]]},
+                     id="z_three_numbers"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[True, 1]]},
+                     id="z_with_a_bool"),
         pytest.param("simulate", {
             "ensemble": gue_ensemble(10),
             "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
@@ -441,6 +446,29 @@ class TestConfigErrors:
             "ensemble": gue_ensemble(10),
             "plan": {"n_samples": 4.9, "z_grid": [[0.0, 2.0]], "master_seed": 1},
         }, id="plan_n_samples_fractional"),
+        pytest.param("identities", {
+            "ensemble": gue_ensemble(10), "identities": {"cuont": 3},
+        }, id="identities_count_misspelt"),
+        pytest.param("theory", {
+            "fluctuation": {**POINT_MASS, "kapa": 5.0}, "z_grid": [[0.0, 2.0]],
+        }, id="fluctuation_kappa_misspelt"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "deformation_bound": 0.5},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="ensemble_deformation_bound"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "deformation": {
+                "atoms": [0.0] * 10, "quantile_spec": {"kind": "zero"}}},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="deformation_atoms_and_quantile_spec"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "n": 10.7},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="ensemble_n_fractional"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "n": True},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="ensemble_n_bool"),
         pytest.param("density", {
             "density": {"v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "points": 4.5},
         }, id="density_points_fractional"),
@@ -776,6 +804,8 @@ def test_non_positive_threads_refused(tmp_path, capsys, threads):
 
 
 DELETE = object()
+ADD_KEY = object()  # adds UNKNOWN to an object of the config
+UNKNOWN = "zz_unknown"
 # no replacement is a number, so no mutated config asks for more work
 REPLACEMENTS = st.one_of(
     st.text(alphabet="xyz ", max_size=3),
@@ -783,6 +813,19 @@ REPLACEMENTS = st.one_of(
     st.dictionaries(st.sampled_from(["kind", "x"]), st.sampled_from([0, "x", None]), max_size=2),
     st.none(),
 )
+
+
+def object_paths(cfg):
+    """Key paths to the config's objects whose keys the program names;
+    ``generators`` is left out, as its keys are the user's generator names."""
+    return [p for p in value_paths(cfg)
+            if isinstance(node_at(cfg, p), dict) and p[-1:] != ("generators",)]
+
+
+def node_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
 
 
 def value_paths(node, path=()):
@@ -817,13 +860,14 @@ def test_mutated_config_exits_without_traceback(reports, command, data):
     if command == "compare":
         base["compare"]["report"] = reports["valid"]
     path = data.draw(st.sampled_from(list(value_paths(base))), label="path")
-    parent = base
-    for key in path[:-1]:
-        parent = parent[key]
-    deletable = bool(path) and isinstance(parent, dict)
-    new = data.draw(REPLACEMENTS | st.just(DELETE) if deletable else REPLACEMENTS, label="new")
+    deletable = bool(path) and isinstance(node_at(base, path[:-1]), dict)
+    new = REPLACEMENTS | st.just(DELETE) if deletable else REPLACEMENTS
+    if path in object_paths(base):
+        new |= st.just(ADD_KEY)
+    new = data.draw(new, label="new")
+    mutated = mutate(base, path + (UNKNOWN,), "x") if new is ADD_KEY else mutate(base, path, new)
     with tempfile.TemporaryDirectory() as root:
-        cfg = write(Path(root), "cfg.json", mutate(base, path, new))
+        cfg = write(Path(root), "cfg.json", mutated)
         out = Path(root) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -832,6 +876,28 @@ def test_mutated_config_exits_without_traceback(reports, command, data):
         assert lines == [] or (len(lines) == 1 and lines[0].startswith(("config error:", "error:")))
         if code == 2:
             assert list(out.iterdir()) == []
+        if new is ADD_KEY:
+            assert code == 2 and lines[0].startswith(f"config error: unknown key {UNKNOWN!r}")
+
+
+OBJECT_PATHS = [(command, path) for command in sorted(SMALL_CONFIGS)
+                for path in object_paths(SMALL_CONFIGS[command])]
+
+
+@pytest.mark.parametrize("command,path", OBJECT_PATHS,
+                         ids=[f"{c}-{'.'.join(map(str, p)) or 'top'}" for c, p in OBJECT_PATHS])
+def test_unknown_key_is_named(tmp_path, capsys, reports, command, path):
+    payload = copy.deepcopy(SMALL_CONFIGS[command])
+    if command == "compare":
+        payload["compare"]["report"] = reports["valid"]
+    cfg = write(tmp_path, "cfg.json", mutate(payload, path + (UNKNOWN,), 1))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    # the object is named by the last key on its path
+    names = [key for key in path if isinstance(key, str)]
+    where = f"block {names[-1]!r}" if names else "the config"
+    assert capsys.readouterr().err == f"config error: unknown key {UNKNOWN!r} in {where}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_report_bytes_ignore_blas_threads_and_workers(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -48,3 +49,18 @@ def _private_imports(path):
 def test_no_private_names_imported_across_modules(name):
     path = Path(wignerlab.__path__[0]) / f"{name}.py"
     assert _private_imports(path) == []
+
+
+def test_traced_names_exist(monkeypatch):
+    # the benchmark's tracer wraps these names with getattr under --trace 1
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{m}.{n}" for m, names in tracer.FUNCTIONS.items() for n in names
+               if not callable(getattr(importlib.import_module(f"wignerlab.{m}"), n, None))]
+    missing += [f"{m}.{c}.{n}" for m, c, n in tracer.METHODS
+                if not callable(getattr(getattr(importlib.import_module(f"wignerlab.{m}"), c,
+                                                None), n, None))]
+    assert missing == []
