@@ -28,7 +28,15 @@ import numpy as np
 
 from . import __version__
 from .ensemble import EnsembleParams, sample
-from .errors import ConfigError, ParameterError, WignerlabError, check_block, check_count
+from .errors import (
+    ConfigError,
+    ParameterError,
+    WignerlabError,
+    check_block,
+    check_count,
+    check_z,
+    is_number,
+)
 from .freeconv import (
     AtomicMeasure,
     density as density_at,
@@ -136,11 +144,6 @@ def _block(cfg: dict, key: str, optional: bool = False) -> dict:
     return {} if optional and block is None else check_block(block, key)
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _config_digest(cfg: dict) -> str:
     payload = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -203,22 +206,17 @@ def _write_json(path: Path, meta: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _parse_z(pair) -> complex:
-    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
-        raise ConfigError(f"z must be a list of two numbers [re, im], not {pair!r}")
-    z = complex(pair[0], pair[1])
-    if not np.isfinite(z):
-        raise ConfigError(f"z={z} is not finite")
-    if z.imag == 0.0:
-        raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
-    return z
+def _z_pair(pair) -> tuple[complex, complex]:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(f"a pair must be a list of two z values, not {pair!r}")
+    return check_z(pair[0]), check_z(pair[1])
 
 
 def _z_grid(block: dict, default=None) -> list[complex]:
     grid = block.get("z_grid", default)
     if not grid:
         raise ConfigError("missing or empty 'z_grid'")
-    return [_parse_z(p) for p in grid]
+    return [check_z(p) for p in grid]
 
 
 def _fluctuation_params(block: dict) -> FluctuationParams:
@@ -250,7 +248,7 @@ def cmd_theory(cfg: dict, args) -> _Output:
         if pairs is None:
             pairs = [(z1, z2) for i, z1 in enumerate(zs) for z2 in zs[i:]]
         else:
-            pairs = [(_parse_z(p[0]), _parse_z(p[1])) for p in pairs]
+            pairs = [_z_pair(p) for p in pairs]
     shift = _single_atom(params.nu)
     z = np.array(zs)
     b = beta(params, z)
@@ -347,7 +345,7 @@ def cmd_compare(cfg: dict, args) -> _Output:
             _check_matches_report(params, report.params_config)
         grid = cfg.get("z_grid")
         if grid is not None:
-            wanted = [_parse_z(p) for p in grid]
+            wanted = [check_z(p) for p in grid]
             if sorted(wanted, key=lambda z: (z.real, z.imag)) != sorted(
                 report.z_grid, key=lambda z: (z.real, z.imag)
             ):
@@ -425,7 +423,7 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
             out[name] = diag_pm1(n_dim)
         elif kind == "diag_values":
             vals = g["values"]
-            if not (isinstance(vals, list) and vals and all(map(_is_number, vals))):
+            if not (isinstance(vals, list) and vals and all(map(is_number, vals))):
                 raise ConfigError(f"generator {name!r}: values must be a nonempty list of numbers")
             vals = np.asarray(vals, dtype=float)
             reps = int(np.ceil(n_dim / vals.size))

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the config checks of several modules."""
 
+import math
+
 
 class WignerlabError(Exception):
     """Base class for all package-specific errors."""
@@ -72,3 +74,21 @@ def check_count(value, name: str, least: int = 1) -> int:
         kind = "positive" if least == 1 else "non-negative"
         raise ConfigError(f"{name} must be a {kind} integer, not {value!r}")
     return value
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_z(pair) -> complex:
+    """``pair``, a config's z: a list of exactly two JSON numbers [re, im],
+    finite and off the real axis."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair))):
+        raise ConfigError(f"z must be a list of two numbers [re, im], not {pair!r}")
+    z = complex(pair[0], pair[1])
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"z={z} is not finite")
+    if z.imag == 0.0:
+        raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
+    return z

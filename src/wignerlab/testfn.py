@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import check_z
+
 __all__ = [
     "TestFunction",
     "resolvent",
@@ -196,9 +198,9 @@ def from_spec(spec: dict) -> TestFunction:
     if not isinstance(spec.get("id"), (str, type(None))):
         raise ValueError(f"test function id must be a string, got {spec['id']!r}")
     if kind == "resolvent":
-        return resolvent(complex(spec["z"][0], spec["z"][1]), spec.get("id"))
+        return resolvent(check_z(spec["z"]), spec.get("id"))
     if kind == "real_resolvent_pair":
-        return real_resolvent_pair(complex(spec["z"][0], spec["z"][1]), spec.get("id"))
+        return real_resolvent_pair(check_z(spec["z"]), spec.get("id"))
     if kind == "smooth_bump":
         return smooth_bump(spec["center"], spec["width"], spec["order"], spec.get("id"))
     if kind == "capped_polynomial":

@@ -415,6 +415,24 @@ class TestConfigErrors:
                      id="z_three_numbers"),
         pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[True, 1]]},
                      id="z_with_a_bool"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[0.0, 2.0]],
+                                "pairs": [[[0, 1], [0, 2], [0, 3]]]}, id="pair_of_three_z"),
+        pytest.param("theory", {"fluctuation": POINT_MASS, "z_grid": [[0.0, 2.0]],
+                                "pairs": [[[0, 1]]]}, id="pair_of_one_z"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(8),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "test_functions": [{"kind": "resolvent", "z": [0.0, 2.0, 9.0]}]},
+        }, id="test_function_z_three_numbers"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(8),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "test_functions": [{"kind": "real_resolvent_pair", "z": [False, 2.0]}]},
+        }, id="test_function_z_with_a_bool"),
+        pytest.param("density", {"density": {
+            "v": 1.0, "points": 5, "nu": {"atoms": [[0.0, 1.0]]},
+            "test_functions": [{"kind": "resolvent", "z": [1.0, float("inf")]}]}},
+            id="test_function_z_infinite"),
         pytest.param("simulate", {
             "ensemble": gue_ensemble(10),
             "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
@@ -929,7 +947,7 @@ def loaded_after_cli_import(modules):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only the normality summary needs it
+    # scipy.stats takes about a second to import, and no command of the package needs it
     assert loaded_after_cli_import(["scipy.stats"]) == "[]"
 
 

@@ -64,3 +64,29 @@ def test_traced_names_exist(monkeypatch):
                 if not callable(getattr(getattr(importlib.import_module(f"wignerlab.{m}"), c,
                                                 None), n, None))]
     assert missing == []
+
+
+SCIPY_STATS_GUARD = """
+import sys
+import numpy as np
+import wignerlab.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from wignerlab.ensemble import EnsembleParams
+from wignerlab.montecarlo import NORMALITY_MIN_SAMPLES, ExperimentPlan, run
+plan = ExperimentPlan(params=EnsembleParams.create(4, "gaussian_complex", np.zeros(4)),
+                      n_samples=NORMALITY_MIN_SAMPLES, z_grid=(2j,), master_seed=3)
+rows = run(plan).normality
+print(len(rows), all(0.0 < r.ks_pvalue <= 1.0 for r in rows))
+print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+"""
+
+
+def test_normality_runs_without_scipy_stats():
+    # the KS p-value is ported (wignerlab._kolmogorov) on two scipy.special ufuncs
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", SCIPY_STATS_GUARD], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["[]", "2 True", "True False", ""]
+    src = Path(__file__).resolve().parents[1] / "src"
+    named = [p.name for p in src.rglob("*.py") if "scipy.stats" in p.read_text()]
+    assert named == []
