@@ -3,9 +3,10 @@
 Subcommands: theory, simulate, compare, density, infinitesimal, identities.
 Every command reads its whole config (and compare the report it checks),
 then computes and returns its tables; ``main`` alone writes them, as
-``--format`` says, so a config error writes nothing. A config key that the
-command never read is such an error (an unknown key). ``simulate`` also
-writes ``report.json`` under every format, because ``compare`` reads it.
+``--format`` says, so a config error writes nothing, not even the output
+directory. A config key that the command never read is such an error (an
+unknown key). ``simulate`` also returns ``report.json``, which ``main``
+writes under every format, because ``compare`` reads it.
 Every output file embeds (config digest, seed, version) in comment/meta
 fields, so tables are regenerable bit-exactly; Monte Carlo samples run their
 BLAS calls on one thread, so their tables keep their bits under any BLAS
@@ -34,6 +35,7 @@ from .errors import (
     WignerlabError,
     check_block,
     check_count,
+    check_real,
     check_z,
     is_number,
 )
@@ -53,6 +55,7 @@ from .montecarlo import (
     EstimatorReport,
     ExperimentPlan,
     covariance_check,
+    discrepancy,
     run as run_plan,
     variance_bound_check,
 )
@@ -159,7 +162,24 @@ class _Table:
     """One output table: a CSV file and a list of JSON records."""
 
     header: list[str]
-    rows: list[list]
+    rows: list[tuple]
+
+    @classmethod
+    def of(cls, **columns) -> "_Table":
+        """The table of equal-length named columns, as Python numbers and strings:
+        a complex column X becomes the columns re_X and im_X, a boolean column
+        0s and 1s, and real, integer and string columns pass through."""
+        header, cells = [], []
+        for name, column in columns.items():
+            column = np.asarray(column)
+            if np.iscomplexobj(column):
+                header += [f"re_{name}", f"im_{name}"]
+                cells += [column.real.tolist(), column.imag.tolist()]
+            else:
+                header.append(name)
+                cells.append(column.astype(int).tolist() if column.dtype == bool
+                             else column.tolist())
+        return cls(header, list(zip(*cells)))
 
     def records(self, **rename) -> list[dict]:
         """One dict per row, keyed by the header with ``rename`` applied."""
@@ -170,14 +190,15 @@ class _Table:
 @dataclass
 class _Output:
     """What a command computed: CSV tables by file stem, one JSON file (none
-    when ``json_name`` is None), the seed they are stamped with, and the
-    number of violated thresholds."""
+    when ``json_name`` is None), the seed they are stamped with, the number of
+    violated thresholds, and the files written under every format, by name."""
 
     seed: object
     tables: dict[str, _Table]
     json_name: str | None = None
     payload: dict = field(default_factory=dict)
     violations: int = 0
+    files: dict[str, str] = field(default_factory=dict)
 
 
 def _write_csv(path: Path, meta: dict, table: _Table) -> None:
@@ -186,24 +207,18 @@ def _write_csv(path: Path, meta: dict, table: _Table) -> None:
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(table.header) + "\n")
         for row in table.rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _columns(*columns) -> list[list]:
-    """Table rows, as Python numbers, from equal-length arrays of columns."""
-    return np.column_stack(columns).tolist()
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _write_json(path: Path, meta: dict, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump({"meta": meta, **payload}, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _pair(value: complex) -> list:
+    """A complex value as the JSON pair [re, im]."""
+    return [value.real, value.imag]
 
 
 def _z_pair(pair) -> tuple[complex, complex]:
@@ -224,10 +239,10 @@ def _fluctuation_params(block: dict) -> FluctuationParams:
         return FluctuationParams.from_ensemble(
             EnsembleParams.from_config(_block(block, "from_ensemble")))
     return FluctuationParams(
-        sigma2=float(block.get("sigma2", 1.0)),
-        s2=float(block.get("s2", 1.0)),
-        tau=float(block.get("tau", 0.0)),
-        kappa=float(block.get("kappa", 0.0)),
+        sigma2=check_real(block.get("sigma2", 1.0), "fluctuation.sigma2"),
+        s2=check_real(block.get("s2", 1.0), "fluctuation.s2"),
+        tau=check_real(block.get("tau", 0.0), "fluctuation.tau"),
+        kappa=check_real(block.get("kappa", 0.0), "fluctuation.kappa"),
         nu=AtomicMeasure.from_atoms(_block(block, "nu")["atoms"]),
         mode=block.get("mode", "limit"),
         n=None if block.get("n") is None else check_count(block["n"], "fluctuation.n"),
@@ -258,9 +273,7 @@ def cmd_theory(cfg: dict, args) -> _Output:
     if shift is not None:
         b0 = bao_xie_b0(params.sigma2, params.s2, params.tau, params.kappa, z - shift)
         residual = np.abs(b - b0) / np.maximum(1.0, np.abs(b0))
-    betas = _Table(["re_z", "im_z", "re_beta", "im_beta", "re_beta_tilde", "im_beta_tilde",
-                    "bias_bound", "bao_xie_residual"], _columns(
-        z.real, z.imag, b.real, b.imag, bt.real, bt.imag, bound, residual))
+    betas = _Table.of(z=z, beta=b, beta_tilde=bt, bias_bound=bound, bao_xie_residual=residual)
 
     z1, z2 = np.array(pairs, dtype=complex).reshape(-1, 2).T
     kv = gamma_kernel(params, z1, z2)
@@ -268,10 +281,8 @@ def cmd_theory(cfg: dict, args) -> _Output:
     if shift is not None:
         c0 = bao_xie_c0(params.sigma2, params.s2, params.tau, params.kappa, z1 - shift, z2 - shift)
         kresidual = np.abs(kv.gamma - c0) / np.maximum(1.0, np.abs(c0))
-    gammas = _Table(["re_z1", "im_z1", "re_z2", "im_z2", "re_gamma", "im_gamma",
-                     "branch_margin", "bao_xie_residual"], _columns(
-        z1.real, z1.imag, z2.real, z2.imag, kv.gamma.real, kv.gamma.imag, kv.branch_margin,
-        kresidual))
+    gammas = _Table.of(z1=z1, z2=z2, gamma=kv.gamma, branch_margin=kv.branch_margin,
+                       bao_xie_residual=kresidual)
     return _Output(args.seed, {"beta": betas, "gamma": gammas}, "theory.json",
                    {"beta": betas.records(), "gamma": gammas.records()})
 
@@ -294,23 +305,16 @@ def cmd_simulate(cfg: dict, args) -> _Output:
             truncation=plan_cfg.get("truncation"),
         )
     report = run_plan(plan, threads=args.threads)
-    # the one file a command writes itself: compare reads it under any format
-    (Path(args.out_dir) / "report.json").write_text(report.to_json() + "\n")
-    fp = FluctuationParams.from_ensemble(params)
-    zs = np.array(report.z_grid)
-    th = beta(fp, zs).tolist()
-    gamma = gamma_kernel(fp, zs, zs.conj()).gamma.real.tolist()
-    rows = [
-        [s.z.real, s.z.imag, s.mean_tr.real, s.mean_tr.imag, s.bias_hat.real,
-         s.bias_hat.imag, b.real, b.imag, s.se_mean, s.var_hat, g,
-         min(brow["bound_crude"], brow["bound_refined"])]
-        for s, b, g, brow in zip(report.per_z, th, gamma, variance_bound_check(report, params))
-    ]
-    return _Output(seed, {"per_z": _Table(
-        ["re_z", "im_z", "re_mean_tr", "im_mean_tr", "re_bias_hat", "im_bias_hat",
-         "re_beta_theory", "im_beta_theory", "se", "var_hat", "gamma_theory", "bound"],
-        rows,
-    )})
+    fp, zs, per_z = FluctuationParams.from_ensemble(params), np.array(report.z_grid), report.per_z
+    table = _Table.of(
+        z=zs, mean_tr=[s.mean_tr for s in per_z], bias_hat=[s.bias_hat for s in per_z],
+        beta_theory=beta(fp, zs), se=[s.se_mean for s in per_z],
+        var_hat=[s.var_hat for s in per_z],
+        gamma_theory=gamma_kernel(fp, zs, zs.conj()).gamma.real,
+        bound=[min(b["bound_crude"], b["bound_refined"])
+               for b in variance_bound_check(report, params)])
+    # compare reads the report, so it is written under every format
+    return _Output(seed, {"per_z": table}, files={"report.json": report.to_json() + "\n"})
 
 
 def _check_matches_report(params: FluctuationParams, config: dict) -> None:
@@ -328,6 +332,15 @@ def _check_matches_report(params: FluctuationParams, config: dict) -> None:
     if mismatched:
         raise ConfigError(f"fluctuation {', '.join(mismatched)} do not match the report's "
                           "params_config")
+
+
+def _comparison(band: float, se: list, **columns) -> _Table:
+    """A comparison table: ``columns`` ends with an estimate column and its
+    theory column, and the table adds the standard error ``se``, their
+    discrepancy over it and whether that is within ``band``."""
+    *_, estimate, theory = columns.values()
+    ratio, ok = zip(*(discrepancy(e, t, s, band) for e, t, s in zip(estimate, theory, se)))
+    return _Table.of(**columns, se=se, discrepancy_over_se=ratio, ok=ok)
 
 
 def cmd_compare(cfg: dict, args) -> _Output:
@@ -351,43 +364,29 @@ def cmd_compare(cfg: dict, args) -> _Output:
             ):
                 raise ConfigError("configured z grid does not match the report grid")
         thresholds = _block(block, "thresholds", optional=True)
-        bias_band = float(thresholds.get("bias_band", 3.0))
-        cov_band = float(thresholds.get("cov_band", 3.0))
-        if not (0.0 < bias_band < np.inf and 0.0 < cov_band < np.inf):
-            raise ConfigError("thresholds bias_band and cov_band must be positive and finite")
+        bias_band = check_real(thresholds.get("bias_band", 3.0), "thresholds.bias_band",
+                               positive=True)
+        cov_band = check_real(thresholds.get("cov_band", 3.0), "thresholds.cov_band",
+                              positive=True)
 
-    violations = 0
-    bias = _Table(["re_z", "im_z", "re_bias_hat", "im_bias_hat", "re_beta", "im_beta",
-                   "se", "discrepancy_over_se", "ok"], [])
-    for s, th in zip(report.per_z, beta(params, np.array(report.z_grid)).tolist()):
-        ratio = abs(s.bias_hat - th) / s.se_mean if s.se_mean > 0 else float("inf")
-        ok = ratio <= bias_band
-        violations += 0 if ok else 1
-        bias.rows.append([s.z.real, s.z.imag, s.bias_hat.real, s.bias_hat.imag,
-                          th.real, th.imag, s.se_mean, ratio, int(ok)])
-    cov = _Table(["re_z1", "im_z1", "re_z2", "im_z2", "re_cov", "im_cov",
-                  "re_gamma", "im_gamma", "se", "discrepancy_over_se", "ok"], [])
-    for row in covariance_check(report, params, band=cov_band):
-        cov.rows.append([
-            row["z1"].real, row["z1"].imag, row["z2"].real, row["z2"].imag,
-            row["cov_nc"].real, row["cov_nc"].imag, row["gamma"].real, row["gamma"].imag,
-            row["se"], row["ratio"], int(row["ok"]),
-        ])
-        violations += 0 if row["ok"] else 1
-    return _Output(
-        report.master_seed, {"compare_bias": bias, "compare_cov": cov}, "compare.json",
-        {"bias": bias.records(), "covariance": cov.records(), "violations": violations},
-        violations,
-    )
+    per_z, checks = report.per_z, covariance_check(report, params, band=cov_band)
+    bias = _comparison(bias_band, [s.se_mean for s in per_z], z=report.z_grid,
+                       bias_hat=[s.bias_hat for s in per_z],
+                       beta=beta(params, np.array(report.z_grid)).tolist())
+    cov = _comparison(cov_band, [c["se"] for c in checks], z1=[c["z1"] for c in checks],
+                      z2=[c["z2"] for c in checks], cov=[c["cov_nc"] for c in checks],
+                      gamma=[c["gamma"] for c in checks])
+    records = {"bias": bias.records(), "covariance": cov.records()}
+    violations = sum(1 - row["ok"] for rows in records.values() for row in rows)
+    return _Output(report.master_seed, {"compare_bias": bias, "compare_cov": cov},
+                   "compare.json", {**records, "violations": violations}, violations)
 
 
 def cmd_density(cfg: dict, args) -> _Output:
     with _reading_config(cfg):
         block = _block(cfg, "density")
         nu = AtomicMeasure.from_atoms(_block(block, "nu")["atoms"])
-        v = float(block["v"])
-        if not 0.0 < v < np.inf:
-            raise ConfigError("density.v must be positive and finite")
+        v = check_real(block["v"], "density.v", positive=True)
         points = check_count(block.get("points", 201), "density.points")
         xs = block.get("x_grid")
         if xs is not None:
@@ -401,10 +400,8 @@ def cmd_density(cfg: dict, args) -> _Output:
         xs = np.linspace(*support_window(nu, v), points)
     est = density_at(nu, v, xs)
     # the warning column is always 0: the density is exact, not extrapolated
-    table = _Table(["x", "density", "error_estimate", "warning"], [
-        [x, value, error, 0]
-        for x, value, error in zip(est.x.tolist(), est.value.tolist(), est.error.tolist())
-    ])
+    table = _Table.of(x=est.x, density=est.value, error_estimate=est.error,
+                      warning=np.zeros(est.x.size, dtype=int))
     payload = {"density": table.records(error_estimate="error")}
     if fns:
         payload["integrals"] = {
@@ -444,9 +441,7 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
         # each word is parsed once, so its pairing cycles are enumerated once
         parsed = [parse_word(text) for text in words]
         dims = [check_count(d, "infinitesimal.dims") for d in block.get("dims", [8, 16, 32, 64])]
-        v = float(block.get("v", 1.0))
-        if not 0.0 < v < np.inf:
-            raise ConfigError("infinitesimal.v must be positive and finite")
+        v = check_real(block.get("v", 1.0), "infinitesimal.v", positive=True)
         # a given mc block runs the cross-check, an empty one at its defaults
         run_mc = block.get("mc") is not None
         mc = _block(block, "mc", optional=True)
@@ -457,43 +452,28 @@ def cmd_infinitesimal(cfg: dict, args) -> _Output:
             sizes.append(n_dim)
         spec = _block(block, "generators", optional=True)
         generators = {n: _generators(spec, n) for n in sizes}
-    violations = 0
-    results = []
-    for text, word in zip(words, parsed):
-        rep = infinitesimal_check(word, dims, v, generators.__getitem__)
-        results.append({
-            "word": text,
-            "exact": rep.exact,
-            "slope": rep.slope,
-            "ok": rep.ok,
-            "moments": [
-                {"n": r.n_dim, "xi": [r.xi.real, r.xi.imag],
-                 "free": [r.free.real, r.free.imag],
-                 "correction": [r.correction.real, r.correction.imag]}
-                for r in rep.results
-            ],
-        })
-        violations += 0 if rep.ok else 1
+    reps = [infinitesimal_check(word, dims, v, generators.__getitem__) for word in parsed]
+    violations = sum(not rep.ok for rep in reps)
+    results = [
+        {"word": text, "exact": rep.exact, "slope": rep.slope, "ok": rep.ok,
+         "moments": [{"n": r.n_dim, "xi": _pair(r.xi), "free": _pair(r.free),
+                      "correction": _pair(r.correction)} for r in rep.results]}
+        for text, rep in zip(words, reps)
+    ]
     if run_mc:
         checks = monte_carlo_cross_checks(
             parsed, n_dim, n_samples, v / n_dim,
             generators[n_dim], seed=int(args.seed or 0), threads=args.threads,
         )
         for entry, cc in zip(results, checks):
-            entry["mc"] = {
-                "mean": [cc.mc_mean.real, cc.mc_mean.imag],
-                "se": cc.mc_se,
-                "exact": [cc.exact.real, cc.exact.imag],
-                "ok": cc.ok,
-            }
-            violations += 0 if cc.ok else 1
-    rows = [
-        [entry["word"], mres["n"], *mres["xi"], *mres["free"], *mres["correction"]]
-        for entry in results for mres in entry["moments"]
-    ]
-    moments = _Table(["word", "n", "re_xi", "im_xi", "re_free", "im_free",
-                      "re_correction", "im_correction"], rows)
-    return _Output(args.seed, {"moments": moments}, "moments.json", {"words": results},
+            entry["mc"] = {"mean": _pair(cc.mc_mean), "se": cc.mc_se,
+                           "exact": _pair(cc.exact), "ok": cc.ok}
+            violations += not cc.ok
+    moments = [(text, r) for text, rep in zip(words, reps) for r in rep.results]
+    table = _Table.of(word=[text for text, _ in moments], n=[r.n_dim for _, r in moments],
+                      xi=[r.xi for _, r in moments], free=[r.free for _, r in moments],
+                      correction=[r.correction for _, r in moments])
+    return _Output(args.seed, {"moments": table}, "moments.json", {"words": results},
                    violations)
 
 
@@ -508,7 +488,6 @@ def cmd_identities(cfg: dict, args) -> _Output:
         zs = _z_grid(block, default=[[0.0, 1.0]])
     rng = np.random.default_rng(master_seed)
     rows = []
-    violations = 0
     for i in range(count):
         smp = sample(params, master_seed, i)
         spec = eigenvalues(smp)
@@ -523,13 +502,13 @@ def cmd_identities(cfg: dict, args) -> _Output:
         res_id = verify_resolvent_identity(smp.matrix, other.matrix, z, z + 0.5j)
         res_ok = res_id <= resolvent_identity_tolerance(z, z + 0.5j)
         ok = rep.ok and norm_ok and im_ok and res_ok
-        violations += 0 if ok else 1
-        rows.append([i, z.real, z.imag, k, rep.diag_residual, rep.trace_residual,
-                     rep.trace_gap, res_id, int(ok)])
-    table = _Table(["sample", "re_z", "im_z", "k", "schur_diag_residual", "schur_trace_residual",
-                    "trace_gap", "resolvent_identity_residual", "ok"], rows)
+        rows.append((z, k, rep.diag_residual, rep.trace_residual, rep.trace_gap, res_id, ok))
+    z, k, diag, trace, gap, res_id, ok = zip(*rows)
+    table = _Table.of(sample=range(count), z=z, k=k, schur_diag_residual=diag,
+                      schur_trace_residual=trace, trace_gap=gap,
+                      resolvent_identity_residual=res_id, ok=ok)
     return _Output(master_seed, {"identities": table}, "identities.json",
-                   {"identities": table.records()}, violations)
+                   {"identities": table.records()}, ok.count(False))
 
 
 _COMMANDS = {
@@ -568,15 +547,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = Path(args.out_dir)
     try:
         with _reading_config():
             cfg = json.loads(Path(args.config).read_text(), object_pairs_hook=_Object)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if not isinstance(cfg, dict):
             raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
         out = _COMMANDS[args.command](cfg, args)
         meta = _meta(cfg, out.seed)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in out.files.items():
+            (out_dir / name).write_text(text)
         if args.format in ("csv", "both"):
             for stem, table in out.tables.items():
                 _write_csv(out_dir / f"{stem}.csv", meta, table)

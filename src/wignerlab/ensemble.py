@@ -23,7 +23,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, ParameterError, check_block, check_count
+from .errors import (
+    DegenerateTruncationError,
+    ParameterError,
+    check_block,
+    check_count,
+    check_real,
+)
 from .freeconv import AtomicMeasure
 
 __all__ = [
@@ -248,14 +254,14 @@ def deformation_from_config(spec, n: int) -> np.ndarray:
     if kind == "zero":
         return np.zeros(n)
     if kind == "two_point":
-        a, b = float(q["a"]), float(q["b"])
-        wa = float(q.get("weight_a", 0.5))
+        a, b = check_real(q["a"], "quantile_spec.a"), check_real(q["b"], "quantile_spec.b")
+        wa = check_real(q.get("weight_a", 0.5), "quantile_spec.weight_a")
         if not 0.0 <= wa <= 1.0:
             raise ParameterError(f"two_point weight_a must lie in [0, 1], got {wa}")
         count_a = int(round(wa * n))
         return np.sort(np.concatenate([np.full(count_a, a), np.full(n - count_a, b)]))
     if kind == "uniform":
-        a, b = float(q["a"]), float(q["b"])
+        a, b = check_real(q["a"], "quantile_spec.a"), check_real(q["b"], "quantile_spec.b")
         # midpoint quantiles of the uniform law on [a, b]
         return a + (b - a) * (np.arange(n) + 0.5) / n
     raise ParameterError(f"unknown quantile_spec kind {kind!r}")
@@ -369,12 +375,12 @@ class EnsembleParams:
             n=n,
             entry_law=law_from_config(cfg["entry_law"]),
             deformation=deformation_from_config(cfg["deformation"], n),
-            sigma2=float(cfg.get("sigma2", 1.0)),
-            s2=None if cfg.get("s2") is None else float(cfg["s2"]),
+            sigma2=check_real(cfg.get("sigma2", 1.0), "ensemble.sigma2"),
+            s2=None if cfg.get("s2") is None else check_real(cfg["s2"], "ensemble.s2"),
         )
         for key in ("tau", "kappa"):
             stated, implied = cfg.get(key), getattr(params, key)
-            if stated is not None and not _close(float(stated), implied):
+            if stated is not None and not _close(check_real(stated, f"ensemble.{key}"), implied):
                 raise ParameterError(
                     f"{key}={stated} inconsistent with entry law (implies {implied})")
         return params

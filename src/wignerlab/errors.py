@@ -76,6 +76,15 @@ def check_count(value, name: str, least: int = 1) -> int:
     return value
 
 
+def check_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float: a finite JSON number (not a bool, not a numeric
+    string), and above 0 when ``positive`` is set."""
+    if not (is_number(value) and math.isfinite(value)) or (positive and value <= 0):
+        kind = "positive finite" if positive else "finite"
+        raise ConfigError(f"{name} must be a {kind} number, not {value!r}")
+    return float(value)
+
+
 def is_number(value) -> bool:
     """A JSON number: an int or a float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -5,7 +5,8 @@ serially for one worker or on a forked process pool for more, with numpy's
 bundled OpenBLAS pinned to one thread: each BLAS call gives the same bits
 whatever thread count the caller set, and rows land at their sample index,
 so any fixed-order reduction of them gives the same bits for every worker
-count.
+count. A sample that raises aborts the whole map with a ``SampleError``
+that carries its index: a skipped sample would bias every estimator.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from .errors import SampleError
 
 __all__ = ["map_samples"]
 
@@ -44,8 +47,15 @@ def _install(per_sample) -> None:
     _per_sample = per_sample
 
 
+def _row(per_sample, index: int):
+    try:
+        return per_sample(index)
+    except Exception as exc:
+        raise SampleError(f"sample {index} failed: {exc}", index=index) from exc
+
+
 def _run_range(bounds: tuple[int, int]) -> np.ndarray:
-    return np.stack([_per_sample(i) for i in range(*bounds)])
+    return np.stack([_row(_per_sample, i) for i in range(*bounds)])
 
 
 def map_samples(per_sample, m: int, threads: int) -> np.ndarray:
@@ -56,7 +66,9 @@ def map_samples(per_sample, m: int, threads: int) -> np.ndarray:
     whose initializer installs ``per_sample`` in each worker, so it is never
     pickled (test functions are often lambdas); each worker runs a few
     contiguous (start, stop) ranges. BLAS stays pinned to one thread, the
-    workers forking under the pin, until the map returns or raises.
+    workers forking under the pin, until the map returns or raises. A
+    failing sample raises ``SampleError("sample {i} failed: ...", index=i)``
+    from its exception; of several, the one of lowest index.
     """
     workers = min(threads, m, os.cpu_count() or 1)
     get_threads, set_threads = _openblas()
@@ -74,7 +86,7 @@ def map_samples(per_sample, m: int, threads: int) -> np.ndarray:
                     initializer=_install, initargs=(per_sample,),
                 ) as pool:
                     return np.concatenate(list(pool.map(_run_range, zip(edges, edges[1:]))))
-        return np.stack([per_sample(i) for i in range(m)])
+        return np.stack([_row(per_sample, i) for i in range(m)])
     finally:
         set_threads(caller)
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -167,7 +168,7 @@ class TestSimulateAndCompare:
         assert main(["compare", "--config", cmp_cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("fluctuation, code", [
         ({"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}, 0),
@@ -192,7 +193,7 @@ class TestSimulateAndCompare:
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1
-            assert list(out.iterdir()) == []
+            assert not out.exists()
 
     def test_simulate_with_truncation_toggle(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
@@ -323,7 +324,7 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["density", "--config", cfg, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("fluctuation", [
         pytest.param({"sigma2": float("nan"), "nu": {"atoms": [[0.0, 1.0]]}}, id="sigma2_nan"),
@@ -337,7 +338,7 @@ class TestConfigErrors:
         assert main(["theory", "--config", cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1 and "finite" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_key_is_named(self, tmp_path, capsys):
         ensemble = gue_ensemble(10)
@@ -616,6 +617,29 @@ class TestConfigErrors:
             "words": ["w1 a w1 a"], "dims": [4, 8, 16],
             "generators": {"a": {"kind": "diag_values", "values": []}}}},
             id="generator_values_empty"),
+        # a real-valued key takes a JSON number, not a bool or a numeric string
+        pytest.param("density", {"density": {"v": True, "points": 5, **POINT_MASS}},
+                     id="density_v_bool"),
+        pytest.param("theory", {"fluctuation": {**POINT_MASS, "sigma2": True},
+                                "z_grid": [[0.0, 2.0]]}, id="fluctuation_sigma2_bool"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "sigma2": "2"},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="ensemble_sigma2_text"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "s2": True},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="ensemble_s2_bool"),
+        pytest.param("simulate", {
+            "ensemble": gue_ensemble(10),
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1,
+                     "truncation": True},
+        }, id="plan_truncation_bool"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(10), "deformation": {
+                "quantile_spec": {"kind": "two_point", "a": -1.0, "b": True}}},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="quantile_spec_b_bool"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, reports, command, payload):
         # a report path "@name" stands for the `reports` file of that name
@@ -627,7 +651,7 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 BUMP = {"kind": "smooth_bump", "center": 0.0, "width": 1.0, "order": 3, "id": "bump"}
@@ -667,6 +691,61 @@ SMALL_CONFIGS = {
         "identities": {"count": 20, "z_grid": [[0.5, 1.0]], "seed": 3},
     },
 }
+# configs by output directory (the command, then an optional "-" suffix),
+# run in this order from one directory: compare names the report of simulate
+# by a relative path, so its config, and the digest stamped in its files, do
+# not depend on where the test runs. theory-one-atom is a single atom at
+# finite N, so its bao_xie_residual columns are numbers, not NaN.
+GOLDEN_CONFIGS = {
+    "theory": SMALL_CONFIGS["theory"],
+    "theory-one-atom": {
+        "fluctuation": {"sigma2": 1.5, "s2": 2, "tau": 0.5, "kappa": -1,
+                        "nu": {"atoms": [[0.3, 1.0]]}, "mode": "finite_N", "n": 50},
+        "z_grid": [[0.0, 2.0], [1.0, 1.0], [-0.5, 0.25]],
+    },
+    "simulate": SMALL_CONFIGS["simulate"],
+    "compare": {
+        "fluctuation": {"from_ensemble": SMALL_CONFIGS["simulate"]["ensemble"]},
+        "compare": {"report": "simulate/report.json", "thresholds": {"bias_band": 0.3}},
+    },
+    "density": SMALL_CONFIGS["density"],
+    "infinitesimal": SMALL_CONFIGS["infinitesimal"],
+    "identities": SMALL_CONFIGS["identities"],
+}
+# the first 16 hex digits of the SHA-256 of every file written
+GOLDEN = {
+    'theory/beta.csv': '3f38b220b020b7ef',
+    'theory/gamma.csv': 'c77ace427d6d55e0',
+    'theory/theory.json': 'b4c06a03e024535c',
+    'theory-one-atom/beta.csv': '860eab98d30ab034',
+    'theory-one-atom/gamma.csv': '92ffff9e1e50347a',
+    'theory-one-atom/theory.json': 'c6925ce7e4084533',
+    'simulate/per_z.csv': '2eafa5800470caa8',
+    'simulate/report.json': '8fe0ad9830d73555',
+    'compare/compare.json': 'a650c7d7256c0545',
+    'compare/compare_bias.csv': '30ca97f3e4b0f175',
+    'compare/compare_cov.csv': '744e346325e82324',
+    'density/density.csv': '465cc64f66d131cb',
+    'density/density.json': 'b488e912336e8fbd',
+    'infinitesimal/moments.csv': 'd1fbad612492a416',
+    'infinitesimal/moments.json': 'cfb06ed2326e102d',
+    'identities/identities.csv': '53db4e50908af04d',
+    'identities/identities.json': '82e5eb87c857c57e',
+}
+
+
+def test_output_bytes_are_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, cfg in GOLDEN_CONFIGS.items():
+        write(tmp_path, f"{name}.json", cfg)
+        main([name.split("-")[0], "--config", f"{name}.json", "--out-dir", name,
+              "--threads", "1"])
+        for path in sorted(Path(name).iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert digests == GOLDEN
+
+
 # key paths to config blocks: every top-level block, then the nested ones
 CONFIG_BLOCKS = [(command, (block,)) for command, cfg in sorted(SMALL_CONFIGS.items())
                  for block, value in cfg.items() if isinstance(value, dict)] + [
@@ -693,7 +772,7 @@ def test_block_not_an_object_is_named(tmp_path, capsys, reports, command, path):
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: block {path[-1]!r} must be a JSON object, not list\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("words", ["w1 w1", [], ["w1 w1", 3], {"w1 w1": 1}])
@@ -703,7 +782,7 @@ def test_words_not_a_list_of_strings_is_named(tmp_path, capsys, words):
     assert main(["infinitesimal", "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: infinitesimal.words must be a nonempty list of strings\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("values", [[], 2.0, ["x"], [1.0, True]])
@@ -715,7 +794,7 @@ def test_generator_values_not_a_list_of_numbers_is_named(tmp_path, capsys, value
     assert main(["infinitesimal", "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: generator 'a': values must be a nonempty list of numbers\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_master_seed_zero_is_legal(tmp_path):
@@ -731,7 +810,7 @@ def test_entry_law_not_a_name_or_object_is_named(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == ("config error: block 'entry_law' must be a preset name "
                                        "or a JSON object, not list\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -762,7 +841,7 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, reports, command, pa
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and "finite" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # the CSV stems and the JSON file of each command; simulate writes report.json
@@ -893,7 +972,7 @@ def test_mutated_config_exits_without_traceback(reports, command, data):
         lines = err.getvalue().splitlines()
         assert lines == [] or (len(lines) == 1 and lines[0].startswith(("config error:", "error:")))
         if code == 2:
-            assert list(out.iterdir()) == []
+            assert not out.exists()
         if new is ADD_KEY:
             assert code == 2 and lines[0].startswith(f"config error: unknown key {UNKNOWN!r}")
 
@@ -915,7 +994,19 @@ def test_unknown_key_is_named(tmp_path, capsys, reports, command, path):
     names = [key for key in path if isinstance(key, str)]
     where = f"block {names[-1]!r}" if names else "the config"
     assert capsys.readouterr().err == f"config error: unknown key {UNKNOWN!r} in {where}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_config_error_creates_no_out_dir(tmp_path, capsys, reports, command):
+    payload = copy.deepcopy(SMALL_CONFIGS[command])
+    if command == "compare":
+        payload["compare"]["report"] = reports["valid"]
+    cfg = write(tmp_path, "cfg.json", {**payload, UNKNOWN: 1})
+    out = tmp_path / "new" / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown key")
+    assert not (tmp_path / "new").exists()
 
 
 def test_report_bytes_ignore_blas_threads_and_workers(tmp_path):

@@ -379,6 +379,16 @@ class TestTruncationDrift:
         with pytest.raises(ParameterError):
             truncation_drift(params, phi, choose_delta(20), n_samples, 3)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sample_failure_aborts_with_index(self, monkeypatch, threads):
+        params = EnsembleParams.create(20, "gaussian_real", np.zeros(20))
+        phi = testfn.from_callable(np.arctan, "arctan")
+        patch_eigenvalues(monkeypatch, 5, synthetic_failure)
+        with pytest.raises(SampleError) as err:
+            truncation_drift(params, phi, choose_delta(20), 8, 3, threads=threads)
+        assert err.value.index == 5
+        assert str(err.value) == "sample 5 failed: synthetic failure"
+
     def test_identity_truncation_zero_drift(self):
         params = EnsembleParams.create(60, "rademacher_real", np.zeros(60))
         phi = testfn.from_callable(np.arctan, "arctan")

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,12 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
     exec(f"from wignerlab.{name} import *", {})
+
+
+def test_readme_module_table_names_every_module():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = re.findall(r"^\| `wignerlab\.(\w+)` \|", readme.read_text(), re.MULTILINE)
+    assert sorted(named) == MODULES
 
 
 def test_package_imports_cleanly():
