@@ -35,9 +35,9 @@ from .errors import (
     WignerlabError,
     check_block,
     check_count,
+    check_numbers,
     check_real,
     check_z,
-    is_number,
 )
 from .freeconv import (
     AtomicMeasure,
@@ -80,9 +80,6 @@ from . import testfn
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
-# an explicit fluctuation block matches a report's ensemble up to rounding of
-# hand-written weights such as 1/3
-REPORT_MATCH_RTOL = 1e-9
 
 
 class _Object(dict):
@@ -234,6 +231,12 @@ def _z_grid(block: dict, default=None) -> list[complex]:
     return [check_z(p) for p in grid]
 
 
+def _measure(block: dict) -> AtomicMeasure:
+    """The measure of the block's ``nu``: its atoms, pairs [location, weight]."""
+    atoms = _block(block, "nu")["atoms"]
+    return AtomicMeasure.from_atoms([check_numbers(a, f"atom {a!r} of nu", 2) for a in atoms])
+
+
 def _fluctuation_params(block: dict) -> FluctuationParams:
     if "from_ensemble" in block:
         return FluctuationParams.from_ensemble(
@@ -243,7 +246,7 @@ def _fluctuation_params(block: dict) -> FluctuationParams:
         s2=check_real(block.get("s2", 1.0), "fluctuation.s2"),
         tau=check_real(block.get("tau", 0.0), "fluctuation.tau"),
         kappa=check_real(block.get("kappa", 0.0), "fluctuation.kappa"),
-        nu=AtomicMeasure.from_atoms(_block(block, "nu")["atoms"]),
+        nu=_measure(block),
         mode=block.get("mode", "limit"),
         n=None if block.get("n") is None else check_count(block["n"], "fluctuation.n"),
     )
@@ -317,23 +320,6 @@ def cmd_simulate(cfg: dict, args) -> _Output:
     return _Output(seed, {"per_z": table}, files={"report.json": report.to_json() + "\n"})
 
 
-def _check_matches_report(params: FluctuationParams, config: dict) -> None:
-    """An explicit fluctuation block must describe the ensemble the report sampled."""
-    def close(a, b):
-        return np.allclose(a, b, rtol=REPORT_MATCH_RTOL, atol=REPORT_MATCH_RTOL)
-
-    keys = ("sigma2", "s2", "tau", "kappa")
-    mismatched = [k for k in keys if not close(getattr(params, k), config[k])]
-    sampled = AtomicMeasure.from_values(config["deformation"]["atoms"])
-    if params.nu.locations.shape != sampled.locations.shape or not (
-        close(params.nu.locations, sampled.locations) and close(params.nu.weights, sampled.weights)
-    ):
-        mismatched.append("nu")
-    if mismatched:
-        raise ConfigError(f"fluctuation {', '.join(mismatched)} do not match the report's "
-                          "params_config")
-
-
 def _comparison(band: float, se: list, **columns) -> _Table:
     """A comparison table: ``columns`` ends with an estimate column and its
     theory column, and the table adds the standard error ``se``, their
@@ -347,15 +333,18 @@ def cmd_compare(cfg: dict, args) -> _Output:
     with _reading_config(cfg):
         block = _block(cfg, "compare")
         report = EstimatorReport.from_json(Path(block["report"]).read_text())
-        fluctuation = _block(cfg, "fluctuation")
-        params = _fluctuation_params(fluctuation)
-        if "from_ensemble" in fluctuation:
-            digest = EnsembleParams.from_config(fluctuation["from_ensemble"]).digest()
-            if digest != report.params_hash:
+        # the theory is that of the ensemble the report sampled, as its
+        # params_config states it; a fluctuation block may state it again
+        sampled = EnsembleParams.from_config(report.params_config)
+        sources = {"its params_config": sampled}
+        stated = _block(cfg, "fluctuation", optional=True)
+        if "from_ensemble" in stated:
+            sources["fluctuation.from_ensemble"] = EnsembleParams.from_config(
+                _block(stated, "from_ensemble"))
+        for source, ensemble in sources.items():
+            if ensemble.digest() != report.params_hash:
                 raise ConfigError(f"report params_hash {report.params_hash} does not match "
-                                  f"fluctuation.from_ensemble (digest {digest})")
-        else:
-            _check_matches_report(params, report.params_config)
+                                  f"{source} (digest {ensemble.digest()})")
         grid = cfg.get("z_grid")
         if grid is not None:
             wanted = [check_z(p) for p in grid]
@@ -369,6 +358,7 @@ def cmd_compare(cfg: dict, args) -> _Output:
         cov_band = check_real(thresholds.get("cov_band", 3.0), "thresholds.cov_band",
                               positive=True)
 
+    params = FluctuationParams.from_ensemble(sampled)
     per_z, checks = report.per_z, covariance_check(report, params, band=cov_band)
     bias = _comparison(bias_band, [s.se_mean for s in per_z], z=report.z_grid,
                        bias_hat=[s.bias_hat for s in per_z],
@@ -385,16 +375,12 @@ def cmd_compare(cfg: dict, args) -> _Output:
 def cmd_density(cfg: dict, args) -> _Output:
     with _reading_config(cfg):
         block = _block(cfg, "density")
-        nu = AtomicMeasure.from_atoms(_block(block, "nu")["atoms"])
+        nu = _measure(block)
         v = check_real(block["v"], "density.v", positive=True)
         points = check_count(block.get("points", 201), "density.points")
         xs = block.get("x_grid")
         if xs is not None:
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            if not np.all(np.isfinite(xs)):
-                raise ConfigError("density.x_grid values must be finite")
-            if xs.size == 0:
-                raise ConfigError("density needs at least one point")
+            xs = np.array(check_numbers(xs, "density.x_grid"))
         fns = [testfn.from_spec(s) for s in block.get("test_functions") or ()]
     if xs is None:
         xs = np.linspace(*support_window(nu, v), points)
@@ -419,10 +405,7 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
         if kind == "diag_pm1":
             out[name] = diag_pm1(n_dim)
         elif kind == "diag_values":
-            vals = g["values"]
-            if not (isinstance(vals, list) and vals and all(map(is_number, vals))):
-                raise ConfigError(f"generator {name!r}: values must be a nonempty list of numbers")
-            vals = np.asarray(vals, dtype=float)
+            vals = np.array(check_numbers(g["values"], f"generator {name!r}: values"))
             reps = int(np.ceil(n_dim / vals.size))
             out[name] = np.diag(np.tile(vals, reps)[:n_dim])
         elif kind == "identity":

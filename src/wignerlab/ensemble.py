@@ -28,6 +28,7 @@ from .errors import (
     ParameterError,
     check_block,
     check_count,
+    check_numbers,
     check_real,
 )
 from .freeconv import AtomicMeasure
@@ -43,6 +44,7 @@ __all__ = [
     "choose_delta",
     "law_from_config",
     "deformation_from_config",
+    "rng_for",
 ]
 
 MOMENT_RTOL = 1e-12
@@ -231,8 +233,8 @@ def law_from_config(spec) -> Gaussian | Discrete:
     if name in _PRESETS:
         return _PRESETS[name]
     if name == "custom_discrete":
-        off = spec["offdiag"]
-        diag = spec["diag"]
+        off = [check_numbers(a, f"custom_discrete offdiag entry {a!r}", 3) for a in spec["offdiag"]]
+        diag = [check_numbers(a, f"custom_discrete diag entry {a!r}", 2) for a in spec["diag"]]
         return Discrete(
             name,
             [complex(a[0], a[1]) for a in off],
@@ -245,8 +247,7 @@ def law_from_config(spec) -> Gaussian | Discrete:
 def deformation_from_config(spec, n: int) -> np.ndarray:
     """Deformation atoms from an explicit list or a quantile description."""
     if "atoms" in check_block(spec, "deformation"):
-        atoms = np.asarray(spec["atoms"], dtype=float)
-        return np.sort(atoms)
+        return np.sort(check_numbers(spec["atoms"], "deformation.atoms"))
     q = spec.get("quantile_spec")
     if q is None:
         raise ParameterError("deformation needs 'atoms' or 'quantile_spec'")
@@ -414,7 +415,7 @@ class WignerSample:
         return self.matrix.shape[0]
 
 
-def _rng_for(master_seed: int, index: int) -> np.random.Generator:
+def rng_for(master_seed: int, index: int) -> np.random.Generator:
     # counter-keyed construction: one Philox stream per (seed, index)
     seq = np.random.SeedSequence(entropy=(int(master_seed), int(index)))
     return np.random.Generator(np.random.Philox(seq))
@@ -456,7 +457,7 @@ def sample(params: EnsembleParams, master_seed: int, index: int = 0) -> WignerSa
     deformation. The golden digests in the tests pin the bits.
     """
     n = params.n
-    rng = _rng_for(master_seed, index)
+    rng = rng_for(master_seed, index)
     off = params.entry_law.sample_offdiag(rng, n * (n - 1) // 2)  # a fresh array
     off *= math.sqrt(params.sigma_n2)
     diag = params.entry_law.sample_diag(rng, n).real * math.sqrt(params.s_n2)

@@ -85,19 +85,27 @@ def check_real(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
+def check_numbers(values, name: str, length: int | None = None) -> list[float]:
+    """``values`` as floats: a nonempty JSON list of finite JSON numbers (no
+    bools, no numeric strings), of exactly ``length`` items when given."""
+    if not (isinstance(values, list) and values and length in (None, len(values))
+            and all(map(is_number, values))):
+        size = f"a list of {length} finite" if length else "a nonempty list of"
+        raise ConfigError(f"{name} must be {size} numbers")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} must be finite")
+    return [float(v) for v in values]
+
+
 def is_number(value) -> bool:
     """A JSON number: an int or a float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def check_z(pair) -> complex:
-    """``pair``, a config's z: a list of exactly two JSON numbers [re, im],
-    finite and off the real axis."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair))):
-        raise ConfigError(f"z must be a list of two numbers [re, im], not {pair!r}")
-    z = complex(pair[0], pair[1])
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ConfigError(f"z={z} is not finite")
+    """``pair``, a config's z: a list of two finite JSON numbers [re, im], off
+    the real axis."""
+    z = complex(*check_numbers(pair, f"z {pair!r}", 2))
     if z.imag == 0.0:
         raise ConfigError(f"z={z} lies on the real axis (Im z must be nonzero)")
     return z

@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ensemble import hermitian
+from .ensemble import hermitian, rng_for
 from .errors import ParameterError
 from .parallel import map_samples, mean_and_se
 
@@ -393,9 +393,9 @@ def monte_carlo_cross_checks(
     """Sample means of (1/N) Tr(word) over independent GUE draws vs xi_exact,
     one result per word.
 
-    Sample m draws its GUE matrices from a Philox stream keyed by
-    (seed, m); a word takes the i-th draw for its i-th color in sorted
-    order, so its result does not depend on the other words. A word's
+    Sample m draws its GUE matrices from ``ensemble.rng_for(seed, m)``; a
+    word takes the i-th draw for its i-th color in sorted order, so its
+    result does not depend on the other words. A word's
     factors (draws and separator products) split at ceil(k/2) into two
     halves, each folded left to right into L and R, and its trace is
     ``sum(L * R.T)``, which is Tr(L R) in O(N^2); a one-factor word is
@@ -435,7 +435,7 @@ def monte_carlo_cross_checks(
     n_draws = max((len(set(word.colors)) for word in words), default=0)
 
     def per_sample(m: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m))))
+        rng = rng_for(seed, m)
         draws = [sample_gue(n_dim, sigma_n2, rng) for _ in range(n_draws)]
         prefixes: dict[tuple, np.ndarray] = {}
 

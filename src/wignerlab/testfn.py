@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import check_z
+from .errors import check_count, check_numbers, check_real, check_z
 
 __all__ = [
     "TestFunction",
@@ -193,21 +193,28 @@ def _accepts_array(f) -> bool:
 
 
 def from_spec(spec: dict) -> TestFunction:
-    """Build a test function from a config dictionary (CLI entry point)."""
-    kind = spec.get("kind")
-    if not isinstance(spec.get("id"), (str, type(None))):
-        raise ValueError(f"test function id must be a string, got {spec['id']!r}")
+    """Build a test function from a config dictionary (CLI entry point); its
+    numbers are finite JSON numbers, and its order a JSON integer >= 0."""
+    kind, fn_id = spec.get("kind"), spec.get("id")
+    if not isinstance(fn_id, (str, type(None))):
+        raise ValueError(f"test function id must be a string, got {fn_id!r}")
     if kind == "resolvent":
-        return resolvent(check_z(spec["z"]), spec.get("id"))
+        return resolvent(check_z(spec["z"]), fn_id)
     if kind == "real_resolvent_pair":
-        return real_resolvent_pair(check_z(spec["z"]), spec.get("id"))
+        return real_resolvent_pair(check_z(spec["z"]), fn_id)
     if kind == "smooth_bump":
-        return smooth_bump(spec["center"], spec["width"], spec["order"], spec.get("id"))
+        return smooth_bump(check_real(spec["center"], "smooth_bump center"),
+                           check_real(spec["width"], "smooth_bump width", positive=True),
+                           check_count(spec["order"], "smooth_bump order", least=0), fn_id)
     if kind == "capped_polynomial":
+        ramp = spec.get("ramp")
         return capped_polynomial(
-            spec["coeffs"], tuple(spec["window"]), spec.get("order", 2), spec.get("ramp"),
-            spec.get("id"),
-        )
+            check_numbers(spec["coeffs"], "capped_polynomial coeffs"),
+            tuple(check_numbers(spec["window"], "capped_polynomial window", 2)),
+            check_count(spec.get("order", 2), "capped_polynomial order", least=0),
+            None if ramp is None else check_real(ramp, "capped_polynomial ramp", positive=True),
+            fn_id)
     if kind == "grid":
-        return from_grid(spec["x"], spec["values"], spec.get("id", "grid"))
+        return from_grid(check_numbers(spec["x"], "grid x"),
+                         check_numbers(spec["values"], "grid values"), spec.get("id", "grid"))
     raise ValueError(f"unknown test function kind {kind!r}")

@@ -34,6 +34,7 @@ def gue_ensemble(n=60):
 
 
 POINT_MASS = {"nu": {"atoms": [[0.0, 1.0]]}}
+BUMP = {"kind": "smooth_bump", "center": 0.0, "width": 1.0, "order": 3, "id": "bump"}
 REPORT_ENSEMBLE = {"n": 20, "sigma2": 1.0, "entry_law": "gaussian_complex",
                    "deformation": {"quantile_spec": {"kind": "zero"}}}
 
@@ -170,30 +171,60 @@ class TestSimulateAndCompare:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("fluctuation, code", [
-        ({"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}, 0),
-        ({"sigma2": 1.0, "s2": 2.0, "tau": 1.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}, 2),
-        ({"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0,
-          "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}}, 2),
+    @pytest.mark.parametrize("fluctuation", [
+        {"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}},
+        {"sigma2": 1.0, "s2": 2.0, "tau": 1.0, "kappa": 0.0, "nu": {"atoms": [[0.0, 1.0]]}},
+        {"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0,
+         "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}},
     ], ids=["matching", "goe_moments", "other_nu"])
-    def test_compare_checks_explicit_fluctuation_block(self, tmp_path, capsys, fluctuation, code):
-        sim_cfg = write(tmp_path, "sim.json", {
-            "ensemble": {"n": 20, "sigma2": 1.0, "entry_law": "gaussian_complex",
-                         "deformation": {"quantile_spec": {"kind": "zero"}}},
-            "plan": {"n_samples": 10, "z_grid": [[0.0, 2.0]], "master_seed": 1},
-        })
-        assert main(["simulate", "--config", sim_cfg, "--out-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
+    def test_compare_names_explicit_fluctuation_keys_unknown(self, tmp_path, capsys, reports,
+                                                             fluctuation):
+        # compare takes its theory from the report's params_config; a
+        # fluctuation block may only state the ensemble, as from_ensemble
         cmp_cfg = write(tmp_path, "cmp.json", {
-            "fluctuation": fluctuation,
-            "compare": {"report": str(tmp_path / "report.json")},
-        })
+            "fluctuation": fluctuation, "compare": {"report": reports["valid"]}})
         out = tmp_path / "compare_out"
-        assert main(["compare", "--config", cmp_cfg, "--out-dir", str(out)]) == code
-        if code == 2:
-            err = capsys.readouterr().err
-            assert err.startswith("config error:") and err.count("\n") == 1
-            assert not out.exists()
+        assert main(["compare", "--config", cmp_cfg, "--out-dir", str(out)]) == 2
+        keys = ", ".join(f"{key!r} in block 'fluctuation'" for key in fluctuation)
+        assert capsys.readouterr().err == f"config error: unknown keys {keys}\n"
+        assert not out.exists()
+
+    def test_compare_without_fluctuation_block_gives_the_same_rows(self, tmp_path):
+        sim_cfg = write(tmp_path, "sim.json", SMALL_CONFIGS["simulate"])
+        assert main(["simulate", "--config", sim_cfg, "--out-dir", str(tmp_path)]) == 0
+        compare = {"report": str(tmp_path / "report.json"),
+                   "thresholds": {"bias_band": 3.0, "cov_band": 3.0}}
+        stated = {"from_ensemble": SMALL_CONFIGS["simulate"]["ensemble"]}
+        results = []
+        for name, cfg in [("stated", {"fluctuation": stated, "compare": compare}),
+                          ("bare", {"compare": compare})]:
+            out = tmp_path / name
+            code = main(["compare", "--config", write(tmp_path, f"{name}.json", cfg),
+                         "--out-dir", str(out)])
+            payload = json.loads((out / "compare.json").read_text())
+            del payload["meta"]  # it stamps the digest of the config
+            rows = [[line for line in (out / f"{stem}.csv").read_text().splitlines()
+                     if not line.startswith("#")] for stem in ("compare_bias", "compare_cov")]
+            results.append((code, payload, rows))
+        assert results[0] == results[1]
+        assert len(results[0][1]["bias"]) == 1 and len(results[0][1]["covariance"]) == 1
+
+    @pytest.mark.parametrize("fluctuation", [{"from_ensemble": REPORT_ENSEMBLE}, None],
+                             ids=["from_ensemble", "no_block"])
+    def test_compare_refuses_a_report_whose_params_config_was_edited(
+            self, tmp_path, capsys, reports, fluctuation):
+        report = json.loads(Path(reports["valid"]).read_text())
+        report["params_config"]["sigma2"] = 2.0
+        payload = {"compare": {"report": write(tmp_path, "report.json", report)}}
+        if fluctuation is not None:
+            payload["fluctuation"] = fluctuation
+        out = tmp_path / "compare_out"
+        assert main(["compare", "--config", write(tmp_path, "cmp.json", payload),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: report params_hash {report['params_hash']} "
+                              "does not match its params_config") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_simulate_with_truncation_toggle(self, tmp_path):
         sim_cfg = write(tmp_path, "sim.json", {
@@ -640,6 +671,40 @@ class TestConfigErrors:
                 "quantile_spec": {"kind": "two_point", "a": -1.0, "b": True}}},
             "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
         }, id="quantile_spec_b_bool"),
+        # a list of numbers takes finite JSON numbers, not bools or numeric strings
+        pytest.param("density", {"density": {"nu": {"atoms": [["0.5", True]]}, "v": 1.0,
+                                             "x_grid": ["1", True]}}, id="density_atom_and_x_grid"),
+        pytest.param("density", {"density": {
+            "v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+            "test_functions": [{**BUMP, "center": True, "width": True}]}},
+            id="bump_center_and_width_bool"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(4), "deformation": {"atoms": [True, "2", 0, 0]}},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="deformation_atoms_bool_and_text"),
+        pytest.param("simulate", {
+            "ensemble": {**gue_ensemble(4), "entry_law": {
+                "name": "custom_discrete", "offdiag": [[True, 0, 0.5], [-1, 0, 0.5]],
+                "diag": [[1, 0.5], [-1, 0.5]]}},
+            "plan": {"n_samples": 4, "z_grid": [[0.0, 2.0]], "master_seed": 1},
+        }, id="custom_law_offdiag_bool"),
+        pytest.param("theory", {"fluctuation": {"nu": {"atoms": [[False, "1"]]}},
+                                "z_grid": [[0.0, 2.0]]}, id="fluctuation_atom_bool_and_text"),
+        pytest.param("density", {"density": {
+            "v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+            "test_functions": [{**BUMP, "order": 2.5}]}}, id="bump_order_fractional"),
+        pytest.param("density", {"density": {
+            "v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+            "test_functions": [{"kind": "capped_polynomial", "coeffs": [1.0],
+                                "window": [-1.0, "1"]}]}}, id="capped_polynomial_window_text"),
+        pytest.param("density", {"density": {
+            "v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+            "test_functions": [{"kind": "grid", "x": [-1.0, 0.0, 1.0],
+                                "values": [0.0, True, 0.0]}]}}, id="grid_values_bool"),
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 a w1 a"], "dims": [4, 8, 16],
+            "generators": {"a": {"kind": "diag_values", "values": [1.0, float("inf")]}}}},
+            id="generator_values_infinite"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, reports, command, payload):
         # a report path "@name" stands for the `reports` file of that name
@@ -654,7 +719,6 @@ class TestConfigErrors:
         assert not out.exists()
 
 
-BUMP = {"kind": "smooth_bump", "center": 0.0, "width": 1.0, "order": 3, "id": "bump"}
 SMALL_CONFIGS = {
     "theory": {
         "fluctuation": {"sigma2": 1.0, "s2": 2.0, "tau": 1.0, "kappa": 0.0,

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from wignerlab.ensemble import (
     truncate_center_homogenize,
 )
 from wignerlab.errors import DegenerateTruncationError, ParameterError
+from wignerlab.theory import FluctuationParams, beta, gamma_kernel
 
 
 def make_params(n=100, law="gaussian_complex", atoms=None, **kw):
@@ -370,6 +372,31 @@ def test_golden_digests_and_streams(key):
         smp = sample(p, 2024, i)
         got += [sha(smp.matrix), sha(truncate_center_homogenize(smp, choose_delta(n)).matrix)]
     assert " ".join(got) == GOLDEN[key]
+
+
+DEFORMATIONS = {
+    "zero": {"quantile_spec": {"kind": "zero"}},
+    "two_point": {"quantile_spec": {"kind": "two_point", "a": -1.0, "b": 1.5, "weight_a": 0.3}},
+    "uniform": {"quantile_spec": {"kind": "uniform", "a": -2.0, "b": 1.0}},
+    "atoms": {"atoms": [0.7, -1.0, 0.0, 0.25, 0.25, 3.0, -0.5, 1.0, 2.0]},
+}
+
+
+@pytest.mark.parametrize("deformation", sorted(DEFORMATIONS))
+@pytest.mark.parametrize("law", ["gaussian_complex", "gaussian_real", "rademacher_real",
+                                 "rademacher_complex_four_point", "custom_weighted"])
+def test_params_config_round_trip_keeps_the_theory(law, deformation):
+    # compare rebuilds the ensemble of a report from its params_config, a
+    # JSON copy of config(): the digest and the limit formulas keep their bits
+    p = EnsembleParams.from_config({"n": 9, "sigma2": 1.5, "entry_law": GOLDEN_LAWS[law],
+                                    "deformation": DEFORMATIONS[deformation]})
+    q = EnsembleParams.from_config(json.loads(json.dumps(p.config())))
+    assert q.digest() == p.digest()
+    fp, fq = FluctuationParams.from_ensemble(p), FluctuationParams.from_ensemble(q)
+    z = np.array([2j, 1.0 + 1j, -0.5 + 0.25j, 3.0 + 0.1j])
+    z1, z2 = z[:, None], np.conj(z)[None, :]
+    assert np.array_equal(beta(fp, z), beta(fq, z))
+    assert np.array_equal(gamma_kernel(fp, z1, z2).gamma, gamma_kernel(fq, z1, z2).gamma)
 
 
 # The assembly and truncation as they were before sampling went through one

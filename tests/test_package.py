@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import importlib.util
 import os
 import pkgutil
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import wignerlab
+from wignerlab.cli import EXIT_CONFIG, main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wignerlab.__path__))
 
 
@@ -24,9 +27,34 @@ def test_all_names_resolve(name):
 
 
 def test_readme_module_table_names_every_module():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    named = re.findall(r"^\| `wignerlab\.(\w+)` \|", readme.read_text(), re.MULTILINE)
+    named = re.findall(r"^\| `wignerlab\.(\w+)` \|", README.read_text(), re.MULTILINE)
     assert sorted(named) == MODULES
+
+
+# the command of a README config: that of the first of these top-level keys it has
+EXAMPLE_COMMANDS = {"plan": "simulate", "compare": "compare", "density": "density",
+                    "infinitesimal": "infinitesimal", "identities": "identities",
+                    "fluctuation": "theory"}
+
+
+def test_readme_json_examples_are_read_by_their_commands(tmp_path, monkeypatch):
+    # simulate runs first, into out/, whose report.json the compare example reads
+    monkeypatch.chdir(tmp_path)
+    configs = [json.loads(text) for text in
+               re.findall(r"^```json\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)]
+    commands = [next(EXAMPLE_COMMANDS[key] for key in EXAMPLE_COMMANDS if key in cfg)
+                for cfg in configs]
+    assert {"simulate", "compare"} <= set(commands)
+    for i, (command, cfg) in sorted(enumerate(zip(commands, configs)),
+                                    key=lambda item: item[1][0] != "simulate"):
+        if command == "simulate":
+            cfg["plan"]["n_samples"] = 20
+        if command == "infinitesimal" and "mc" in cfg["infinitesimal"]:
+            cfg["infinitesimal"]["mc"]["n_samples"] = 1000  # the cross-check's minimum
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+        out = "out" if command == "simulate" else f"out-{i}"
+        code = main([command, "--config", f"{i}.json", "--out-dir", out, "--threads", "1"])
+        assert code != EXIT_CONFIG, f"README example {i} ({command})"
 
 
 def test_package_imports_cleanly():
