@@ -319,9 +319,6 @@ class DensityEstimate:
     value: float
     error: float
 
-    def __float__(self):
-        return float(self.value)
-
 
 def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     """Density of nu boxplus sigma_v at real x (a float or an array).

@@ -26,7 +26,6 @@ from .ensemble import (
     truncated_moments,
 )
 from .errors import ParameterError, check_real
-from .freeconv import solve_pastur_array
 from .parallel import map_samples, mean_and_se
 from .spectral import eigenvalues, linear_statistic, trace_resolvent
 from .theory import FluctuationParams, gamma_kernel
@@ -340,7 +339,7 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
     tr_samples = np.ascontiguousarray(rows[:, :len(zs)])
     fn_matrix = np.ascontiguousarray(rows[:, len(zs):])
 
-    g_rhos = solve_pastur_array(params.nu(), params.sigma2, zs).G.tolist()
+    g_rhos = FluctuationParams.from_ensemble(params).solve(zs).G.tolist()
     per_z = []
     for j, (z, g_rho) in enumerate(zip(zs, g_rhos)):
         col = tr_samples[:, j]

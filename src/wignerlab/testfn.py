@@ -152,11 +152,14 @@ def capped_polynomial(
 
 
 def from_grid(xs, values, fn_id: str, is_real: bool = True) -> TestFunction:
-    """Piecewise-linear interpolant of samples, zero outside the grid."""
+    """Piecewise-linear interpolant of samples at strictly increasing x, zero
+    outside the grid."""
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
+    if np.any(np.diff(xs) <= 0.0):
+        raise ValueError("grid x must be strictly increasing")
 
     def fn(x):
         return np.interp(x, xs, values, left=0.0, right=0.0)

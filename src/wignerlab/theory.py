@@ -45,8 +45,9 @@ _DENOM_GUARD = 1e-10
 # extend_bias integrates at these heights, halving down to 1e-3
 _Y_SCHEDULE = (0.256, 0.128, 0.064, 0.032, 0.016, 0.008, 0.004, 0.002, 0.001)
 # extend_variance's resolvent-span fit: poles at each height over
-# _POLE_COLUMNS real parts, _FIT_POINTS sample points and a ridge; a fit
-# whose residual exceeds _MAX_FIT_RESIDUAL * max(1, max |phi|) is rejected
+# _POLE_COLUMNS real parts, _FIT_POINTS points of the support window and a
+# ridge; a fit whose residual exceeds _MAX_FIT_RESIDUAL * max(1, max |phi|)
+# there is rejected
 _POLE_COLUMNS = 16
 _POLE_HEIGHTS = (0.25, 0.5, 1.0)
 _FIT_POINTS = 801
@@ -219,7 +220,7 @@ def gamma_primitive(params: FluctuationParams, z1, z2):
 def semicircle_transform(z, v: float, order: int = 0):
     """Closed-form Stieltjes transform of the semicircle law of variance v.
 
-    Branch chosen so G(z) ~ 1/z at infinity. Orders 0-2 are supported.
+    Branch chosen so G(z) ~ 1/z at infinity; order 1 gives the derivative.
     """
     shape = np.shape(z)
     z = np.ravel(np.asarray(z, dtype=complex))
@@ -230,12 +231,9 @@ def semicircle_transform(z, v: float, order: int = 0):
     g = 2.0 / (z + sq)
     if order == 0:
         return _shaped(g, shape)
-    g1 = -g * g / (1.0 - v * g * g)
     if order == 1:
-        return _shaped(g1, shape)
-    if order == 2:
-        return _shaped(-2.0 * g * g1 / (1.0 - v * g * g) ** 2, shape)
-    raise ValueError("order must be 0, 1 or 2")
+        return _shaped(-g * g / (1.0 - v * g * g), shape)
+    raise ValueError("order must be 0 or 1")
 
 
 def bao_xie_b0(sigma2: float, s2: float, tau: float, kappa: float, z):
@@ -299,9 +297,6 @@ class ExtrapolatedValue:
     value: float
     error: float
 
-    def __float__(self):
-        return self.value
-
 
 def _neville_zero(steps, values):
     n = len(values)
@@ -340,7 +335,9 @@ def extend_bias(
     lockstep: each round solves the fixed point at the new nodes of every
     height still refining in one ``beta`` call, which gives every node the
     bits a solve of that height alone would. ``phi`` is called on arrays of
-    points. Returns value and extrapolation-error estimate.
+    points. Returns the value and its ``error``, the larger of the last two
+    Neville corrections: an estimate of the error of extrapolating to y = 0,
+    which leaves out the quadratures' own error (about 1e-9 relative).
     """
     a, b = window if window is not None else _integration_window(params, phi)
     lo, hi = params.nu.support
@@ -367,7 +364,7 @@ def extend_bias(
     steps = [math.sqrt(y) for y in _Y_SCHEDULE]
     estimates = _neville_zero(steps, levels)
     corrections = [abs(estimates[k] - estimates[k - 1]) for k in range(1, len(estimates))]
-    err = corrections[-1] if corrections else 0.0
+    err = max(corrections[-2:], default=0.0)
     scale = max(abs(estimates[-1]), 1.0)
     if len(corrections) >= 3 and corrections[-1] > 10.0 * corrections[-3] + 1e-12 * scale:
         raise AccuracyError("bias extrapolation diverges along the y schedule")
@@ -380,25 +377,6 @@ class VarianceExtension:
 
     value: float
     fit_residual: float
-    poles: tuple[complex, ...]
-    coefficients: tuple[complex, ...]
-
-
-def _pole_grid(params: FluctuationParams):
-    """Poles straddling the spectral support, upper half-plane only."""
-    left, right = support_window(params.nu, params.sigma2)
-    xs = np.linspace(left - 0.5, right + 0.5, _POLE_COLUMNS)
-    return tuple(complex(x, h) for h in _POLE_HEIGHTS for x in xs)
-
-
-def _fit_window(params: FluctuationParams, phi) -> tuple[float, float]:
-    """Window covering the spectral support and the function's support."""
-    left, right = support_window(params.nu, params.sigma2)
-    a, b = left - 1.0, right + 1.0
-    support = getattr(phi, "support", None)
-    if support is not None:
-        a, b = min(a, float(support[0])), max(b, float(support[1]))
-    return a, b
 
 
 def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
@@ -406,10 +384,11 @@ def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
 
     If the function carries an exact resolvent representation it is used
     directly; otherwise phi is least-squares fitted on the resolvent span
-    over a pole grid (conjugate poles included so the combination is real),
-    and the variance is the non-conjugated bilinear evaluation
-    V = sum_jk c_j c_k Gamma(z_j, z_k), summed from one ``gamma_kernel``
-    matrix over all pole pairs.
+    over a pole grid (conjugate poles included so the combination is real)
+    at points of ``support_window``, since the limit variance depends on phi
+    only on the spectral support. The variance is the non-conjugated
+    bilinear evaluation V = sum_jk c_j c_k Gamma(z_j, z_k), summed from one
+    ``gamma_kernel`` matrix over all pole pairs.
 
     The fit is ridge-regularized: a representation is only meaningful for
     the bilinear form when its coefficients stay bounded, otherwise huge
@@ -418,26 +397,21 @@ def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
     """
     exact = getattr(phi, "poles", None)
     if exact is not None:
-        poles = tuple(complex(z) for z, _ in exact)
-        coeffs = tuple(complex(c) for _, c in exact)
+        zs, cs = np.array(exact, dtype=complex).T
         residual = 0.0
     else:
-        grid = _pole_grid(params)
-        xs = np.linspace(*_fit_window(params, phi), _FIT_POINTS)
+        left, right = support_window(params.nu, params.sigma2)
+        grid = (np.linspace(left - 0.5, right + 0.5, _POLE_COLUMNS)
+                + 1j * np.array(_POLE_HEIGHTS)[:, None]).ravel()
+        xs = np.linspace(left, right, _FIT_POINTS)
         target = np.real(np.asarray(phi(xs), dtype=complex))
-        columns = []
-        for z in grid:
-            gz = 1.0 / (z - xs)
-            columns.append(2.0 * gz.real)
-            columns.append(-2.0 * gz.imag)
-        design = np.stack(columns, axis=1)
+        gz = 1.0 / (grid - xs[:, None])
+        design = np.stack([2.0 * gz.real, -2.0 * gz.imag], axis=2).reshape(xs.size, -1)
         col_scale = np.linalg.norm(design, axis=0)
-        scaled = design / col_scale
-        n_cols = scaled.shape[1]
-        augmented = np.vstack([scaled, math.sqrt(_FIT_RIDGE) * np.eye(n_cols)])
+        n_cols = design.shape[1]
+        augmented = np.vstack([design / col_scale, math.sqrt(_FIT_RIDGE) * np.eye(n_cols)])
         rhs = np.concatenate([target, np.zeros(n_cols)])
-        sol, *_ = np.linalg.lstsq(augmented, rhs, rcond=None)
-        sol = sol / col_scale
+        sol = np.linalg.lstsq(augmented, rhs, rcond=None)[0] / col_scale
         residual = float(np.max(np.abs(design @ sol - target)))
         scale = max(1.0, float(np.max(np.abs(target))))
         if residual > _MAX_FIT_RESIDUAL * scale:
@@ -445,14 +419,11 @@ def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
                 f"resolvent-span fit residual {residual:.3e} exceeds "
                 f"{_MAX_FIT_RESIDUAL:.1e} * {scale:.3g}"
             )
-        poles, coeffs = [], []
-        for j, z in enumerate(grid):
-            c = complex(sol[2 * j], sol[2 * j + 1])
-            poles.extend([z, z.conjugate()])
-            coeffs.extend([c, c.conjugate()])
-        poles, coeffs = tuple(poles), tuple(coeffs)
+        # each grid pole followed by its conjugate, with conjugate coefficients
+        c = sol.view(complex)
+        zs = np.stack([grid, grid.conj()], axis=1).ravel()
+        cs = np.stack([c, c.conj()], axis=1).ravel()
 
-    zs, cs = np.array(poles), np.array(coeffs)
     kv = gamma_kernel(params, zs[:, None], zs[None, :])
     invalid = ~kv.valid
     if invalid.any():
@@ -466,6 +437,4 @@ def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
     rounding_scale = float(np.sum(np.abs(weights) * np.abs(kv.gamma)))
     if abs(total.imag) > 1e-12 * rounding_scale + 1e-10 * max(1.0, abs(total.real)):
         raise AccuracyError(f"variance has non-negligible imaginary part {total.imag:.3e}")
-    return VarianceExtension(
-        value=total.real, fit_residual=residual, poles=poles, coefficients=coeffs
-    )
+    return VarianceExtension(value=total.real, fit_residual=residual)

@@ -701,6 +701,10 @@ class TestConfigErrors:
             "v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
             "test_functions": [{"kind": "grid", "x": [-1.0, 0.0, 1.0],
                                 "values": [0.0, True, 0.0]}]}}, id="grid_values_bool"),
+        pytest.param("density", {"density": {
+            "v": 1.0, "nu": {"atoms": [[0.0, 1.0]]}, "x_grid": [0.0],
+            "test_functions": [{"kind": "grid", "x": [1.0, 0.0, -1.0],
+                                "values": [0.0, 1.0, 0.0]}]}}, id="grid_x_decreasing"),
         pytest.param("infinitesimal", {"infinitesimal": {
             "words": ["w1 a w1 a"], "dims": [4, 8, 16],
             "generators": {"a": {"kind": "diag_values", "values": [1.0, float("inf")]}}}},

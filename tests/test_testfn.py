@@ -42,6 +42,11 @@ class TestEvaluation:
         assert float(phi(0.5)) == pytest.approx(0.25, abs=5e-3)
         assert float(phi(3.0)) == 0.0
 
+    @pytest.mark.parametrize("xs", [[1.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 1.0]])
+    def test_grid_x_must_increase_strictly(self, xs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            testfn.from_grid(xs, [0.0, 1.0, 0.0], "unsorted")
+
 
 class TestBumpSmoothness:
     @pytest.mark.parametrize("order", [2, 7])

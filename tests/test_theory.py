@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.fft import dct
+from scipy.integrate import quad
 
 from wignerlab import testfn
 from wignerlab.errors import ParameterError, RepresentationError, SingularityError
@@ -218,7 +220,8 @@ HEIGHTS = (0.256, 0.128, 0.064, 0.032, 0.016, 0.008, 0.004, 0.002, 0.001)
 
 def reference_extend_bias(p, phi):
     """extend_bias as one adaptive integration per height, one after another,
-    then Neville extrapolation to y = 0 in sqrt(y)."""
+    then Neville extrapolation to y = 0 in sqrt(y); the error is the larger
+    of the last two corrections."""
     a, b = phi.support
     lo, hi = p.nu.support
     pad = 2.0 * math.sqrt(p.sigma2)
@@ -235,7 +238,8 @@ def reference_extend_bias(p, phi):
             s_i, s_prev = steps[i], steps[i - level]
             table[i] = (s_prev * table[i] - s_i * table[i - 1]) / (s_prev - s_i)
         estimates.append(table[-1])
-    return estimates[-1], abs(estimates[-1] - estimates[-2])
+    return estimates[-1], max(abs(estimates[-1] - estimates[-2]),
+                              abs(estimates[-2] - estimates[-3]))
 
 
 class TestExtendBiasLockstep:
@@ -250,6 +254,22 @@ class TestExtendBiasLockstep:
     def test_equals_one_integration_per_height(self, p, phi):
         got = extend_bias(p, phi)
         assert (got.value, got.error) == reference_extend_bias(p, phi)
+
+
+def goe_bias(phi):
+    """Limit GOE bias at nu = delta_0: (phi(2) + phi(-2))/4 - <phi(2 cos t)>_t / 2,
+    the mean taken over t in [0, pi]."""
+    mean, _ = quad(lambda t: float(phi(2.0 * math.cos(t))), 0.0, math.pi,
+                   epsabs=1e-14, epsrel=1e-14, limit=200)
+    return (float(phi(2.0)) + float(phi(-2.0))) / 4.0 - mean / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("center,width", [(0.0, 1.5), (1.5, 1.0), (2.5, 1.0), (-1.9, 0.3),
+                                          (1.8, 0.5), (0.3, 0.8)])
+def test_extend_bias_error_covers_goe_closed_form(center, width):
+    phi = testfn.smooth_bump(center, width, 7)
+    got = extend_bias(goe_params(), phi)
+    assert abs(got.value - goe_bias(phi)) <= got.error
 
 
 class TestNonFiniteParameters:
@@ -302,6 +322,44 @@ class TestExtendVariance:
         masked = testfn.from_callable(lambda x: pair(x), "masked_pair")
         fitted = extend_variance(p, masked)
         assert fitted.value == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("nu", [
+        DELTA0,
+        AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)]),
+        AtomicMeasure.from_atoms([(-2.0, 0.3), (0.5, 0.2), (1.5, 0.5)]),
+    ], ids=["delta0", "two_atoms", "three_atoms"])
+    @pytest.mark.parametrize("s2,tau,kappa", [(1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (1.0, 1.0, -2.0),
+                                              (1.4, 0.6, -0.5), (0.7, -0.4, 1.2)])
+    def test_fit_recovers_exact_pair_values(self, nu, s2, tau, kappa):
+        # nearer the axis (Im z <= 0.6) the fixed pole grid fits a pair less well
+        p = FluctuationParams(sigma2=1.0, s2=s2, tau=tau, kappa=kappa, nu=nu)
+        for z0 in (0.4 + 0.8j, 1.0 + 1.2j, -1.5 + 0.8j, 2.5 + 1.0j, -3.0 + 1.5j):
+            pair = testfn.real_resolvent_pair(z0)
+            masked = testfn.from_callable(lambda x: pair(x), "masked_pair")
+            exact = extend_variance(p, pair).value
+            assert extend_variance(p, masked).value == pytest.approx(exact, rel=1e-4)
+
+    @pytest.mark.parametrize("phi,rel", [
+        pytest.param(testfn.smooth_bump(0.0, 1.5, 7), 2.5e-4, id="bump_bulk"),
+        pytest.param(testfn.smooth_bump(1.5, 1.0, 7), 2.5e-4, id="bump_right"),
+        pytest.param(testfn.smooth_bump(0.3, 0.8, 2), 2.5e-4, id="bump_order2"),
+        pytest.param(testfn.smooth_bump(2.5, 1.0, 7), 2.5e-4, id="bump_past_edge"),
+        pytest.param(testfn.smooth_bump(-1.9, 0.3, 7), 3e-3, id="bump_narrow_edge"),
+        pytest.param(testfn.capped_polynomial([0.0, 0.0, 0.0, 0.0, 1.0], (-2.5, 2.5),
+                                              order=7, ramp=1.0), 2.5e-4, id="capped_x4"),
+        pytest.param(testfn.capped_polynomial([1.0, -2.0, 0.0, 3.0], (-2.5, 2.5),
+                                              order=7, ramp=0.5), 2.5e-4, id="capped_cubic"),
+    ])
+    def test_semicircle_closed_form(self, phi, rel):
+        # Johansson: with phi(2 cos t) = sum_k a_k cos kt, the limit variance
+        # at nu = delta_0 is sum_k k a_k^2 / 4 for GUE and twice that for GOE;
+        # the a_k come from the DCT of phi(2 cos t) at m midpoints t
+        m = 1 << 14
+        t = math.pi * (np.arange(m) + 0.5) / m
+        a = dct(phi(2.0 * np.cos(t)), type=2) / m
+        chebyshev = float(np.sum(np.arange(m) * a * a))
+        assert extend_variance(gue_params(), phi).value == pytest.approx(chebyshev / 4, rel=rel)
+        assert extend_variance(goe_params(), phi).value == pytest.approx(chebyshev / 2, rel=rel)
 
     def test_representation_error_for_rough_function(self):
         p = gue_params()
