@@ -252,6 +252,14 @@ def _fluctuation_params(block: dict) -> FluctuationParams:
     )
 
 
+def _test_functions(block: dict, where: str) -> list[testfn.TestFunction]:
+    """The block's ``test_functions``: a JSON list of specs, none when absent."""
+    specs = block.get("test_functions", [])
+    if not isinstance(specs, list):
+        raise ConfigError(f"{where}.test_functions must be a JSON list, not {specs!r}")
+    return [testfn.from_spec(s) for s in specs]
+
+
 def _single_atom(nu: AtomicMeasure) -> float | None:
     if nu.locations.size == 1:
         return float(nu.locations[0])
@@ -304,7 +312,7 @@ def cmd_simulate(cfg: dict, args) -> _Output:
             n_samples=check_count(plan_cfg["n_samples"], "plan.n_samples"),
             z_grid=tuple(_z_grid(plan_cfg)),
             master_seed=seed,
-            test_functions=[testfn.from_spec(s) for s in plan_cfg.get("test_functions") or ()],
+            test_functions=_test_functions(plan_cfg, "plan"),
             truncation=plan_cfg.get("truncation"),
         )
     report = run_plan(plan, threads=args.threads)
@@ -381,7 +389,7 @@ def cmd_density(cfg: dict, args) -> _Output:
         xs = block.get("x_grid")
         if xs is not None:
             xs = np.array(check_numbers(xs, "density.x_grid"))
-        fns = [testfn.from_spec(s) for s in block.get("test_functions") or ()]
+        fns = _test_functions(block, "density")
     if xs is None:
         xs = np.linspace(*support_window(nu, v), points)
     est = density_at(nu, v, xs)

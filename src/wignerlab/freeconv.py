@@ -27,7 +27,7 @@ __all__ = [
     "density",
     "integrate_against_rho",
     "gauss_kronrod",
-    "gauss_kronrod_rounds",
+    "support_nodes",
     "support_window",
 ]
 
@@ -39,6 +39,9 @@ _EDGE_GUARD = 1e-10
 _SECTIONS = 16  # interior points per round of root bracketing
 _ROUNDS = 16  # 17**16 > 2**64: enough rounds to shrink a bracket to rounding
 _PSI_ROUNDING = 16 * np.finfo(float).eps  # relative rounding bound on psi_t
+_CUSP_ROUNDING = 1e-12  # t f(end) - 1 at an end of a support piece that counts as 0
+_FLAT_ORDER = 3  # support_nodes: 1 - h' ~ (1 - r)^3 away from an end it flattens at
+_END_STEPS = 4  # Newton steps of _biane_v2_from_end
 _MAX_NEWTON = 100
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +302,16 @@ def _biane_v2(nu: AtomicMeasure, t: float, u: np.ndarray) -> np.ndarray:
     raise SolverError(f"v_t(u) did not converge at u={u[idx[0]]}")
 
 
+def _biane_slope(nu: AtomicMeasure, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s S_2 + S_a^2 / S_2 with S_2 = sum_i w_i / r_i^2, S_a = sum_i w_i (u - d_i) / r_i^2,
+    r_i = (u - d_i)^2 + s and s = v_t(u)^2: on the support, dpsi_t/du = 2t times this."""
+    a = u[:, None] - nu.locations
+    r2 = (a * a + s[:, None]) ** 2
+    s_2 = np.sum(nu.weights / r2, axis=1)
+    s_a = np.sum(nu.weights * a / r2, axis=1)
+    return s * s_2 + s_a * s_a / s_2
+
+
 def _biane_psi(nu: AtomicMeasure, t: float, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """psi_t(u) = u + t sum_i w_i (u - d_i) / ((u - d_i)^2 + v_t(u)^2), s = v_t(u)^2."""
     a = u[:, None] - nu.locations
@@ -355,15 +368,18 @@ def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     return DensityEstimate(x=xs, value=value, error=error)
 
 
-def _support_in_u(nu: AtomicMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the intervals of u where v_t(u) > 0.
+def _support_in_u(nu: AtomicMeasure, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts and ends of the intervals of u where v_t(u) > 0, and the minima of f inside them.
 
     That is where f(u) = sum_i w_i / (u - d_i)^2 exceeds 1/t. Left of the
     first atom f increases from 0 and f(d_1 - sqrt t) <= 1/t, so the support
     starts in [d_1 - sqrt t, d_1); it ends symmetrically right of the last
     atom. Between consecutive atoms f is convex and infinite at both ends:
     where its minimum falls below 1/t the support has a gap between the two
-    roots around that minimum.
+    roots around that minimum. Elsewhere the minimum lies inside the
+    support; where it equals 1/t, v_t vanishes there, at a cusp of the
+    density, and where it is close to 1/t, v_t has branch points close to
+    the real axis there.
     """
     d, w = nu.locations, nu.weights
     inv_t = 1.0 / t
@@ -384,11 +400,77 @@ def _support_in_u(nu: AtomicMeasure, t: float) -> tuple[np.ndarray, np.ndarray]:
     left, right = d[:-1], d[1:]
     # f' = -2 sum_i w_i / (u - d_i)^3 increases across each gap
     lowest = root(lambda u: -np.sum(w / (u[:, None] - d) ** 3, axis=1), 0.0, left, right)
-    gap = f(lowest) < inv_t
+    f_lowest = f(lowest)
+    gap = f_lowest < inv_t
+    minima = lowest[~gap]
     left, right, lowest = left[gap], right[gap], lowest[gap]
     gap_start = root(neg_f, -inv_t, left, lowest)
     gap_end = root(f, inv_t, lowest, right)
-    return np.concatenate([first, gap_end]), np.concatenate([gap_start, last])
+    return np.concatenate([first, gap_end]), np.concatenate([gap_start, last]), minima
+
+
+def _biane_v2_from_end(nu: AtomicMeasure, t: float, u: np.ndarray, end: np.ndarray,
+                       s: np.ndarray) -> np.ndarray:
+    """v_t(u)^2 refined from the start s by Newton steps on
+    R(s) = t sum_i w_i / ((u - d_i)^2 + s) - 1, taken relative to ``end``.
+
+    Next to a piece end where t f(end) - 1 is (near) 0, t f(u) - 1 loses
+    its digits to cancellation, and v_t with them: at a cusp
+    v_t^2 ~ 3 (u - end)^2 sinks below the rounding of t f(u). Here
+    R(s) = (t f(end) - 1) - t sum_i w_i (delta (2 a_i + delta) + s) / (((u - d_i)^2 + s) a_i^2),
+    a_i = end - d_i, delta = u - end, and t f(end) - 1 within _CUSP_ROUNDING
+    of 0 counts as 0. R is decreasing, convex and nearly linear in s where
+    s is small, so a few steps from any start settle there, and a start
+    already solved in the bulk stays.
+    """
+    a_end = end[:, None] - nu.locations
+    delta = (u - end)[:, None]
+    at_end = t * np.sum(nu.weights / a_end**2, axis=1) - 1.0
+    at_end = np.where(at_end <= _CUSP_ROUNDING, 0.0, at_end)
+    for _ in range(_END_STEPS):
+        r = (a_end + delta) ** 2 + s[:, None]
+        lift = (delta * (2.0 * a_end + delta) + s[:, None]) / (r * a_end**2)
+        residual = at_end - t * np.sum(nu.weights * lift, axis=1)
+        s = np.maximum(s + residual / (t * np.sum(nu.weights / (r * r), axis=1)), 0.0)
+    return s
+
+
+def support_nodes(nu: AtomicMeasure, t: float, s, flatten: bool = False):
+    """Boundary values of the subordination map at nodes of the support of nu boxplus sigma_t.
+
+    The support is cut into pieces [a, b] in Biane's variable u: its
+    intervals, split at every minimum of f inside them, so that a cusp, or
+    the branch points of v_t near one, sit at an end of a piece. Node s in
+    [-1, 1] sits at u = a + (b - a) h(r), r = (1 + s) / 2, of each piece,
+    with h(r) = r. With ``flatten``, h' falls to 0 like 1 - (1 - r)^3 at an
+    end that is a minimum of f, so u meets it quadratically in s, as it
+    meets an edge quadratically in theta for s = cos theta: the midpoint
+    rule in theta then suits both. Returns (x, omega, omega1, dxds), each
+    with a row per piece and a column per node: x = psi_t(u),
+    omega = omega(x + i0) = u + i v_t(u), omega1 = omega'(x + i0) and
+    dxds = dpsi_t/du du/ds.
+    """
+    starts, ends, minima = _support_in_u(nu, t)
+    a = np.sort(np.concatenate([starts, minima]))
+    b = np.sort(np.concatenate([minima, ends]))
+    # 1.0 at the ends to flatten, 0.0 elsewhere
+    flat_a, flat_b = (float(flatten) * np.isin(e, minima)[:, None] for e in (a, b))
+    k, r = _FLAT_ORDER, 0.5 * (1.0 + np.asarray(s, dtype=float))
+    norm = 1.0 - (flat_a + flat_b) / (k + 1)
+    h = (r - flat_a * (1.0 - (1.0 - r) ** (k + 1)) / (k + 1) - flat_b * r ** (k + 1) / (k + 1)) / norm
+    duds = (0.5 * (b - a)[:, None] * (1.0 - flat_a * (1.0 - r) ** k - flat_b * r**k) / norm).ravel()
+    u = (a[:, None] + (b - a)[:, None] * h).ravel()
+    end = np.where(r < 0.5, a[:, None], b[:, None]).ravel()
+    v2 = _biane_v2_from_end(nu, t, u, end, _biane_v2(nu, t, u))
+    omega = u + 1j * np.sqrt(v2)
+    # 1 - t G_nu'(omega) = 2 i t v_t sum_i w_i / (|omega - d_i|^2 (omega - d_i)), since
+    # sum_i w_i / |omega - d_i|^2 = 1/t: no cancellation near an edge or a cusp.
+    # At an end itself (s = -1 or 1) v_t = 0 and omega' is infinite.
+    a_u = omega[:, None] - nu.locations
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega1 = 1.0 / (2j * t * omega.imag * np.sum(nu.weights / (abs(a_u) ** 2 * a_u), axis=1))
+    dxds = 2.0 * t * duds * _biane_slope(nu, u, v2)
+    return tuple(q.reshape(a.size, -1) for q in (_biane_psi(nu, t, u, v2), omega, omega1, dxds))
 
 
 def support_window(nu: AtomicMeasure, v: float) -> tuple[float, float]:
@@ -403,23 +485,19 @@ def integrate_against_rho(nu: AtomicMeasure, v: float, phi) -> float:
 
     Integrates in Biane's variable u over the exact support intervals, with
     x = psi_t(u) and, by implicit differentiation of v_t,
-    rho(x) dx = (2/pi) v_t (v_t^2 S_2 + S_a^2 / S_2) du, where
-    S_2 = sum_i w_i / r_i^2, S_a = sum_i w_i (u - d_i) / r_i^2 and
-    r_i = (u - d_i)^2 + v_t^2. ``phi`` is called on arrays of points.
+    rho(x) dx = (2/pi) v_t (v_t^2 S_2 + S_a^2 / S_2) du (``_biane_slope``).
+    ``phi`` is called on arrays of points.
     """
     if v <= 0:
         raise ValueError("v must be positive")
 
     def integrand(u):
         s = _biane_v2(nu, v, u)
-        a = u[:, None] - nu.locations
-        r2 = (a * a + s[:, None]) ** 2
-        s_2 = np.sum(nu.weights / r2, axis=1)
-        s_a = np.sum(nu.weights * a / r2, axis=1)
-        weight = (2.0 / math.pi) * np.sqrt(s) * (s * s_2 + s_a * s_a / s_2)
+        weight = (2.0 / math.pi) * np.sqrt(s) * _biane_slope(nu, u, s)
         return weight * np.asarray(phi(_biane_psi(nu, v, u, s)), dtype=float)
 
-    value, _ = gauss_kronrod(integrand, *_support_in_u(nu, v), epsabs=1e-8, epsrel=1e-8, limit=250)
+    starts, ends, _ = _support_in_u(nu, v)
+    value, _ = gauss_kronrod(integrand, starts, ends, epsabs=1e-8, epsrel=1e-8, limit=250)
     return value
 
 
@@ -479,23 +557,20 @@ def _gk21(fx: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.
     return resk * half, err
 
 
-def gauss_kronrod_rounds(a, b, epsabs: float, epsrel: float, limit: int):
-    """Adaptive 21-point Gauss-Kronrod quadrature over the intervals [a_k, b_k],
-    as a generator of rounds.
+def gauss_kronrod(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+    """Adaptive 21-point Gauss-Kronrod quadrature of ``f`` over the intervals [a_k, b_k].
 
-    Each round yields a 1-d array of new nodes and must be sent back the
-    integrand's values there; the generator returns (integral, error
-    estimate) over the union of the intervals. Each interval gets QUADPACK's
-    rule and error estimate; each round then bisects together the fewest
-    largest-error intervals whose errors must go for the rest to meet
-    max(epsabs, epsrel * |integral|). Rounds stop when the summed error
-    meets that tolerance or there are ``limit`` intervals. A caller can so
-    drive several integrations at once and evaluate all their nodes of a
-    round together; ``gauss_kronrod`` drives one.
+    ``f`` maps a 1-d array of points to the array of its values. Each
+    interval gets QUADPACK's rule and error estimate; each round then
+    bisects together the fewest largest-error intervals whose errors must go
+    for the rest to meet max(epsabs, epsrel * |integral|), and ``f`` sees all
+    new nodes of a round in one call. Rounds stop when the summed error meets
+    that tolerance or there are ``limit`` intervals. Returns the integral
+    over the union of the intervals and its error estimate.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    value, err = _gk21((yield _gk21_nodes(a, b)), a, b)
+    value, err = _gk21(f(_gk21_nodes(a, b)), a, b)
     while a.size < limit:
         tol = max(epsabs, epsrel * abs(value.sum()))
         total = err.sum()
@@ -509,24 +584,8 @@ def gauss_kronrod_rounds(a, b, epsabs: float, epsrel: float, limit: int):
         keep[pick] = False
         mid = 0.5 * (a[pick] + b[pick])
         new_a, new_b = np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]])
-        new_value, new_err = _gk21((yield _gk21_nodes(new_a, new_b)), new_a, new_b)
+        new_value, new_err = _gk21(f(_gk21_nodes(new_a, new_b)), new_a, new_b)
         a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
     return float(value.sum()), float(err.sum())
-
-
-def gauss_kronrod(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
-    """Adaptive 21-point Gauss-Kronrod quadrature of ``f`` over the intervals [a_k, b_k].
-
-    ``f`` maps a 1-d array of points to the array of its values and sees all
-    new nodes of a round (``gauss_kronrod_rounds``) in one call. Returns the
-    integral over the union of the intervals and its error estimate.
-    """
-    rounds = gauss_kronrod_rounds(a, b, epsabs, epsrel, limit)
-    nodes = next(rounds)
-    while True:
-        try:
-            nodes = rounds.send(f(nodes))
-        except StopIteration as done:
-            return done.value

@@ -34,14 +34,13 @@ class TestFunction:
     """Evaluable test function with metadata used by the extension pipeline.
 
     ``poles`` carries an exact resolvent representation
-    phi(x) = sum_j coeff_j / (z_j - x) when one exists (then no least-squares
-    fit is ever needed); ``regularity`` is the claimed smoothness order.
+    phi(x) = sum_j coeff_j / (z_j - x) when one exists (then the variance
+    needs no quadrature); ``regularity`` is the claimed smoothness order.
     """
 
     fn_id: str
     fn: Callable[[np.ndarray], np.ndarray]
     is_real: bool
-    support: tuple[float, float] | None = None
     regularity: float | None = None
     poles: tuple[tuple[complex, complex], ...] | None = None
 
@@ -98,7 +97,6 @@ def smooth_bump(center: float, width: float, order: int, fn_id: str | None = Non
         fn_id=fn_id or f"bump(c={center:g},w={width:g},k={order})",
         fn=fn,
         is_real=True,
-        support=(center - width, center + width),
         regularity=float(order),
     )
 
@@ -146,7 +144,6 @@ def capped_polynomial(
         fn_id=fn_id or f"capped_poly(deg={len(c)-1},[{a:g},{b:g}],k={order})",
         fn=fn,
         is_real=True,
-        support=(a - w, b + w),
         regularity=float(order),
     )
 
@@ -168,7 +165,6 @@ def from_grid(xs, values, fn_id: str, is_real: bool = True) -> TestFunction:
         fn_id=fn_id,
         fn=fn,
         is_real=is_real,
-        support=(float(xs[0]), float(xs[-1])),
         regularity=0.0,
     )
 
@@ -177,14 +173,10 @@ def from_callable(
     f: Callable,
     fn_id: str,
     is_real: bool = True,
-    support: tuple[float, float] | None = None,
     regularity: float | None = None,
 ) -> TestFunction:
     fn = f if _accepts_array(f) else np.vectorize(f)
-    return TestFunction(
-        fn_id=fn_id, fn=fn, is_real=is_real,
-        support=support, regularity=regularity,
-    )
+    return TestFunction(fn_id=fn_id, fn=fn, is_real=is_real, regularity=regularity)
 
 
 def _accepts_array(f) -> bool:

@@ -2,8 +2,8 @@
 
 Implements the limiting bias beta(z), the covariance kernel Gamma(z1, z2),
 their specializations to the undeformed (semicircle) case, the finite-N bias
-bound, and the extension of bias/variance functionals from the resolvent span
-to more general test functions. The functions of z take a scalar z, giving a
+bound, and the bias and variance of a general real test function, integrated
+over the spectral support. The functions of z take a scalar z, giving a
 Python number, or an array of z, giving an array of its shape.
 """
 
@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, RepresentationError, SingularityError
-from .freeconv import (
-    AtomicMeasure,
-    SubordinationSolution,
-    gauss_kronrod_rounds,
-    solve_pastur_array,
-    support_window,
-)
+from .errors import (AccuracyError, DomainError, ParameterError, RepresentationError,
+                     SingularityError)
+from .freeconv import AtomicMeasure, SubordinationSolution, solve_pastur_array, support_nodes
 
 __all__ = [
     "FluctuationParams",
@@ -34,25 +29,15 @@ __all__ = [
     "bao_xie_b0",
     "bao_xie_c0",
     "bias_bound",
-    "ExtrapolatedValue",
+    "ExtensionValue",
     "extend_bias",
-    "VarianceExtension",
     "extend_variance",
 ]
 
 KERNEL_MARGIN = 1e-6
 _DENOM_GUARD = 1e-10
-# extend_bias integrates at these heights, halving down to 1e-3
-_Y_SCHEDULE = (0.256, 0.128, 0.064, 0.032, 0.016, 0.008, 0.004, 0.002, 0.001)
-# extend_variance's resolvent-span fit: poles at each height over
-# _POLE_COLUMNS real parts, _FIT_POINTS points of the support window and a
-# ridge; a fit whose residual exceeds _MAX_FIT_RESIDUAL * max(1, max |phi|)
-# there is rejected
-_POLE_COLUMNS = 16
-_POLE_HEIGHTS = (0.25, 0.5, 1.0)
-_FIT_POINTS = 801
-_FIT_RIDGE = 1e-7
-_MAX_FIT_RESIDUAL = 5e-2
+# rows of the variance's kernel matrix held at once, which bounds its memory
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,23 +141,33 @@ def _flat_pairs(z1, z2):
     return z1.shape, z1.ravel(), z2.ravel()
 
 
-def _pair_terms(params: FluctuationParams, z1: np.ndarray, z2: np.ndarray):
-    """I = J_11, D1 = -omega'(z1) J_21, D2 = -omega'(z2) J_12, D12 = omega'(z1) omega'(z2) J_22.
+def _side(params: FluctuationParams, omega, omega1):
+    """One side of ``_kernel`` for a 1-d array of points, given by omega and
+    omega' there: (1 / (omega - d_i), 1 / (omega - d_i)^2, omega')."""
+    inv = 1.0 / (omega[:, None] - params.nu.locations)
+    return inv, inv * inv, omega1
 
-    J_pq = sum_i nu_i (w1 - d_i)^-p (w2 - d_i)^-q at each pair of two flat
-    arrays of z, from one solve and matrix products over their distinct z.
+
+def _kernel(params: FluctuationParams, a, b):
+    """I = J_11, Gamma and its distance to the branch points at every pair of
+    a point of side a and a point of side b (each from ``_side``), as matrices
+    with a row per a and a column per b, where
+    J_pq = sum_i nu_i (omega_a - d_i)^-p (omega_b - d_i)^-q.
     """
-    distinct, index = np.unique(np.concatenate([z1, z2]), return_inverse=True)
-    sol = params.solve(distinct)
-    a, b = index[:z1.size], index[z1.size:]
-    inv = 1.0 / (sol.omega[:, None] - params.nu.locations)
-    inv2 = inv * inv
-    w = params.nu.weights
-    i00 = ((w * inv) @ inv.T)[a, b]
-    d1 = -sol.omega1[a] * ((w * inv2) @ inv.T)[a, b]
-    d2 = -sol.omega1[b] * ((w * inv) @ inv2.T)[a, b]
-    d12 = sol.omega1[a] * sol.omega1[b] * ((w * inv2) @ inv2.T)[a, b]
-    return i00, d1, d2, d12
+    p, w = params, params.nu.weights
+    inv_a, inv_a2, omega1_a = a
+    inv_b, inv_b2, omega1_b = b
+    i00 = (w * inv_a) @ inv_b.T
+    d1 = -omega1_a[:, None] * ((w * inv_a2) @ inv_b.T)
+    d2 = -omega1_b[None, :] * ((w * inv_a) @ inv_b2.T)
+    d12 = omega1_a[:, None] * omega1_b[None, :] * ((w * inv_a2) @ inv_b2.T)
+    den_s = 1.0 - p.sigma2 * i00
+    den_t = 1.0 - p.tau * i00
+    gamma = (p.s2 - p.sigma2 - p.tau) * d12
+    gamma += p.kappa * (d1 * d2 + i00 * d12)
+    gamma += p.sigma2 * d12 / den_s + p.sigma2**2 * d1 * d2 / den_s**2
+    gamma += p.tau * d12 / den_t + p.tau**2 * d1 * d2 / den_t**2
+    return i00, gamma, np.minimum(np.abs(den_s), np.abs(den_t))
 
 
 def gamma_kernel(params: FluctuationParams, z1, z2) -> KernelValue:
@@ -185,15 +180,12 @@ def gamma_kernel(params: FluctuationParams, z1, z2) -> KernelValue:
     point are flagged invalid rather than continued.
     """
     shape, z1, z2 = _flat_pairs(z1, z2)
-    i00, d1, d2, d12 = _pair_terms(params, z1, z2)
-    p = params
-    den_s = 1.0 - p.sigma2 * i00
-    den_t = 1.0 - p.tau * i00
-    gamma = (p.s2 - p.sigma2 - p.tau) * d12
-    gamma += p.kappa * (d1 * d2 + i00 * d12)
-    gamma += p.sigma2 * d12 / den_s + p.sigma2**2 * d1 * d2 / den_s**2
-    gamma += p.tau * d12 / den_t + p.tau**2 * d1 * d2 / den_t**2
-    margin = np.minimum(np.abs(den_s), np.abs(den_t))
+    distinct, index = np.unique(np.concatenate([z1, z2]), return_inverse=True)
+    sol = params.solve(distinct)
+    a, b = index[:z1.size], index[z1.size:]
+    side = _side(params, sol.omega, sol.omega1)
+    kernel = _kernel(params, side, side)
+    i00, gamma, margin = (m[a, b] for m in kernel)
     return KernelValue(z1=_shaped(z1, shape), z2=_shaped(z2, shape), I=_shaped(i00, shape),
                        gamma=_shaped(gamma, shape), branch_margin=_shaped(margin, shape))
 
@@ -204,16 +196,14 @@ def gamma_primitive(params: FluctuationParams, z1, z2):
     Takes z1, z2 as ``gamma_kernel``. Uses principal branches for both logarithms.
     """
     shape, z1, z2 = _flat_pairs(z1, z2)
-    i00, _, _, _ = _pair_terms(params, z1, z2)
-    den_s = 1.0 - params.sigma2 * i00
-    den_t = 1.0 - params.tau * i00
-    near = np.minimum(np.abs(den_s), np.abs(den_t)) < KERNEL_MARGIN
-    if np.any(near):
-        k = np.flatnonzero(near)[0]
+    kv = gamma_kernel(params, z1, z2)
+    if not np.all(kv.valid):
+        k = np.flatnonzero(~kv.valid)[0]
         raise SingularityError(f"primitive too close to a branch point at {z1[k]}, {z2[k]}")
+    i00 = kv.I
     value = (params.s2 - params.sigma2 - params.tau) * i00
     value += 0.5 * params.kappa * i00**2
-    value -= np.log(den_s) + np.log(den_t)
+    value -= np.log(1.0 - params.sigma2 * i00) + np.log(1.0 - params.tau * i00)
     return _shaped(value, shape)
 
 
@@ -293,137 +283,104 @@ def bias_bound(params: FluctuationParams, z):
 
 
 @dataclass(frozen=True)
-class ExtrapolatedValue:
+class ExtensionValue:
+    """Value of an extension to a general test function, with its error."""
+
     value: float
     error: float
 
 
-def _neville_zero(steps, values):
-    n = len(values)
-    p = list(values)
-    estimates = [p[-1]]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            s_i, s_prev = steps[i], steps[i - level]
-            p[i] = (s_prev * p[i] - s_i * p[i - 1]) / (s_prev - s_i)
-        estimates.append(p[-1])
-    return estimates
+def _doubling(rule, rate: float = 0.0) -> ExtensionValue:
+    """Run a quadrature rule(n) -> (value, sum of |terms|) at n = 32, 64, ... nodes per
+    support piece until a value's error is within 1e-9 * max(1, |value|), and return
+    both. The error is the change from the value before; or ``rate`` (a bound on how
+    far the rule's error shrinks per doubling) times the change before that; or, as
+    kernels lose digits near their singularities, n * eps * sum |terms|: whichever is
+    largest. Raises RepresentationError past 1024 nodes."""
+    n, (last, _) = 32, rule(32)
+    change = math.inf if rate else 0.0  # nothing before the first change bounds it
+    while n < 1024:
+        n *= 2
+        value, magnitude = rule(n)
+        change, before = abs(value - last), change
+        error = max(change, rate * before, n * np.finfo(float).eps * magnitude)
+        if error <= 1e-9 * max(1.0, abs(value)):
+            return ExtensionValue(value=value, error=error)
+        last = value
+    raise RepresentationError(
+        f"values at {n // 2} and {n} nodes per support piece still differ by {change:.3e}")
 
 
-def _integration_window(params: FluctuationParams, phi) -> tuple[float, float]:
-    support = getattr(phi, "support", None)
-    if support is not None:
-        return float(support[0]), float(support[1])
-    lo, hi = params.nu.support
-    pad = 2.0 * math.sqrt(params.sigma2) + 50.0
-    return lo - pad, hi + pad
+def _bias_primitive(params: FluctuationParams, omega):
+    """B = [(s2 - sigma2 - tau) q + log(1 + tau q) - kappa q^2 / 2] / 2 at q = G_nu'(omega),
+    elementwise over an array of omega = omega(z); dB/dz = beta(z), as omega' = 1/(1 + sigma2 q).
+    """
+    p = params
+    q = -np.sum(p.nu.weights / (omega[..., None] - p.nu.locations) ** 2, axis=-1)
+    return 0.5 * ((p.s2 - p.sigma2 - p.tau) * q + np.log(1.0 + p.tau * q) - 0.5 * p.kappa * q * q)
 
 
-def extend_bias(
-    params: FluctuationParams,
-    phi,
-    window: tuple[float, float] | None = None,
-) -> ExtrapolatedValue:
+def extend_bias(params: FluctuationParams, phi,
+                window: tuple[float, float] | None = None) -> ExtensionValue:
     """Bias functional on a general real test function.
 
-    Extends the bias from the resolvent span by Stieltjes inversion of the
-    limiting bias: b(phi) = -(1/pi) lim_y integral phi(x) Im beta(x+iy) dx,
-    extrapolated to y = 0 in sqrt(y) from heights y = 0.256 halving down to
-    1e-3. Each height's integral is its own adaptive 21-point Gauss-Kronrod
-    quadrature (``freeconv.gauss_kronrod_rounds``: absolute tolerance 1e-10,
-    relative 1e-9, at most 300 subintervals), and the heights run in
-    lockstep: each round solves the fixed point at the new nodes of every
-    height still refining in one ``beta`` call, which gives every node the
-    bits a solve of that height alone would. ``phi`` is called on arrays of
-    points. Returns the value and its ``error``, the larger of the last two
-    Neville corrections: an estimate of the error of extrapolating to y = 0,
-    which leaves out the quadratures' own error (about 1e-9 relative).
+    b(phi) = (1/pi) integral over the spectral support S of
+    phi'(x) Im B(x + i0) dx, where B (``_bias_primitive``) has dB/dz = beta
+    and is real off S, so the edge masses of the bias are included. On each
+    support piece of ``freeconv.support_nodes``, s = cos theta; the
+    integral runs over theta by n-point Gauss-Legendre, and
+    phi'(x) dx = d(phi o psi_t) comes from the Chebyshev interpolant of
+    phi o psi_t at n points, so ``phi`` (called on arrays of points) needs
+    no derivative. n doubles as ``_doubling`` says. ``window``, if given,
+    sets no range: it must contain S, else DomainError is raised.
     """
-    a, b = window if window is not None else _integration_window(params, phi)
-    lo, hi = params.nu.support
-    left, right = support_window(params.nu, params.sigma2)
-    breaks = [x for x in (left, lo, hi, right) if a < x < b]
-    edges = np.array([a, *breaks, b])
+    nu, t = params.nu, params.sigma2
+    if window is not None:
+        x = support_nodes(nu, t, [-1.0, 1.0])[0]
+        lo, hi = x[0, 0], x[-1, -1]
+        if not (window[0] <= lo and hi <= window[1]):
+            raise DomainError(f"window {tuple(window)} does not contain the support [{lo}, {hi}]")
 
-    rounds = {y: gauss_kronrod_rounds(edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9, limit=300)
-              for y in _Y_SCHEDULE}
-    nodes = {y: next(g) for y, g in rounds.items()}
-    integrals = {}
-    while nodes:
-        x = np.concatenate(list(nodes.values()))
-        heights = np.concatenate([np.full(xs.size, y) for y, xs in nodes.items()])
-        values = np.real(phi(x)) * beta(params, x + 1j * heights).imag
-        ends = np.cumsum([xs.size for xs in nodes.values()])
-        for y, fx in zip(list(nodes), np.split(values, ends[:-1])):
-            try:
-                nodes[y] = rounds[y].send(fx)
-            except StopIteration as done:
-                integrals[y], _ = done.value
-                del nodes[y]
-    levels = [-integrals[y] / math.pi for y in _Y_SCHEDULE]
-    steps = [math.sqrt(y) for y in _Y_SCHEDULE]
-    estimates = _neville_zero(steps, levels)
-    corrections = [abs(estimates[k] - estimates[k - 1]) for k in range(1, len(estimates))]
-    err = max(corrections[-2:], default=0.0)
-    scale = max(abs(estimates[-1]), 1.0)
-    if len(corrections) >= 3 and corrections[-1] > 10.0 * corrections[-3] + 1e-12 * scale:
-        raise AccuracyError("bias extrapolation diverges along the y schedule")
-    return ExtrapolatedValue(value=estimates[-1], error=err)
+    def rule(n):
+        m = np.arange(n)
+        cheb = np.pi * (m + 0.5) / n
+        g, w = np.polynomial.legendre.leggauss(n)
+        theta = 0.5 * np.pi * (g + 1.0)
+        x, omega, _, _ = support_nodes(nu, t, np.cos(np.concatenate([cheb, theta])))
+        # phi o psi_t = sum_j c_j cos(j theta) at s = cos theta;
+        # up the piece theta runs from pi to 0, so d(phi o psi_t) there is
+        # sum_j j c_j sin(j theta) d theta over theta from 0 to pi
+        c = (2.0 / n) * np.real(phi(x[:, :n])) @ np.cos(np.outer(cheb, m))
+        slope = c @ (m[:, None] * np.sin(np.outer(m, theta)))
+        terms = 0.5 * w * slope * _bias_primitive(params, omega[:, n:]).imag
+        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+    return _doubling(rule)
 
 
-@dataclass(frozen=True)
-class VarianceExtension:
-    """Variance of a general test function via its resolvent-span projection."""
-
-    value: float
-    fit_residual: float
-
-
-def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
+def extend_variance(params: FluctuationParams, phi) -> ExtensionValue:
     """Variance functional on a real test function.
 
-    If the function carries an exact resolvent representation it is used
-    directly; otherwise phi is least-squares fitted on the resolvent span
-    over a pole grid (conjugate poles included so the combination is real)
-    at points of ``support_window``, since the limit variance depends on phi
-    only on the spectral support. The variance is the non-conjugated
-    bilinear evaluation V = sum_jk c_j c_k Gamma(z_j, z_k), summed from one
-    ``gamma_kernel`` matrix over all pole pairs.
+    A function that carries exact resolvent poles gets the bilinear
+    evaluation V = sum_jk c_j c_k Gamma(z_j, z_k) from one ``gamma_kernel``
+    matrix, with error 0. Any other gets
 
-    The fit is ridge-regularized: a representation is only meaningful for
-    the bilinear form when its coefficients stay bounded, otherwise huge
-    cancelling resolvent combinations match phi pointwise while their
-    variance diverges.
+        V = (1/4 pi^2) integral over S x S of (phi(x) - phi(y))^2
+            Re[Gamma(x + i0, y + i0) - Gamma(x + i0, y - i0)] dx dy,
+
+    S the spectral support. On each support piece of
+    ``freeconv.support_nodes``, flattened at the ends that are not edges,
+    s = cos theta, and the midpoint rule in theta takes x on n nodes and y
+    on n + 2, which share no node: the diagonal, where the kernel is
+    singular, is never evaluated. At a flattened end the rule converges
+    like n^-4, and its error may change sign on the way, so n doubles as
+    ``_doubling`` says at a rate of 1/16; a function of infinite variance
+    raises RepresentationError.
     """
     exact = getattr(phi, "poles", None)
-    if exact is not None:
-        zs, cs = np.array(exact, dtype=complex).T
-        residual = 0.0
-    else:
-        left, right = support_window(params.nu, params.sigma2)
-        grid = (np.linspace(left - 0.5, right + 0.5, _POLE_COLUMNS)
-                + 1j * np.array(_POLE_HEIGHTS)[:, None]).ravel()
-        xs = np.linspace(left, right, _FIT_POINTS)
-        target = np.real(np.asarray(phi(xs), dtype=complex))
-        gz = 1.0 / (grid - xs[:, None])
-        design = np.stack([2.0 * gz.real, -2.0 * gz.imag], axis=2).reshape(xs.size, -1)
-        col_scale = np.linalg.norm(design, axis=0)
-        n_cols = design.shape[1]
-        augmented = np.vstack([design / col_scale, math.sqrt(_FIT_RIDGE) * np.eye(n_cols)])
-        rhs = np.concatenate([target, np.zeros(n_cols)])
-        sol = np.linalg.lstsq(augmented, rhs, rcond=None)[0] / col_scale
-        residual = float(np.max(np.abs(design @ sol - target)))
-        scale = max(1.0, float(np.max(np.abs(target))))
-        if residual > _MAX_FIT_RESIDUAL * scale:
-            raise RepresentationError(
-                f"resolvent-span fit residual {residual:.3e} exceeds "
-                f"{_MAX_FIT_RESIDUAL:.1e} * {scale:.3g}"
-            )
-        # each grid pole followed by its conjugate, with conjugate coefficients
-        c = sol.view(complex)
-        zs = np.stack([grid, grid.conj()], axis=1).ravel()
-        cs = np.stack([c, c.conj()], axis=1).ravel()
-
+    if exact is None:
+        return _doubling(lambda n: _axis_variance(params, phi, n), rate=1.0 / 16.0)
+    zs, cs = np.array(exact, dtype=complex).T
     kv = gamma_kernel(params, zs[:, None], zs[None, :])
     invalid = ~kv.valid
     if invalid.any():
@@ -437,4 +394,29 @@ def extend_variance(params: FluctuationParams, phi) -> VarianceExtension:
     rounding_scale = float(np.sum(np.abs(weights) * np.abs(kv.gamma)))
     if abs(total.imag) > 1e-12 * rounding_scale + 1e-10 * max(1.0, abs(total.real)):
         raise AccuracyError(f"variance has non-negligible imaginary part {total.imag:.3e}")
-    return VarianceExtension(value=total.real, fit_residual=residual)
+    return ExtensionValue(value=total.real, error=0.0)
+
+
+def _axis_variance(params: FluctuationParams, phi, n: int) -> tuple[float, float]:
+    """``extend_variance``'s double integral with x on n nodes per support
+    piece, and the sum of the absolute values of its terms."""
+
+    def grid(k):
+        theta = np.pi * (np.arange(k) + 0.5) / k
+        x, omega, omega1, dxds = support_nodes(params.nu, params.sigma2, np.cos(theta), flatten=True)
+        dx = np.sin(theta) * dxds / (2.0 * k)  # each measure carries 1/(2 pi)
+        side = _side(params, omega.ravel(), omega1.ravel())
+        return np.real(phi(x)).ravel(), side, dx.ravel()
+
+    fx, x_side, dx = grid(n)
+    fy, upper, dy = grid(n + 2)
+    lower = tuple(q.conj() for q in upper)
+    total = magnitude = 0.0
+    for r in range(0, fx.size, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        a = tuple(q[rows] for q in x_side)
+        kernel = _kernel(params, a, upper)[1] - _kernel(params, a, lower)[1]
+        terms = dx[rows, None] * (fx[rows, None] - fy) ** 2 * kernel.real * dy
+        total += terms.sum()
+        magnitude += np.abs(terms).sum()
+    return float(total), float(magnitude)

@@ -853,6 +853,31 @@ def test_words_not_a_list_of_strings_is_named(tmp_path, capsys, words):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,block", [("simulate", "plan"), ("density", "density")])
+@pytest.mark.parametrize("specs", [{}, 0, False, "", None, BUMP],
+                         ids=["empty_object", "zero", "false", "empty_string", "null", "one_spec"])
+def test_test_functions_not_a_list_is_named(tmp_path, capsys, command, block, specs):
+    cfg = write(tmp_path, "cfg.json", mutate(SMALL_CONFIGS[command], (block, "test_functions"),
+                                             specs))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {block}.test_functions must be a JSON list, not {specs!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,block", [("simulate", "plan"), ("density", "density")])
+@pytest.mark.parametrize("absent", [True, False])
+def test_test_functions_absent_or_empty_is_legal(tmp_path, command, block, absent):
+    payload = copy.deepcopy(SMALL_CONFIGS[command])
+    if absent:
+        del payload[block]["test_functions"]
+    else:
+        payload[block]["test_functions"] = []
+    cfg = write(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("values", [[], 2.0, ["x"], [1.0, True]])
 def test_generator_values_not_a_list_of_numbers_is_named(tmp_path, capsys, values):
     cfg = write(tmp_path, "cfg.json", {"infinitesimal": {

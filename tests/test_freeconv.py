@@ -20,6 +20,7 @@ from wignerlab.freeconv import (
     integrate_against_rho,
     solve_pastur,
     solve_pastur_array,
+    support_nodes,
     support_window,
 )
 
@@ -409,6 +410,46 @@ class TestBianeDensity:
         for x, value, error in zip(xs, est.value, est.error):
             scalar = density(CUSP, 0.5, x)
             assert (scalar.value, scalar.error) == (value, error)
+
+
+class TestSupportNodes:
+    def test_semicircle_closed_forms(self):
+        # at nu = delta_0, t = 1: u = x/2 on [-1, 1] and omega(x + i0) = (x + i sqrt(4 - x^2))/2
+        s = np.linspace(-0.95, 0.95, 9)
+        x, omega, omega1, dxds = support_nodes(AtomicMeasure.point_mass(0.0), 1.0, s)
+        np.testing.assert_allclose(x, [2.0 * s], atol=1e-12)
+        np.testing.assert_allclose(omega, [s + 1j * np.sqrt(1.0 - s * s)], atol=1e-12)
+        np.testing.assert_allclose(omega1, 1.0 / (1.0 - omega**-2), rtol=1e-12)
+        np.testing.assert_allclose(dxds, 2.0, rtol=1e-12)
+
+    def test_cusp_splits_the_support(self):
+        x, omega, _, _ = support_nodes(CUSP, 1.0, np.array([-1.0, 1.0]))
+        assert omega.shape == (2, 2)
+        assert omega[0, 1].real == pytest.approx(0.0, abs=1e-12)
+        assert omega[1, 0].real == pytest.approx(0.0, abs=1e-12)
+        # the support of (d-1 + d1)/2 boxplus s1 is [-3 sqrt(3)/2, 3 sqrt(3)/2]
+        edge = 1.5 * math.sqrt(3.0)
+        assert (x[0, 0], x[-1, -1]) == pytest.approx((-edge, edge))
+
+    @pytest.mark.parametrize("nu,t", [(CUSP, 0.5), (CUSP, 1.0), (AtomicMeasure.from_atoms(
+        [(-2.0, 0.3), (0.5, 0.2), (1.5, 0.5)]), 0.3)], ids=["gap", "cusp", "three_atoms"])
+    def test_boundary_values_of_the_fixed_point(self, nu, t):
+        s = np.linspace(-0.9, 0.9, 7)
+        x, omega, omega1, dxds = support_nodes(nu, t, s)
+        # omega(x + i0) solves x = omega + t G_nu(omega), and omega' = 1 / (1 + t G_nu'(omega));
+        # the solver just above the axis picks the branch (near a cusp it is off by
+        # omega' * 1e-10, which the nodes next to the cusp end make large)
+        inv = 1.0 / (omega[..., None] - nu.locations)
+        np.testing.assert_allclose(omega + t * np.sum(nu.weights * inv, axis=-1), x, atol=1e-12)
+        np.testing.assert_allclose(omega1, 1.0 / (1.0 - t * np.sum(nu.weights * inv**2, axis=-1)),
+                                   rtol=1e-9)
+        sol = solve_pastur_array(nu, t, x + 1e-10j)
+        np.testing.assert_allclose(omega, sol.omega, atol=1e-5)
+        # dx/ds against a central difference of x along the nodes, whose rounding
+        # is about eps |x| / h
+        h = 1e-6
+        slope = (support_nodes(nu, t, s + h)[0] - support_nodes(nu, t, s - h)[0]) / (2.0 * h)
+        np.testing.assert_allclose(dxds, slope, rtol=1e-7, atol=1e-9)
 
 
 class TestGaussKronrod:

@@ -7,8 +7,8 @@ from scipy.fft import dct
 from scipy.integrate import quad
 
 from wignerlab import testfn
-from wignerlab.errors import ParameterError, RepresentationError, SingularityError
-from wignerlab.freeconv import AtomicMeasure, gauss_kronrod, solve_pastur
+from wignerlab.errors import DomainError, ParameterError, RepresentationError, SingularityError
+from wignerlab.freeconv import AtomicMeasure, solve_pastur, solve_pastur_array, support_nodes
 from wignerlab.theory import (
     FluctuationParams,
     bao_xie_b0,
@@ -22,6 +22,7 @@ from wignerlab.theory import (
     gamma_primitive,
     semicircle_transform,
 )
+from wignerlab.theory import _bias_primitive
 
 DELTA0 = AtomicMeasure.point_mass(0.0)
 
@@ -214,48 +215,6 @@ class TestExtendBias:
         assert abs(r12.value - r1.value - r2.value) <= r1.error + r2.error + r12.error + 1e-6
 
 
-# extend_bias's heights, each integrated on its own in the reference below
-HEIGHTS = (0.256, 0.128, 0.064, 0.032, 0.016, 0.008, 0.004, 0.002, 0.001)
-
-
-def reference_extend_bias(p, phi):
-    """extend_bias as one adaptive integration per height, one after another,
-    then Neville extrapolation to y = 0 in sqrt(y); the error is the larger
-    of the last two corrections."""
-    a, b = phi.support
-    lo, hi = p.nu.support
-    pad = 2.0 * math.sqrt(p.sigma2)
-    edges = np.array([a, *[x for x in (lo - pad, lo, hi, hi + pad) if a < x < b], b])
-    levels = []
-    for y in HEIGHTS:
-        val, _ = gauss_kronrod(lambda x: np.real(phi(x)) * beta(p, x + 1j * y).imag,
-                               edges[:-1], edges[1:], epsabs=1e-10, epsrel=1e-9, limit=300)
-        levels.append(-val / math.pi)
-    steps = [math.sqrt(y) for y in HEIGHTS]
-    table, estimates = list(levels), [levels[-1]]
-    for level in range(1, len(levels)):
-        for i in range(len(levels) - 1, level - 1, -1):
-            s_i, s_prev = steps[i], steps[i - level]
-            table[i] = (s_prev * table[i] - s_i * table[i - 1]) / (s_prev - s_i)
-        estimates.append(table[-1])
-    return estimates[-1], max(abs(estimates[-1] - estimates[-2]),
-                              abs(estimates[-2] - estimates[-3]))
-
-
-class TestExtendBiasLockstep:
-    @pytest.mark.parametrize("p,phi", [
-        pytest.param(FluctuationParams(sigma2=1.0, s2=1.4, tau=0.6, kappa=-0.5, nu=DELTA0),
-                     testfn.smooth_bump(0.0, 1.5, 7), id="bulk_bump"),
-        pytest.param(goe_params(), testfn.smooth_bump(2.0, 1.0, 7), id="bump_across_edge"),
-        pytest.param(FluctuationParams(sigma2=1.0, s2=1.4, tau=0.6, kappa=-0.5,
-                                       nu=AtomicMeasure.from_atoms([(-1.0, 0.3), (1.5, 0.7)])),
-                     testfn.smooth_bump(0.5, 2.0, 3), id="two_atom_nu"),
-    ])
-    def test_equals_one_integration_per_height(self, p, phi):
-        got = extend_bias(p, phi)
-        assert (got.value, got.error) == reference_extend_bias(p, phi)
-
-
 def goe_bias(phi):
     """Limit GOE bias at nu = delta_0: (phi(2) + phi(-2))/4 - <phi(2 cos t)>_t / 2,
     the mean taken over t in [0, pi]."""
@@ -269,7 +228,76 @@ def goe_bias(phi):
 def test_extend_bias_error_covers_goe_closed_form(center, width):
     phi = testfn.smooth_bump(center, width, 7)
     got = extend_bias(goe_params(), phi)
-    assert abs(got.value - goe_bias(phi)) <= got.error
+    assert abs(got.value - goe_bias(phi)) <= min(got.error, 1e-10)
+
+
+@pytest.mark.parametrize("phi,tol", [
+    pytest.param(testfn.capped_polynomial([0.0, 0.0, 0.0, 0.0, 1.0], (-2.5, 2.5), order=7,
+                                          ramp=1.0), 1e-10, id="capped_x4"),
+    # measured 8.6e-12
+    pytest.param(testfn.smooth_bump(0.3, 0.8, 2), 2e-11, id="bump_order2"),
+])
+def test_extend_bias_goe_closed_form_beyond_bumps(phi, tol):
+    got = extend_bias(goe_params(), phi)
+    assert abs(got.value - goe_bias(phi)) <= min(got.error, tol)
+
+
+CUSP_NU = AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
+THREE_ATOMS = AtomicMeasure.from_atoms([(-2.0, 0.3), (0.5, 0.2), (1.5, 0.5)])
+# relative rounding of an exact-pole variance near the axis: up to 3e-13 at
+# Im z = 0.1 against a 40-digit evaluation of the same formula
+POLE_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("center", [0.0, 0.05])
+def test_extend_bias_error_covers_quad_at_a_cusp(center):
+    # nu = (delta_-1 + delta_1)/2 at sigma2 = 1: the density vanishes like
+    # |x|^(1/3) at 0. Oracle: quad in x of phi'(x) Im B(x + i0) / pi, with
+    # a break at the cusp and omega from the fixed point at Im z = 1e-12
+    p = FluctuationParams(sigma2=1.0, s2=1.4, tau=0.6, kappa=-0.5, nu=CUSP_NU)
+    width = 0.1
+
+    def integrand(x):
+        u = (x - center) / width
+        slope = -16.0 * u / width * (1.0 - u * u) ** 7
+        omega = solve_pastur_array(p.nu, p.sigma2, np.array([x + 1e-12j])).omega
+        return slope * _bias_primitive(p, omega)[0].imag
+
+    breaks = sorted({center - width, 0.0, center + width})
+    oracle = sum(quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+                 for a, b in zip(breaks, breaks[1:])) / math.pi
+    got = extend_bias(p, testfn.smooth_bump(center, width, 7))
+    assert abs(got.value - oracle) <= got.error
+
+
+@pytest.mark.parametrize("sigma2", [1.0005, 1.000001, 0.9995])
+def test_extend_bias_error_covers_quad_near_a_cusp(sigma2):
+    # above sigma2 = 1 the density of (delta_-1 + delta_1)/2 boxplus s_sigma2 has a
+    # small positive minimum at 0, and v_t branch points close to the axis there;
+    # below it, a gap around 0. Oracle as at the cusp, with breaks at the gap's ends.
+    p = FluctuationParams(sigma2=sigma2, s2=1.4, tau=0.6, kappa=-0.5, nu=CUSP_NU)
+    width = 0.1
+
+    def integrand(x):
+        u = x / width
+        slope = -16.0 * u / width * (1.0 - u * u) ** 7
+        omega = solve_pastur_array(p.nu, p.sigma2, np.array([x + 1e-12j])).omega
+        return slope * _bias_primitive(p, omega)[0].imag
+
+    x = support_nodes(p.nu, p.sigma2, [-1.0, 1.0])[0]
+    breaks = sorted({-width, width, *(e for e in x.ravel() if abs(e) < width)})
+    oracle = sum(quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+                 for a, b in zip(breaks, breaks[1:])) / math.pi
+    got = extend_bias(p, testfn.smooth_bump(0.0, width, 7))
+    assert abs(got.value - oracle) <= got.error
+
+
+def test_extend_bias_window_must_contain_the_support():
+    p = goe_params()
+    phi = testfn.smooth_bump(0.0, 1.0, 7)
+    assert extend_bias(p, phi, window=(-2.5, 2.5)) == extend_bias(p, phi)
+    with pytest.raises(DomainError, match="does not contain the support"):
+        extend_bias(p, phi, window=(-1.5, 3.0))
 
 
 class TestNonFiniteParameters:
@@ -292,12 +320,12 @@ class TestExtendVariance:
         expected = g(z, z) + 2.0 * g(z, z.conjugate()) + g(z.conjugate(), z.conjugate())
         assert abs(result.imag if hasattr(result, "imag") else 0.0) == 0.0
         assert result.value == pytest.approx(expected.real, rel=1e-12)
-        assert result.fit_residual == 0.0
+        assert result.error == 0.0
 
     def test_quadratic_scaling(self):
         p = gue_params()
         phi = testfn.smooth_bump(0.0, 1.5, 4)
-        double = testfn.from_callable(lambda x: 2.0 * phi(x), "2bump", support=(-1.5, 1.5))
+        double = testfn.from_callable(lambda x: 2.0 * phi(x), "2bump")
         v1 = extend_variance(p, phi)
         v2 = extend_variance(p, double)
         assert v2.value == pytest.approx(4.0 * v1.value, rel=1e-9)
@@ -314,14 +342,14 @@ class TestExtendVariance:
             assert res.value >= -1e-8 * max(1.0, abs(res.value))
 
     def test_fit_recovers_exact_span_value(self):
-        # fit a masked resolvent pair and compare to its exact bilinear value
+        # a resolvent pair without its poles goes through the quadrature
         p = rademacher_params(AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)]))
         z0 = 0.4 + 0.8j
         pair = testfn.real_resolvent_pair(z0)
         exact = extend_variance(p, pair).value
         masked = testfn.from_callable(lambda x: pair(x), "masked_pair")
         fitted = extend_variance(p, masked)
-        assert fitted.value == pytest.approx(exact, rel=1e-3)
+        assert fitted.value == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("nu", [
         DELTA0,
@@ -331,24 +359,64 @@ class TestExtendVariance:
     @pytest.mark.parametrize("s2,tau,kappa", [(1.0, 0.0, 0.0), (2.0, 1.0, 0.0), (1.0, 1.0, -2.0),
                                               (1.4, 0.6, -0.5), (0.7, -0.4, 1.2)])
     def test_fit_recovers_exact_pair_values(self, nu, s2, tau, kappa):
-        # nearer the axis (Im z <= 0.6) the fixed pole grid fits a pair less well
         p = FluctuationParams(sigma2=1.0, s2=s2, tau=tau, kappa=kappa, nu=nu)
         for z0 in (0.4 + 0.8j, 1.0 + 1.2j, -1.5 + 0.8j, 2.5 + 1.0j, -3.0 + 1.5j):
             pair = testfn.real_resolvent_pair(z0)
             masked = testfn.from_callable(lambda x: pair(x), "masked_pair")
             exact = extend_variance(p, pair).value
-            assert extend_variance(p, masked).value == pytest.approx(exact, rel=1e-4)
+            got = extend_variance(p, masked)
+            assert got.value == pytest.approx(exact, rel=1e-9, abs=1e-9)
+            assert abs(got.value - exact) <= got.error + POLE_ROUNDING * exact
+
+    @pytest.mark.parametrize("nu", [
+        DELTA0,
+        AtomicMeasure.from_atoms([(-0.9, 0.5), (0.9, 0.5)]),
+        THREE_ATOMS,
+        AtomicMeasure.from_atoms([(-3.0, 0.5), (3.0, 0.5)]),
+        CUSP_NU,
+    ], ids=["delta0", "pm0.9", "three_atoms", "gapped_pm3", "cusp"])
+    def test_quadrature_matches_exact_pairs_near_the_axis(self, nu):
+        # at Im z = 0.1 a pair is steep on the support: the hardest smooth case
+        p = FluctuationParams(sigma2=1.0, s2=1.4, tau=0.6, kappa=-0.5, nu=nu)
+        for z0 in (-2.5 + 0.1j, -0.5 + 0.1j, 0.95 + 0.1j, 1.5 + 0.3j):
+            pair = testfn.real_resolvent_pair(z0)
+            exact = extend_variance(p, pair).value
+            got = extend_variance(p, testfn.from_callable(lambda x: pair(x), "masked_pair"))
+            assert abs(got.value - exact) <= min(got.error, 1e-9 * exact) + POLE_ROUNDING * exact
+
+    @pytest.mark.parametrize("sigma2", [1.0005, 1.000001, 0.9995])
+    def test_quadrature_matches_exact_pairs_near_a_cusp(self, sigma2):
+        # branch points of v_t close to the axis (above sigma2 = 1) or a narrow
+        # gap (below it) at 0; a bump across 0 must converge as well
+        p = FluctuationParams(sigma2=sigma2, s2=1.4, tau=0.6, kappa=-0.5, nu=CUSP_NU)
+        for z0 in (0.1j, 0.05 + 0.1j, -0.5 + 0.1j, 0.3 + 0.5j):
+            pair = testfn.real_resolvent_pair(z0)
+            exact = extend_variance(p, pair).value
+            got = extend_variance(p, testfn.from_callable(lambda x: pair(x), "masked_pair"))
+            assert abs(got.value - exact) <= min(got.error, 1e-9 * exact) + POLE_ROUNDING * exact
+        bump = extend_variance(p, testfn.smooth_bump(0.0, 0.1, 7))
+        assert bump.value > 0.0 and bump.error <= 1e-9
+
+    @pytest.mark.parametrize("z0", [-3.5 + 0.3j, -0.5 + 0.3j, -3.5 + 0.6j])
+    def test_quadrature_matches_exact_pairs_where_the_fit_was_off(self, z0):
+        # pairs near the left edge and in the bulk of a two-piece support
+        p = gue_params(THREE_ATOMS)
+        pair = testfn.real_resolvent_pair(z0)
+        exact = extend_variance(p, pair).value
+        got = extend_variance(p, testfn.from_callable(lambda x: pair(x), "masked_pair"))
+        assert abs(got.value - exact) <= min(got.error, 1e-9 * exact) + POLE_ROUNDING * exact
 
     @pytest.mark.parametrize("phi,rel", [
-        pytest.param(testfn.smooth_bump(0.0, 1.5, 7), 2.5e-4, id="bump_bulk"),
-        pytest.param(testfn.smooth_bump(1.5, 1.0, 7), 2.5e-4, id="bump_right"),
-        pytest.param(testfn.smooth_bump(0.3, 0.8, 2), 2.5e-4, id="bump_order2"),
-        pytest.param(testfn.smooth_bump(2.5, 1.0, 7), 2.5e-4, id="bump_past_edge"),
-        pytest.param(testfn.smooth_bump(-1.9, 0.3, 7), 3e-3, id="bump_narrow_edge"),
+        pytest.param(testfn.smooth_bump(0.0, 1.5, 7), 1e-10, id="bump_bulk"),
+        pytest.param(testfn.smooth_bump(1.5, 1.0, 7), 1e-10, id="bump_right"),
+        # measured 1.1e-10: the order-2 bump converges like n^-3
+        pytest.param(testfn.smooth_bump(0.3, 0.8, 2), 2e-10, id="bump_order2"),
+        pytest.param(testfn.smooth_bump(2.5, 1.0, 7), 1e-10, id="bump_past_edge"),
+        pytest.param(testfn.smooth_bump(-1.9, 0.3, 7), 1e-10, id="bump_narrow_edge"),
         pytest.param(testfn.capped_polynomial([0.0, 0.0, 0.0, 0.0, 1.0], (-2.5, 2.5),
-                                              order=7, ramp=1.0), 2.5e-4, id="capped_x4"),
+                                              order=7, ramp=1.0), 1e-10, id="capped_x4"),
         pytest.param(testfn.capped_polynomial([1.0, -2.0, 0.0, 3.0], (-2.5, 2.5),
-                                              order=7, ramp=0.5), 2.5e-4, id="capped_cubic"),
+                                              order=7, ramp=0.5), 1e-10, id="capped_cubic"),
     ])
     def test_semicircle_closed_form(self, phi, rel):
         # Johansson: with phi(2 cos t) = sum_k a_k cos kt, the limit variance
@@ -358,15 +426,15 @@ class TestExtendVariance:
         t = math.pi * (np.arange(m) + 0.5) / m
         a = dct(phi(2.0 * np.cos(t)), type=2) / m
         chebyshev = float(np.sum(np.arange(m) * a * a))
-        assert extend_variance(gue_params(), phi).value == pytest.approx(chebyshev / 4, rel=rel)
-        assert extend_variance(goe_params(), phi).value == pytest.approx(chebyshev / 2, rel=rel)
+        for params, exact in ((gue_params(), chebyshev / 4), (goe_params(), chebyshev / 2)):
+            got = extend_variance(params, phi)
+            assert got.value == pytest.approx(exact, rel=rel)
+            assert abs(got.value - exact) <= got.error
 
     def test_representation_error_for_rough_function(self):
         p = gue_params()
         indicator = testfn.from_callable(
-            lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0), "indicator",
-            support=(-1.0, 1.0),
-        )
+            lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0), "indicator")
         with pytest.raises(RepresentationError):
             extend_variance(p, indicator)
 
@@ -486,3 +554,13 @@ class TestKernelProperties:
                 scalar = fn(p, zk)
                 assert type(scalar) is (float if fn is bias_bound else complex)
                 assert values[k, 0] == scalar
+
+
+@given(fluctuation_params(), spectral_points())
+def test_bias_primitive_differentiates_to_beta(p, z):
+    # fourth-order central differences along the real axis, step 1e-4
+    h = 1e-4
+    b = [_bias_primitive(p, p.solve(z + k * h).omega)[0] for k in (-2, -1, 1, 2)]
+    derivative = (b[0] - 8.0 * b[1] + 8.0 * b[2] - b[3]) / (12.0 * h)
+    expected = beta(p, z)
+    assert abs(derivative - expected) <= 1e-9 * max(1.0, abs(expected))
