@@ -1,22 +1,24 @@
 """Exact two-sided one-sample Kolmogorov-Smirnov test against a normal law.
 
 ``ks_normal(x, mean, sd)`` returns the statistic D_n = sup |F_n - Phi| of
-the sample ``x`` against N(mean, sd^2) and its exact p-value Pr(D_n >= D).
-The p-value follows Simard & L'Ecuyer, "Computing the Two-Sided
-Kolmogorov-Smirnov Distribution", J. Stat. Softw. 39(11), 2011: the
-Ruben-Gambino closed forms near the ends of the support, twice Smirnov's
-one-sided tail where the two-sided event splits, the Durbin matrix method
-in the form of Marsaglia, Tsang & Wang (J. Stat. Softw. 8(18), 2003), the
-Pomeranz recursion (CACM 17(12), 1974) and the Pelz-Good asymptotic series
-(JRSS B 38(2), 1976). Only the survival function is kept.
+a sample ``x`` of n > 140 points against N(mean, sd^2) and its exact
+p-value Pr(D_n >= D). The p-value follows Simard & L'Ecuyer, "Computing the
+Two-Sided Kolmogorov-Smirnov Distribution", J. Stat. Softw. 39(11), 2011:
+the Ruben-Gambino closed forms near the ends of the support, twice
+Smirnov's one-sided tail where the two-sided event splits, the Durbin matrix
+method in the form of Marsaglia, Tsang & Wang (J. Stat. Softw. 8(18), 2003)
+and the Pelz-Good asymptotic series (JRSS B 38(2), 1976). Smaller samples,
+for which they also use the Pomeranz recursion, are refused. Only the
+survival function is kept.
 
 The code is ported from ``scipy/stats/_ksstats.py`` of SciPy 1.17.1
-(``_kolmogn`` with ``cdf=False`` and the helpers it calls), with each
-branch's arithmetic, operation order and ``np.longdouble`` scaling kept, so
-D and the p-value equal those of SciPy's exact two-sided ``kstest`` bit for
-bit. The statistic is formed as SciPy's one-sample test forms it. Only the
-``scipy.special`` ufuncs ``ndtr`` and ``smirnov`` are used, which spares the
-caller the import of SciPy's statistics package. SciPy's licence:
+(``_kolmogn`` with ``cdf=False`` and the helpers it calls, less its n <= 140
+branches), with each branch's arithmetic, operation order and
+``np.longdouble`` scaling kept, so D and the p-value equal those of SciPy's
+exact two-sided ``kstest`` bit for bit. The statistic is formed as SciPy's
+one-sample test forms it. Only the ``scipy.special`` ufuncs ``ndtr`` and
+``smirnov`` are used, which spares the caller the import of SciPy's
+statistics package. SciPy's licence:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.
@@ -59,6 +61,7 @@ from scipy.special import ndtr, smirnov
 
 __all__ = ["ks_normal"]
 
+_MAX_SMALL_N = 140  # Simard & L'Ecuyer's small-sample methods stop here
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
 _EM128 = np.ldexp(np.longdouble(1), -_E128)
@@ -82,8 +85,11 @@ def ks_normal(x: np.ndarray, mean: float, sd: float) -> tuple[float, float]:
     """(D, p): the two-sided KS statistic of the sample ``x`` against
     N(mean, sd^2) and its exact p-value, which is 1 for D <= 1/(2n), where
     the law of D_n has no mass below. A sample holding a NaN, and any other
-    sample whose D is NaN, gives (nan, nan)."""
+    sample whose D is NaN, gives (nan, nan). Raises ValueError for a sample
+    of n <= 140 points."""
     n = x.shape[0]
+    if n <= _MAX_SMALL_N:
+        raise ValueError(f"the KS p-value needs more than {_MAX_SMALL_N} points, got {n}")
     cdfvals = ndtr((np.sort(x) - mean) / sd)
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
@@ -169,96 +175,6 @@ def _kolmogn_DMTW(n, d):
     return _clip_prob(p)
 
 
-def _pomeranz_compute_j1j2(i, n, ll, ceilf, roundf):
-    """Compute the endpoints of the interval for row i."""
-    if i == 0:
-        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
-    else:
-        # i + 1 = 2*ip1div2 + ip1mod2
-        ip1div2, ip1mod2 = divmod(i + 1, 2)
-        if ip1mod2 == 0:  # i is odd
-            if ip1div2 == n + 1:
-                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
-            else:
-                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
-        else:
-            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
-
-    return max(j1 + 2, 0), min(j2, n)
-
-
-def _kolmogn_Pomeranz(n, x):
-    """Pr(D_n <= x) by the Pomeranz recursion.
-
-    Each row of an n x (2n+2) matrix V is the convolution of the previous
-    row with (almost) Poisson probabilities, and the CDF is n! times the
-    last entry of the last row. Only two rows are kept, each with the few
-    contiguous entries that can be nonzero, scaled as needed.
-    """
-    t = n * x
-    ll = int(np.floor(t))
-    f = 1.0 * (t - ll)  # fractional part of t
-    g = min(f, 1.0 - f)
-    ceilf = (1 if f > 0 else 0)
-    roundf = (1 if f > 0.5 else 0)
-    npwrs = 2 * (ll + 1)    # Maximum number of powers needed in convolutions
-    gpower = np.empty(npwrs)  # gpower = (g/n)^m/m!
-    twogpower = np.empty(npwrs)  # twogpower = (2g/n)^m/m!
-    onem2gpower = np.empty(npwrs)  # onem2gpower = ((1-2g)/n)^m/m!
-
-    gpower[0] = 1.0
-    twogpower[0] = 1.0
-    onem2gpower[0] = 1.0
-    expnt = 0
-    g_over_n, two_g_over_n, one_minus_two_g_over_n = g/n, 2*g/n, (1 - 2*g)/n
-    for m in range(1, npwrs):
-        gpower[m] = gpower[m - 1] * g_over_n / m
-        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
-        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
-
-    V0 = np.zeros([npwrs])
-    V1 = np.zeros([npwrs])
-    V1[0] = 1  # first row
-    V0s, V1s = 0, 0  # start indices of the two rows
-
-    j1, j2 = _pomeranz_compute_j1j2(0, n, ll, ceilf, roundf)
-    for i in range(1, 2 * n + 2):
-        # Preserve j1, V1, V1s, V0s from last iteration
-        k1 = j1
-        V0, V1 = V1, V0
-        V0s, V1s = V1s, V0s
-        V1.fill(0.0)
-        j1, j2 = _pomeranz_compute_j1j2(i, n, ll, ceilf, roundf)
-        if i == 1 or i == 2 * n + 1:
-            pwrs = gpower
-        else:
-            pwrs = (twogpower if i % 2 else onem2gpower)
-        ln2 = j2 - k1 + 1
-        if ln2 > 0:
-            conv = np.convolve(V0[k1 - V0s:k1 - V0s + ln2], pwrs[:ln2])
-            conv_start = j1 - k1  # First index to use from conv
-            conv_len = j2 - j1 + 1  # Number of entries to use from conv
-            V1[:conv_len] = conv[conv_start:conv_start + conv_len]
-            # Scale to avoid underflow.
-            if 0 < np.max(V1) < _EM128:
-                V1 *= _EP128
-                expnt -= _E128
-            V1s = V0s + j1 - k1
-
-    # multiply by n!
-    ans = V1[n - V1s]
-    for m in range(1, n + 1):
-        if np.abs(ans) > _EP128:
-            ans *= _EM128
-            expnt += _E128
-        ans *= m
-
-    # Undo any intermediate scaling
-    if expnt != 0:
-        ans = np.ldexp(ans, expnt)
-    return _clip_prob(ans)
-
-
 def _kolmogn_PelzGood(n, x):
     """The Pelz-Good approximation to Pr(D_n <= x), 0 < x < 1.
 
@@ -330,7 +246,7 @@ def _kolmogn_PelzGood(n, x):
 
 
 def _kolmogn_sf(n, x):
-    """Pr(D_n >= x) for an integer n >= 1 and x > 0 a 0-d float64 array,
+    """Pr(D_n >= x) for an integer n > 140 and x > 0 a 0-d float64 array,
     with the method chosen as Simard & L'Ecuyer choose it."""
     if x >= 1.0:
         return 0.0
@@ -338,10 +254,7 @@ def _kolmogn_sf(n, x):
     if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
         if t <= 0.5:
             return 1.0
-        if n <= 140:
-            prob = np.prod(np.arange(1, n+1) * (1.0/n) * (2*t - 1))
-        else:
-            prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2*t-1))
+        prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2*t-1))
         return _clip_prob(1.0 - prob)
     if t >= n - 1:  # Ruben-Gambino
         return _clip_prob(2 * (1.0 - x)**n)
@@ -349,14 +262,6 @@ def _kolmogn_sf(n, x):
         return _clip_prob(2 * smirnov(n, x))
 
     nxsquared = t * x
-    if n <= 140:
-        if nxsquared <= 0.754693:
-            return _clip_prob(1.0 - _kolmogn_DMTW(n, x))
-        if nxsquared <= 4:
-            return _clip_prob(1.0 - _kolmogn_Pomeranz(n, x))
-        # Now use Miller approximation of 2*smirnov
-        return _clip_prob(2 * smirnov(n, x))
-
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:

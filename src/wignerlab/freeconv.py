@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, EdgeSingularityError, SolverError
+from .errors import AccuracyError, DomainError, EdgeSingularityError, SolverError
 
 __all__ = [
     "AtomicMeasure",
@@ -43,6 +43,8 @@ _CUSP_ROUNDING = 1e-12  # t f(end) - 1 at an end of a support piece that counts 
 _FLAT_ORDER = 3  # support_nodes: 1 - h' ~ (1 - r)^3 away from an end it flattens at
 _END_STEPS = 4  # Newton steps of _biane_v2_from_end
 _MAX_NEWTON = 100
+_RHO_TOL = 1e-8  # absolute and relative target of integrate_against_rho
+_RHO_INTERVALS = 2000  # its interval limit
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
@@ -486,7 +488,9 @@ def integrate_against_rho(nu: AtomicMeasure, v: float, phi) -> float:
     Integrates in Biane's variable u over the exact support intervals, with
     x = psi_t(u) and, by implicit differentiation of v_t,
     rho(x) dx = (2/pi) v_t (v_t^2 S_2 + S_a^2 / S_2) du (``_biane_slope``).
-    ``phi`` is called on arrays of points.
+    ``phi`` is called on arrays of points. Raises AccuracyError when the
+    quadrature's error estimate is still above max(1e-8, 1e-8 |value|) at
+    2000 intervals.
     """
     if v <= 0:
         raise ValueError("v must be positive")
@@ -497,7 +501,11 @@ def integrate_against_rho(nu: AtomicMeasure, v: float, phi) -> float:
         return weight * np.asarray(phi(_biane_psi(nu, v, u, s)), dtype=float)
 
     starts, ends, _ = _support_in_u(nu, v)
-    value, _ = gauss_kronrod(integrand, starts, ends, epsabs=1e-8, epsrel=1e-8, limit=250)
+    value, error = gauss_kronrod(integrand, starts, ends, epsabs=_RHO_TOL, epsrel=_RHO_TOL,
+                                 limit=_RHO_INTERVALS)
+    if error > max(_RHO_TOL, _RHO_TOL * abs(value)):
+        raise AccuracyError(f"integral against rho did not converge: {value!r} with "
+                            f"error estimate {error:.3g} at {_RHO_INTERVALS} intervals")
     return value
 
 

@@ -154,7 +154,9 @@ class EstimatorReport:
     Keeping the samples makes the report self-contained: normality and
     variance checks recompute from it. Serialization follows the dataclass
     fields and round-trips losslessly (complex numbers as [re, im] pairs,
-    floats via repr).
+    floats via repr). ``from_json`` ignores keys that are not fields, such
+    as the ``normality`` rows that older reports carry: ``normality_check``
+    computes those rows.
     """
 
     master_seed: int
@@ -165,7 +167,6 @@ class EstimatorReport:
     truncation: float | None
     per_z: tuple[ZStat, ...]
     pairs: tuple[PairStat, ...]
-    normality: tuple[NormalitySummary, ...]
     testfn_means: dict
     tr_samples: np.ndarray  # (M, Z) complex
     fn_samples: dict        # fn_id -> (M,) complex array
@@ -186,7 +187,6 @@ class EstimatorReport:
             truncation=d["truncation"],
             per_z=tuple(_decode(ZStat, s) for s in d["per_z"]),
             pairs=tuple(_decode(PairStat, p) for p in d["pairs"]),
-            normality=tuple(_decode(NormalitySummary, s) for s in d["normality"]),
             testfn_means={
                 k: {"mean": complex(*v["mean"]), "se": v["se"]}
                 for k, v in d["testfn_means"].items()
@@ -287,7 +287,8 @@ def _normality_summary(stat_id: str, x: np.ndarray) -> NormalitySummary:
     skew = c3 / c2**1.5
     kurt = c4 / c2**2 - 3.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # leave-one-out moments degenerate for tiny m; NaN SEs are honest there
+        # a leave-one-out variance can vanish (one value apart from all the
+        # others); NaN SEs are honest there
         l2, l3, l4 = _central_moments_loo(x)
         skew_se = _jackknife_se(l3 / l2**1.5)
         kurt_se = _jackknife_se(l4 / l2**2 - 3.0)
@@ -387,7 +388,6 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
         truncation=delta,
         per_z=tuple(per_z),
         pairs=tuple(pairs),
-        normality=tuple(_normality_rows(zs, tr_samples, fn_samples)),
         testfn_means=testfn_means,
         tr_samples=tr_samples,
         fn_samples=fn_samples,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SampleError
 
-__all__ = ["map_samples"]
+__all__ = ["map_samples", "mean_and_se"]
 
 _CHUNKS_PER_WORKER = 4  # a few ranges per worker even out uneven sample times
 _per_sample = None  # set in each forked worker by the pool's initializer

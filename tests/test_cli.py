@@ -314,6 +314,18 @@ class TestDensityCommand:
         assert table[0]["density"] == pytest.approx(1 / np.pi, abs=1e-6)
         assert table[1]["density"] <= 1e-6
 
+    def test_unconverged_integral_exits_1(self, tmp_path, capsys):
+        # 400 kinks: more than 2000 intervals resolve (see test_freeconv)
+        xs = np.linspace(-2.5, 2.5, 400)
+        values = np.abs(np.sin(7 * xs)) + np.arange(400) % 2
+        cfg = write(tmp_path, "cfg.json", {"density": {
+            "v": 1.0, "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}, "x_grid": [0.0],
+            "test_functions": [{"kind": "grid", "x": xs.tolist(), "values": values.tolist()}]}})
+        assert main(["density", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integral against rho did not converge")
+        assert err.count("\n") == 1
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -789,7 +801,7 @@ GOLDEN = {
     'theory-one-atom/gamma.csv': '92ffff9e1e50347a',
     'theory-one-atom/theory.json': 'c6925ce7e4084533',
     'simulate/per_z.csv': '2eafa5800470caa8',
-    'simulate/report.json': '8fe0ad9830d73555',
+    'simulate/report.json': 'bfd8ee6a29d616b9',
     'compare/compare.json': 'a650c7d7256c0545',
     'compare/compare_bias.csv': '30ca97f3e4b0f175',
     'compare/compare_cov.csv': '744e346325e82324',
@@ -1133,6 +1145,55 @@ def loaded_after_cli_import(modules):
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import, and no command of the package needs it
     assert loaded_after_cli_import(["scipy.stats"]) == "[]"
+
+
+SIMULATE_WITHOUT_SCIPY_SPECIAL = """
+import json, sys
+from wignerlab import cli
+from wignerlab.montecarlo import EstimatorReport, normality_check
+out = sys.argv[1]
+with open(out + ".json", "w") as f:
+    json.dump({"ensemble": {"n": 4, "sigma2": 1.0, "entry_law": "gaussian_complex",
+                            "deformation": {"quantile_spec": {"kind": "zero"}}},
+               "plan": {"n_samples": 500, "z_grid": [[0.0, 2.0]], "master_seed": 3}}, f)
+print(cli.main(["simulate", "--config", out + ".json", "--out-dir", out, "--threads", "1"]))
+print("scipy.special" in sys.modules)
+with open(out + "/report.json") as f:
+    rows = normality_check(EstimatorReport.from_json(f.read()))
+print(len(rows), all(0.0 < r.ks_pvalue <= 1.0 for r in rows))
+"""
+
+
+def test_simulate_leaves_scipy_special_unloaded(tmp_path):
+    # scipy.special costs about 20 MB and 0.2 s at import; only the KS p-value
+    # of normality_check needs it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_SCIPY_SPECIAL,
+                          str(tmp_path / "sim")], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n") == ["0", "False", "2 True", ""]
+
+
+def test_compare_reads_reports_with_normality_rows(tmp_path, monkeypatch, reports):
+    # the format before the rows moved to normality_check: the same bytes
+    # plus a "normality" key, which compare ignores
+    text = Path(reports["valid"]).read_text()
+    old = json.loads(text)
+    old["normality"] = [{"degenerate": True, "ex_kurtosis": 0.0, "ks_pvalue": 0.0,
+                         "ks_stat": 0.0, "kurt_se": 0.0, "mean": 1.0, "skew_se": 0.0,
+                         "skewness": 0.0, "stat_id": "re_tr_resolvent(2j)", "variance": 0.0}]
+    legacy = json.dumps(old, sort_keys=True, separators=(",", ":"))
+    cfg = {**SMALL_CONFIGS["compare"],
+           "compare": {**SMALL_CONFIGS["compare"]["compare"], "report": "report.json"}}
+    written = {}
+    for name, blob in (("new", text), ("old", legacy)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("report.json").write_text(blob)
+        write(Path.cwd(), "cfg.json", cfg)
+        code = main(["compare", "--config", "cfg.json", "--out-dir", "out"])
+        written[name] = code, {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+    assert written["old"] == written["new"] and "compare.json" in written["new"][1]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import wignerlab.freeconv as freeconv
-from wignerlab.errors import DomainError, EdgeSingularityError, SolverError
+from wignerlab import testfn
+from wignerlab.errors import AccuracyError, DomainError, EdgeSingularityError, SolverError
 from wignerlab.freeconv import (
     _GAUSS,
     _KRONROD,
@@ -487,3 +488,49 @@ class TestIntegrateAgainstRho:
     def test_second_moment_is_variance(self):
         nu = AtomicMeasure.point_mass(0.0)
         assert integrate_against_rho(nu, 1.0, lambda x: x * x) == pytest.approx(1.0, abs=1e-3)
+
+    @staticmethod
+    def jagged(k):
+        """A piecewise-linear function on k points of [-2.5, 2.5] that jumps
+        by 1 between neighbours: its k - 2 kinks are what the quadrature must
+        resolve. Returns the grid and the function."""
+        xs = np.linspace(-2.5, 2.5, k)
+        return xs, testfn.from_grid(xs, np.abs(np.sin(7 * xs)) + np.arange(k) % 2, "jagged")
+
+    @staticmethod
+    def oracle(xs, phi, nodes, tol):
+        """The integral of phi against the density of CUSP boxplus s1 by
+        Gauss-Legendre in x between consecutive grid points: ``nodes`` nodes
+        on each piece, checked against nodes - 2 to ``tol``. The grid is split
+        at the cusp at 0, and the two pieces that end there get 20 nodes in
+        s, x = x_far s^3, under which the density's |x|^(1/3) is smooth."""
+        ends = np.union1d(xs, [0.0])
+        a, b = ends[:-1], ends[1:]
+        cusp = (a == 0.0) | (b == 0.0)
+        far = np.where(a[cusp] == 0.0, b[cusp], a[cusp])
+
+        def legendre(n, start, stop, power):
+            s, w = np.polynomial.legendre.leggauss(n)
+            s, w = 0.5 * (s[:, None] + 1.0), 0.5 * w[:, None]
+            x = start + (stop - start) * s**power
+            dx = power * np.abs(stop - start) * s ** (power - 1)
+            return float(np.sum(density(CUSP, 1.0, x).value * phi(x) * dx * w))
+
+        at_cusp = legendre(20, 0.0, far, 3)
+        coarse, fine = (legendre(n, a[~cusp], b[~cusp], 1) for n in (nodes - 2, nodes))
+        assert abs(fine - coarse) < tol
+        return fine + at_cusp
+
+    def test_many_kinks_converge_to_the_target(self):
+        # 250 intervals leave it 4e-5 off the oracle
+        xs, phi = self.jagged(100)
+        value = integrate_against_rho(CUSP, 1.0, phi)
+        assert abs(value - self.oracle(xs, phi, 8, 1e-10)) <= 1e-8
+
+    def test_unresolved_kinks_raise(self):
+        xs, phi = self.jagged(400)
+        with pytest.raises(AccuracyError, match="at 2000 intervals") as err:
+            integrate_against_rho(CUSP, 1.0, phi)
+        # the value it refused is off by more than the target
+        refused = float(str(err.value).split(": ")[1].split(" ")[0])
+        assert abs(refused - self.oracle(xs, phi, 6, 1e-9)) > 1e-7

@@ -13,6 +13,7 @@ from wignerlab.freeconv import solve_pastur
 from wignerlab.montecarlo import (
     EstimatorReport,
     ExperimentPlan,
+    NORMALITY_MIN_SAMPLES,
     NormalitySummary,
     PairStat,
     ZStat,
@@ -212,18 +213,17 @@ class TestNormality:
 
     def test_constant_statistic_flagged_degenerate(self):
         const = testfn.from_callable(lambda x: np.ones_like(x), "one")
-        plan = small_plan(m=40, test_functions=(const,))
-        report = run(plan)
-        flagged = [s for s in report.normality if s.stat_id == "one"]
+        plan = small_plan(n=10, m=NORMALITY_MIN_SAMPLES, test_functions=(const,))
+        flagged = [s for s in normality_check(run(plan)) if s.stat_id == "one"]
         assert len(flagged) == 1 and flagged[0].degenerate
 
-    def test_recomputed_rows_are_the_reports_rows(self):
-        # a complex test function has no normality row, in the report or recomputed
+    def test_rows_cover_the_z_grid_and_real_test_functions(self):
+        # a complex test function has no normality row
         fns = (testfn.resolvent(1 + 1j), testfn.smooth_bump(0.0, 1.0, 3, "bump"))
-        report = run(small_plan(n=10, m=500, test_functions=fns))
-        ids = [s.stat_id for s in report.normality]
-        assert "bump" in ids and "resolvent(1+1j)" not in ids
-        assert [s.stat_id for s in normality_check(report)] == ids
+        report = run(small_plan(n=10, m=NORMALITY_MIN_SAMPLES, test_functions=fns))
+        assert [s.stat_id for s in normality_check(report)] == [
+            "re_tr_resolvent(0+2j)", "im_tr_resolvent(0+2j)", "re_tr_resolvent(1+1j)",
+            "im_tr_resolvent(1+1j)", "bump"]
 
     def test_gaussian_statistics_reasonable(self):
         plan = small_plan(n=100, m=600, seed=12)
@@ -417,10 +417,6 @@ def hand_built_reports():
         ),
         pairs=(PairStat(z1=2j, z2=complex(-0.0, 0.5), cov_nc=complex(NAN, -INF), cov_nc_se=NAN,
                         cov_conj=complex(0.1, -0.0), cov_conj_se=0.0),),
-        normality=(NormalitySummary(
-            stat_id="re_tr_resolvent(2j)", mean=0.25, variance=1e-3, skewness=-0.0,
-            skew_se=NAN, ex_kurtosis=0.0, kurt_se=INF, ks_stat=0.125, ks_pvalue=1.0,
-            degenerate=False),),
         testfn_means={},
         tr_samples=np.array([[complex(-0.0, 1.0), complex(INF, NAN)],
                              [complex(0.1, -0.0), complex(-INF, 3.0)]]),
@@ -436,7 +432,6 @@ def hand_built_reports():
                      se_mean=0.03125, var_hat=2.0, var_se=0.5, omega_tilde=2.5 + 1.75j),),
         pairs=(PairStat(z1=1 + 1j, z2=1 + 1j, cov_nc=0.5 - 0.25j, cov_nc_se=0.125,
                         cov_conj=2 + 0j, cov_conj_se=0.25),),
-        normality=(),
         testfn_means={"resolvent(0+2j)": {"mean": complex(-0.0, -0.5), "se": 0.125}},
         tr_samples=np.array([[-1.5 - 0.5j], [-1.5 - 1j]]),
         fn_samples={"resolvent(0+2j)": np.array([complex(-0.0, -0.375), -0.0625 - 0.625j])},
@@ -445,8 +440,37 @@ def hand_built_reports():
     return {"edge_values": edge, "complex_test_function": complex_fn}
 
 
-# the format report.json has had since version 0.1.0, byte for byte
+# the format of report.json, byte for byte
 RECORDED_BYTES = {
+    "edge_values": (
+        '{"fn_samples":{},"master_seed":11,"n_samples":2,'
+        '"pairs":[{"cov_conj":[0.1,-0.0],"cov_conj_se":0.0,"cov_nc":[NaN,-Infinity],'
+        '"cov_nc_se":NaN,"z1":[0.0,2.0],"z2":[-0.0,0.5]}],'
+        '"params_config":{"entry_law":{"name":"gaussian_complex"},'
+        '"n":2,"sigma2":1.0},"params_hash":"0123456789abcdef","per_z":[{"bias_hat":[Infinity,'
+        '-Infinity],"g_rho":[0.0,-0.5],"mean_tr":[-0.0,-1.25],"omega_tilde":[NaN,'
+        '2.0],"se_mean":0.5,"var_hat":NaN,"var_se":Infinity,"z":[0.0,2.0]},{"bias_hat":[-0.0,'
+        '-0.0],"g_rho":[0.1,-0.2],"mean_tr":[1e-300,-2.5e+17],"omega_tilde":[0.3333333333333333,'
+        '0.5],"se_mean":0.0,"var_hat":-0.0,"var_se":NaN,"z":[-0.0,0.5]}],"testfn_means":{},'
+        '"tr_samples":[[[-0.0,1.0],[Infinity,NaN]],[[0.1,-0.0],[-Infinity,3.0]]],'
+        '"truncation":null,"version":"0.1.0","z_grid":[[0.0,2.0],[-0.0,0.5]]}'
+    ),
+    "complex_test_function": (
+        '{"fn_samples":{"resolvent(0+2j)":[[-0.0,-0.375],[-0.0625,-0.625]]},"master_seed":5,'
+        '"n_samples":2,"pairs":[{"cov_conj":[2.0,0.0],"cov_conj_se":0.25,'
+        '"cov_nc":[0.5,-0.25],"cov_nc_se":0.125,"z1":[1.0,1.0],"z2":[1.0,1.0]}],'
+        '"params_config":{"deformation":{"atoms":[-1.0,0.0,1.0]},"n":3},'
+        '"params_hash":"fedcba9876543210",'
+        '"per_z":[{"bias_hat":[0.0,0.0625],"g_rho":[-0.25,-0.5],"mean_tr":[-1.5,'
+        '-0.75],"omega_tilde":[2.5,1.75],"se_mean":0.03125,"var_hat":2.0,"var_se":0.5,'
+        '"z":[1.0,1.0]}],"testfn_means":{"resolvent(0+2j)":{"mean":[-0.0,-0.5],"se":0.125}},'
+        '"tr_samples":[[[-1.5,-0.5]],[[-1.5,-1.0]]],"truncation":0.25,"version":"0.1.0",'
+        '"z_grid":[[1.0,1.0]]}'
+    ),
+}
+
+# the same reports in the format that carried fitted normality rows
+WITH_NORMALITY_ROWS = {
     "edge_values": (
         '{"fn_samples":{},"master_seed":11,"n_samples":2,"normality":[{"degenerate":false,'
         '"ex_kurtosis":0.0,"ks_pvalue":1.0,"ks_stat":0.125,"kurt_se":Infinity,"mean":0.25,'
@@ -504,7 +528,6 @@ def random_reports(draw):
         truncation=draw(st.none() | FLOATS),
         per_z=tuple(draw(st.lists(rows_of(ZStat), min_size=n_z, max_size=n_z))),
         pairs=tuple(draw(st.lists(rows_of(PairStat), max_size=3))),
-        normality=tuple(draw(st.lists(rows_of(NormalitySummary), max_size=3))),
         testfn_means={k: {"mean": draw(COMPLEX), "se": draw(FLOATS)} for k in fn_ids},
         tr_samples=draw(complex_array((m, n_z))),
         fn_samples={k: draw(complex_array((m,))) for k in fn_ids},
@@ -528,6 +551,12 @@ class TestReportCodec:
         clone = EstimatorReport.from_json(RECORDED_BYTES[name])
         assert clone.to_json() == RECORDED_BYTES[name]
         assert_same_samples(clone, report)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_BYTES))
+    def test_reports_with_normality_rows_still_load(self, name):
+        clone = EstimatorReport.from_json(WITH_NORMALITY_ROWS[name])
+        assert clone.to_json() == RECORDED_BYTES[name]
+        assert_same_samples(clone, hand_built_reports()[name])
 
     @given(random_reports())
     def test_round_trip_keeps_every_bit(self, report):

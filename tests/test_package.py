@@ -107,10 +107,10 @@ import numpy as np
 import wignerlab.cli
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 from wignerlab.ensemble import EnsembleParams
-from wignerlab.montecarlo import NORMALITY_MIN_SAMPLES, ExperimentPlan, run
+from wignerlab.montecarlo import NORMALITY_MIN_SAMPLES, ExperimentPlan, normality_check, run
 plan = ExperimentPlan(params=EnsembleParams.create(4, "gaussian_complex", np.zeros(4)),
                       n_samples=NORMALITY_MIN_SAMPLES, z_grid=(2j,), master_seed=3)
-rows = run(plan).normality
+rows = normality_check(run(plan))
 print(len(rows), all(0.0 < r.ks_pvalue <= 1.0 for r in rows))
 print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
 """
