@@ -98,7 +98,7 @@ def ks_normal(x: np.ndarray, mean: float, sd: float) -> tuple[float, float]:
         return math.nan, math.nan
     # a 0-d array, as SciPy's element loop passes it: array and scalar
     # arithmetic may round differently
-    p = 1.0 if d <= 0.5 / n else _kolmogn_sf(n, np.asarray(d))
+    p = _kolmogn_sf(n, np.asarray(d))
     return float(d), float(np.clip(np.float64(p), 0.0, 1.0))
 
 
@@ -246,8 +246,9 @@ def _kolmogn_PelzGood(n, x):
 
 
 def _kolmogn_sf(n, x):
-    """Pr(D_n >= x) for an integer n > 140 and x > 0 a 0-d float64 array,
-    with the method chosen as Simard & L'Ecuyer choose it."""
+    """Pr(D_n >= x) for an integer n > 140 and x >= 0 a 0-d float64 array,
+    with the method chosen as Simard & L'Ecuyer choose it; exactly 1.0 for
+    every x <= 1/(2n)."""
     if x >= 1.0:
         return 0.0
     t = n * x

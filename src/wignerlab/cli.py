@@ -416,8 +416,6 @@ def _generators(spec: dict, n_dim: int) -> dict[str, np.ndarray]:
             vals = np.array(check_numbers(g["values"], f"generator {name!r}: values"))
             reps = int(np.ceil(n_dim / vals.size))
             out[name] = np.diag(np.tile(vals, reps)[:n_dim])
-        elif kind == "identity":
-            out[name] = np.eye(n_dim)
         else:
             raise ConfigError(f"unknown generator kind {kind!r}")
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,8 +122,6 @@ class PairStat:
     z2: complex
     cov_nc: complex
     cov_nc_se: float
-    cov_conj: complex
-    cov_conj_se: float
 
 
 @dataclass(frozen=True)
@@ -149,14 +148,15 @@ class NormalitySummary:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorReport:
-    """Full estimator output plus the raw per-sample statistics.
+    """Provenance and the raw per-sample statistics of one Monte Carlo run.
 
-    Keeping the samples makes the report self-contained: normality and
-    variance checks recompute from it. Serialization follows the dataclass
-    fields and round-trips losslessly (complex numbers as [re, im] pairs,
+    The report is its samples: ``per_z`` and ``pairs`` are computed from
+    ``tr_samples`` when first read, and normality and variance checks
+    recompute from it too. Serialization follows the dataclass fields and
+    round-trips the samples bit for bit (complex numbers as [re, im] pairs,
     floats via repr). ``from_json`` ignores keys that are not fields, such
-    as the ``normality`` rows that older reports carry: ``normality_check``
-    computes those rows.
+    as the ``per_z``, ``pairs``, ``testfn_means`` and ``normality`` rows
+    that older reports carry, so their stored statistics are never read.
     """
 
     master_seed: int
@@ -165,12 +165,36 @@ class EstimatorReport:
     params_config: dict
     z_grid: tuple[complex, ...]
     truncation: float | None
-    per_z: tuple[ZStat, ...]
-    pairs: tuple[PairStat, ...]
-    testfn_means: dict
     tr_samples: np.ndarray  # (M, Z) complex
     fn_samples: dict        # fn_id -> (M,) complex array
     version: str = _version
+
+    @cached_property
+    def per_z(self) -> tuple[ZStat, ...]:
+        """Mean, bias against N g_rho, variance and omega_tilde of Tr R(z) at
+        each z, with standard errors."""
+        params = EnsembleParams.from_config(self.params_config)
+        g_rhos = FluctuationParams.from_ensemble(params).solve(self.z_grid).G.tolist()
+        out = []
+        for j, (z, g_rho) in enumerate(zip(self.z_grid, g_rhos)):
+            col = self.tr_samples[:, j]
+            mean, se = mean_and_se(col)
+            var, var_se = _variance_jackknife(col)
+            out.append(ZStat(z=z, mean_tr=mean, g_rho=g_rho, bias_hat=mean - params.n * g_rho,
+                             se_mean=se, var_hat=var, var_se=var_se,
+                             omega_tilde=z - params.sigma_n2 * mean))
+        return tuple(out)
+
+    @cached_property
+    def pairs(self) -> tuple[PairStat, ...]:
+        """Non-conjugated covariance of Tr R(z1) and Tr R(z2) for each pair
+        of grid points z1 = z_grid[j1], z2 = z_grid[j2] with j1 <= j2."""
+        zs, out = self.z_grid, []
+        for j1 in range(len(zs)):
+            for j2 in range(j1, len(zs)):
+                cov, se = _covariance_jackknife(self.tr_samples[:, j1], self.tr_samples[:, j2])
+                out.append(PairStat(z1=zs[j1], z2=zs[j2], cov_nc=cov, cov_nc_se=se))
+        return tuple(out)
 
     def to_json(self) -> str:
         return json.dumps(_encode(self), sort_keys=True, separators=(",", ":"))
@@ -185,12 +209,6 @@ class EstimatorReport:
             params_config=d["params_config"],
             z_grid=tuple(complex(*z) for z in d["z_grid"]),
             truncation=d["truncation"],
-            per_z=tuple(_decode(ZStat, s) for s in d["per_z"]),
-            pairs=tuple(_decode(PairStat, p) for p in d["pairs"]),
-            testfn_means={
-                k: {"mean": complex(*v["mean"]), "se": v["se"]}
-                for k, v in d["testfn_means"].items()
-            },
             tr_samples=_complex_array(d["tr_samples"], (d["n_samples"], len(d["z_grid"]))),
             fn_samples={k: _complex_array(v, (-1,)) for k, v in d["fn_samples"].items()},
             version=d["version"],
@@ -211,15 +229,6 @@ def _encode(value):
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
     return value
-
-
-def _decode(cls, obj: dict):
-    """A row dataclass from its JSON object; each field annotated complex (a
-    string annotation, as this module imports annotations) comes from [re, im]."""
-    return cls(**{
-        f.name: complex(*obj[f.name]) if f.type == "complex" else obj[f.name]
-        for f in fields(cls)
-    })
 
 
 def _complex_array(pairs, shape) -> np.ndarray:
@@ -315,15 +324,15 @@ def _normality_rows(z_grid, tr_samples, fn_samples: dict) -> list[NormalitySumma
 
 
 def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
-    """Execute the plan: M independent samples, all estimators, one report.
+    """Execute the plan: M independent samples of Tr R(z) on the grid and of
+    each test function's linear statistic, in one report.
 
     Deterministic in (plan, master_seed) regardless of ``threads``, the
     worker count (see the module docstring). Any sample failure aborts the
-    run with the failing sample index (``parallel.map_samples``).
+    run with the failing sample index (``parallel.map_samples``). The
+    estimators are the report's ``per_z`` and ``pairs``.
     """
     params = plan.params
-    n = params.n
-    m = plan.n_samples
     zs = plan.z_grid
     z_array = np.array(zs)
     delta = plan.resolved_delta()
@@ -336,61 +345,17 @@ def run(plan: ExperimentPlan, threads: int = 1) -> EstimatorReport:
         stats = [linear_statistic(spec, phi) for phi in plan.test_functions]
         return np.concatenate([trace_resolvent(spec, z_array), stats])
 
-    rows = map_samples(per_sample, m, threads)
-    tr_samples = np.ascontiguousarray(rows[:, :len(zs)])
-    fn_matrix = np.ascontiguousarray(rows[:, len(zs):])
-
-    g_rhos = FluctuationParams.from_ensemble(params).solve(zs).G.tolist()
-    per_z = []
-    for j, (z, g_rho) in enumerate(zip(zs, g_rhos)):
-        col = tr_samples[:, j]
-        mean, se = mean_and_se(col)
-        var, var_se = _variance_jackknife(col)
-        per_z.append(
-            ZStat(
-                z=z,
-                mean_tr=mean,
-                g_rho=g_rho,
-                bias_hat=mean - n * g_rho,
-                se_mean=se,
-                var_hat=var,
-                var_se=var_se,
-                omega_tilde=z - params.sigma_n2 * mean,
-            )
-        )
-
-    pairs = []
-    for j1 in range(len(zs)):
-        for j2 in range(j1, len(zs)):
-            u, w = tr_samples[:, j1], tr_samples[:, j2]
-            cov_nc, se_nc = _covariance_jackknife(u, w)
-            cov_c, se_c = _covariance_jackknife(u, np.conj(w))
-            pairs.append(
-                PairStat(
-                    z1=zs[j1], z2=zs[j2], cov_nc=cov_nc, cov_nc_se=se_nc,
-                    cov_conj=cov_c, cov_conj_se=se_c,
-                )
-            )
-
+    rows = map_samples(per_sample, plan.n_samples, threads)
     fn_ids = _fn_ids(plan.test_functions)
-    fn_samples = {fn_id: fn_matrix[:, k].copy() for k, fn_id in enumerate(fn_ids)}
-    testfn_means = {}
-    for fn_id, col in fn_samples.items():
-        mean, se = mean_and_se(col)
-        testfn_means[fn_id] = {"mean": mean, "se": se}
-
     return EstimatorReport(
         master_seed=plan.master_seed,
-        n_samples=m,
+        n_samples=plan.n_samples,
         params_hash=params.digest(),
         params_config=params.config(),
         z_grid=zs,
         truncation=delta,
-        per_z=tuple(per_z),
-        pairs=tuple(pairs),
-        testfn_means=testfn_means,
-        tr_samples=tr_samples,
-        fn_samples=fn_samples,
+        tr_samples=np.ascontiguousarray(rows[:, :len(zs)]),
+        fn_samples={fn_id: rows[:, len(zs) + k].copy() for k, fn_id in enumerate(fn_ids)},
     )
 
 
@@ -404,8 +369,8 @@ def discrepancy(estimate, theory, se: float, band: float) -> tuple[float, bool]:
 def covariance_check(report: EstimatorReport, theory_params: FluctuationParams, band: float = 3.0):
     """Empirical non-conjugated covariances against the limit kernel.
 
-    Returns one row per stored pair with the discrepancy/SE ratio and a flag
-    when it exceeds ``band``.
+    Returns one row per pair of ``report.pairs``, which are computed from the
+    samples, with the discrepancy/SE ratio and a flag when it exceeds ``band``.
     """
     kv = gamma_kernel(theory_params, [p.z1 for p in report.pairs], [p.z2 for p in report.pairs])
     rows = []
@@ -420,8 +385,6 @@ def covariance_check(report: EstimatorReport, theory_params: FluctuationParams, 
                 "se": p.cov_nc_se,
                 "ratio": ratio,
                 "ok": ok,
-                "cov_conj": p.cov_conj,
-                "cov_conj_se": p.cov_conj_se,
             }
         )
     return rows

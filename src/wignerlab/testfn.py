@@ -175,16 +175,9 @@ def from_callable(
     is_real: bool = True,
     regularity: float | None = None,
 ) -> TestFunction:
-    fn = f if _accepts_array(f) else np.vectorize(f)
-    return TestFunction(fn_id=fn_id, fn=fn, is_real=is_real, regularity=regularity)
-
-
-def _accepts_array(f) -> bool:
-    try:
-        out = f(np.array([0.0, 1.0]))
-    except Exception:
-        return False
-    return np.shape(out) == (2,)
+    """A test function from ``f``, which maps an array of x to an array of
+    the same shape, as numpy's ufuncs do."""
+    return TestFunction(fn_id=fn_id, fn=f, is_real=is_real, regularity=regularity)
 
 
 def from_spec(spec: dict) -> TestFunction:

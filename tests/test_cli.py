@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from wignerlab.cli import main
 from wignerlab.freeconv import AtomicMeasure
+from wignerlab.montecarlo import EstimatorReport, _covariance_jackknife
+from wignerlab.parallel import mean_and_se
 from wignerlab.theory import FluctuationParams, beta, beta_tilde, bias_bound, gamma_kernel
 
 
@@ -622,6 +625,10 @@ class TestConfigErrors:
         pytest.param("infinitesimal", {"infinitesimal": {
             "words": ["w1 a w1 a"], "generators": {"a": {"kind": "nope"}}}},
             id="generator_unknown_kind"),
+        # an identity separator is the same as writing no separator
+        pytest.param("infinitesimal", {"infinitesimal": {
+            "words": ["w1 a w1 a"], "generators": {"a": {"kind": "identity"}}}},
+            id="generator_identity_kind"),
         pytest.param("density", {"density": {"v": 0.0, "nu": {"atoms": [[0.0, 1.0]]}}},
                      id="density_v_zero"),
         pytest.param("simulate", {
@@ -801,7 +808,7 @@ GOLDEN = {
     'theory-one-atom/gamma.csv': '92ffff9e1e50347a',
     'theory-one-atom/theory.json': 'c6925ce7e4084533',
     'simulate/per_z.csv': '2eafa5800470caa8',
-    'simulate/report.json': 'bfd8ee6a29d616b9',
+    'simulate/report.json': 'c09b4f4ba1a8e382',
     'compare/compare.json': 'a650c7d7256c0545',
     'compare/compare_bias.csv': '30ca97f3e4b0f175',
     'compare/compare_cov.csv': '744e346325e82324',
@@ -1199,3 +1206,55 @@ def test_compare_reads_reports_with_normality_rows(tmp_path, monkeypatch, report
 def test_cli_import_leaves_process_pool_unloaded():
     # only a Monte Carlo run on more than one worker needs them
     assert loaded_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == "[]"
+
+
+def with_stored_statistics(text: str, edit: bool = False) -> str:
+    """A report's bytes in the older format, which stored its per-z, pair and
+    test function statistics beside the samples; ``edit`` changes the first
+    stored bias_hat and cov_nc."""
+    report = EstimatorReport.from_json(text)
+    old = json.loads(text)
+
+    def stored(row, **extra):
+        row = {**asdict(row), **extra}
+        return {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in row.items()}
+
+    old["per_z"] = [stored(s) for s in report.per_z]
+    old["pairs"] = []
+    for p in report.pairs:
+        u, w = (report.tr_samples[:, report.z_grid.index(z)] for z in (p.z1, p.z2))
+        cov_conj, cov_conj_se = _covariance_jackknife(u, np.conj(w))
+        old["pairs"].append(stored(p, cov_conj=cov_conj, cov_conj_se=cov_conj_se))
+    old["testfn_means"] = {}
+    for fn_id, samples in report.fn_samples.items():
+        mean, se = mean_and_se(samples)
+        old["testfn_means"][fn_id] = {"mean": [mean.real, mean.imag], "se": se}
+    if edit:
+        old["per_z"][0]["bias_hat"][0] += 100.0
+        old["pairs"][0]["cov_nc"][1] -= 100.0
+    return json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_compare_computes_statistics_from_the_samples(tmp_path, monkeypatch):
+    # a report of the older format carries per-z and pair rows; compare
+    # reads only its samples, so edited rows change none of its output
+    monkeypatch.chdir(tmp_path)
+    sim = write(tmp_path, "sim.json", {
+        "ensemble": REPORT_ENSEMBLE,
+        "plan": {"n_samples": 12, "z_grid": [[0.0, 2.0], [1.0, 1.0]], "master_seed": 4,
+                 "test_functions": [BUMP]}})
+    assert main(["simulate", "--config", sim, "--out-dir", "sim"]) == 0
+    text = (tmp_path / "sim" / "report.json").read_text()
+    cfg = {"compare": {"report": "report.json",
+                       "thresholds": {"bias_band": 0.1, "cov_band": 0.1}}}
+    written = {}
+    for name, blob in (("new", text), ("old", with_stored_statistics(text)),
+                       ("edited", with_stored_statistics(text, edit=True))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("report.json").write_text(blob)
+        code = main(["compare", "--config", write(Path.cwd(), "cfg.json", cfg),
+                     "--out-dir", "out"])
+        written[name] = code, {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+    assert written["old"] == written["new"] == written["edited"]
+    assert sorted(written["new"][1]) == ["compare.json", "compare_bias.csv", "compare_cov.csv"]

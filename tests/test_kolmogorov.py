@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
-from wignerlab._kolmogorov import ks_normal
+from wignerlab._kolmogorov import _kolmogn_sf, ks_normal
 
 
 def sample(n, shift, seed):
@@ -105,6 +105,15 @@ def test_smallest_statistic_has_p_one():
     # the quantile midpoints: D is 1/(2n) up to rounding, in the Ruben-Gambino branch
     d, p = assert_matches_kstest(*sample(300, None, 0))
     assert 0.0 <= d - 0.5 / 300 < 1e-15 and p == 1.0
+
+
+def test_survival_is_one_at_and_below_the_smallest_statistic():
+    # ks_normal has no p = 1 branch of its own for D <= 1/(2n): the t <= 1/2
+    # return gives it, and just above 1/(2n) Ruben-Gambino rounds to 1.0
+    for n in [*range(141, 2000), 100000]:
+        half = 0.5 / n
+        for d in (half, np.nextafter(half, 0.0), np.nextafter(half, 1.0), 0.25 / n, 1e-300):
+            assert _kolmogn_sf(n, np.asarray(d)) == 1.0, (n, d)
 
 
 @pytest.mark.parametrize("n", [2, 140])

@@ -1,6 +1,6 @@
+import json
 import math
 import time
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,9 +14,6 @@ from wignerlab.montecarlo import (
     EstimatorReport,
     ExperimentPlan,
     NORMALITY_MIN_SAMPLES,
-    NormalitySummary,
-    PairStat,
-    ZStat,
     covariance_check,
     crude_variance_bound,
     normality_check,
@@ -407,17 +404,6 @@ def hand_built_reports():
         params_config={"n": 2, "sigma2": 1.0, "entry_law": {"name": "gaussian_complex"}},
         z_grid=(2j, complex(-0.0, 0.5)),
         truncation=None,
-        per_z=(
-            ZStat(z=2j, mean_tr=complex(-0.0, -1.25), g_rho=complex(0.0, -0.5),
-                  bias_hat=complex(INF, -INF), se_mean=0.5, var_hat=NAN, var_se=INF,
-                  omega_tilde=complex(NAN, 2.0)),
-            ZStat(z=complex(-0.0, 0.5), mean_tr=complex(1e-300, -2.5e17), g_rho=0.1 - 0.2j,
-                  bias_hat=complex(-0.0, -0.0), se_mean=0.0, var_hat=-0.0, var_se=NAN,
-                  omega_tilde=1 / 3 + 0.5j),
-        ),
-        pairs=(PairStat(z1=2j, z2=complex(-0.0, 0.5), cov_nc=complex(NAN, -INF), cov_nc_se=NAN,
-                        cov_conj=complex(0.1, -0.0), cov_conj_se=0.0),),
-        testfn_means={},
         tr_samples=np.array([[complex(-0.0, 1.0), complex(INF, NAN)],
                              [complex(0.1, -0.0), complex(-INF, 3.0)]]),
         fn_samples={},
@@ -428,11 +414,6 @@ def hand_built_reports():
         params_config={"n": 3, "deformation": {"atoms": [-1.0, 0.0, 1.0]}},
         z_grid=(1 + 1j,),
         truncation=0.25,
-        per_z=(ZStat(z=1 + 1j, mean_tr=-1.5 - 0.75j, g_rho=-0.25 - 0.5j, bias_hat=0.0625j,
-                     se_mean=0.03125, var_hat=2.0, var_se=0.5, omega_tilde=2.5 + 1.75j),),
-        pairs=(PairStat(z1=1 + 1j, z2=1 + 1j, cov_nc=0.5 - 0.25j, cov_nc_se=0.125,
-                        cov_conj=2 + 0j, cov_conj_se=0.25),),
-        testfn_means={"resolvent(0+2j)": {"mean": complex(-0.0, -0.5), "se": 0.125}},
         tr_samples=np.array([[-1.5 - 0.5j], [-1.5 - 1j]]),
         fn_samples={"resolvent(0+2j)": np.array([complex(-0.0, -0.375), -0.0625 - 0.625j])},
         version="0.1.0",
@@ -442,6 +423,25 @@ def hand_built_reports():
 
 # the format of report.json, byte for byte
 RECORDED_BYTES = {
+    "edge_values": (
+        '{"fn_samples":{},"master_seed":11,"n_samples":2,'
+        '"params_config":{"entry_law":{"name":"gaussian_complex"},'
+        '"n":2,"sigma2":1.0},"params_hash":"0123456789abcdef",'
+        '"tr_samples":[[[-0.0,1.0],[Infinity,NaN]],[[0.1,-0.0],[-Infinity,3.0]]],'
+        '"truncation":null,"version":"0.1.0","z_grid":[[0.0,2.0],[-0.0,0.5]]}'
+    ),
+    "complex_test_function": (
+        '{"fn_samples":{"resolvent(0+2j)":[[-0.0,-0.375],[-0.0625,-0.625]]},"master_seed":5,'
+        '"n_samples":2,"params_config":{"deformation":{"atoms":[-1.0,0.0,1.0]},"n":3},'
+        '"params_hash":"fedcba9876543210",'
+        '"tr_samples":[[[-1.5,-0.5]],[[-1.5,-1.0]]],"truncation":0.25,"version":"0.1.0",'
+        '"z_grid":[[1.0,1.0]]}'
+    ),
+}
+
+# the same reports in the format that stored per-z, pair and test function
+# statistics beside the samples
+WITH_STORED_STATISTICS = {
     "edge_values": (
         '{"fn_samples":{},"master_seed":11,"n_samples":2,'
         '"pairs":[{"cov_conj":[0.1,-0.0],"cov_conj_se":0.0,"cov_nc":[NaN,-Infinity],'
@@ -504,12 +504,6 @@ WITH_NORMALITY_ROWS = {
 # the one NaN that JSON text can carry back
 FLOATS = st.floats().filter(lambda x: not math.isnan(x)) | st.just(NAN)
 COMPLEX = st.builds(complex, FLOATS, FLOATS)
-BY_ANNOTATION = {"complex": COMPLEX, "float": FLOATS, "str": st.text("abz(),.", max_size=6),
-                 "bool": st.booleans()}
-
-
-def rows_of(cls):
-    return st.builds(cls, **{f.name: BY_ANNOTATION[f.type] for f in fields(cls)})
 
 
 def complex_array(shape):
@@ -526,9 +520,6 @@ def random_reports(draw):
         params_config={"n": draw(st.integers(1, 9))},
         z_grid=tuple(draw(st.lists(COMPLEX, min_size=n_z, max_size=n_z))),
         truncation=draw(st.none() | FLOATS),
-        per_z=tuple(draw(st.lists(rows_of(ZStat), min_size=n_z, max_size=n_z))),
-        pairs=tuple(draw(st.lists(rows_of(PairStat), max_size=3))),
-        testfn_means={k: {"mean": draw(COMPLEX), "se": draw(FLOATS)} for k in fn_ids},
         tr_samples=draw(complex_array((m, n_z))),
         fn_samples={k: draw(complex_array((m,))) for k in fn_ids},
     )
@@ -557,6 +548,25 @@ class TestReportCodec:
         clone = EstimatorReport.from_json(WITH_NORMALITY_ROWS[name])
         assert clone.to_json() == RECORDED_BYTES[name]
         assert_same_samples(clone, hand_built_reports()[name])
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_BYTES))
+    def test_reports_with_stored_statistics_still_load(self, name):
+        clone = EstimatorReport.from_json(WITH_STORED_STATISTICS[name])
+        assert clone.to_json() == RECORDED_BYTES[name]
+        assert_same_samples(clone, hand_built_reports()[name])
+
+    def test_statistics_are_computed_from_the_samples(self):
+        report = run(small_plan(m=30))
+        tampered = json.loads(report.to_json())
+        # the stored rows of the older format, with a wrong value in each
+        tampered["per_z"] = [{"bias_hat": [9.0, 9.0]}]
+        tampered["pairs"] = [{"cov_nc": [9.0, 9.0]}]
+        clone = EstimatorReport.from_json(json.dumps(tampered))
+        assert clone.per_z == report.per_z and clone.pairs == report.pairs
+        for j, s in enumerate(report.per_z):
+            assert s.mean_tr == complex(report.tr_samples[:, j].mean())
+        assert [(p.z1, p.z2) for p in report.pairs] == [(2j, 2j), (2j, 1 + 1j),
+                                                        (1 + 1j, 1 + 1j)]
 
     @given(random_reports())
     def test_round_trip_keeps_every_bit(self, report):
