@@ -422,7 +422,7 @@ def rng_for(master_seed: int, index: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=8)
-def _strict_upper(n: int) -> np.ndarray:
+def strict_upper(n: int) -> np.ndarray:
     """Read-only boolean mask of the strict upper triangle of an n x n matrix.
 
     Built once per n: ``w[mask]`` walks the upper triangle in row-major order,
@@ -439,7 +439,7 @@ def hermitian(off: np.ndarray, diag: np.ndarray) -> np.ndarray:
     triangle ``off`` (its n(n-1)/2 entries in row-major order, or an n x n
     array's), mirrored conjugated below through the cached triangle mask."""
     n = len(diag)
-    mask = _strict_upper(n)
+    mask = strict_upper(n)
     if off.ndim == 2:
         off = off[mask]
     w = np.zeros((n, n), dtype=off.dtype)

@@ -27,6 +27,7 @@ __all__ = [
     "density",
     "integrate_against_rho",
     "gauss_kronrod",
+    "SupportPieces",
     "support_nodes",
     "support_window",
 ]
@@ -36,11 +37,11 @@ _PASTUR_TOL = 1e-13
 _NEWTON_SWITCH = 1e-3
 _MAX_ITER = 10_000
 _EDGE_GUARD = 1e-10
-_SECTIONS = 16  # interior points per round of root bracketing
-_ROUNDS = 16  # 17**16 > 2**64: enough rounds to shrink a bracket to rounding
+_ROOT_STEPS = 200  # cap on the steps of _newton; roots at a cusp take about 60
+_SPREAD = 17  # points at which density checks its value across the preimage's uncertainty
 _PSI_ROUNDING = 16 * np.finfo(float).eps  # relative rounding bound on psi_t
 _CUSP_ROUNDING = 1e-12  # t f(end) - 1 at an end of a support piece that counts as 0
-_FLAT_ORDER = 3  # support_nodes: 1 - h' ~ (1 - r)^3 away from an end it flattens at
+_FLAT_ORDER = 3  # SupportPieces.nodes: 1 - h' ~ (1 - r)^3 away from an end it flattens at
 _END_STEPS = 4  # Newton steps of _biane_v2_from_end
 _MAX_NEWTON = 100
 _RHO_TOL = 1e-8  # absolute and relative target of integrate_against_rho
@@ -259,22 +260,46 @@ def solve_pastur(nu: AtomicMeasure, v: float, z: complex) -> SubordinationSoluti
 
 # --------------------------------------------------------------- Biane
 
-def _bracket(fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Final bracket (lo, hi) of the solution of fn(u) = target, elementwise.
+def _newton(fn, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Solution u of fn(u) = target in [lo, hi], elementwise, for fn increasing there.
 
-    fn is increasing and maps a 1-d array of points to its values. Each
-    round evaluates fn at _SECTIONS equispaced interior points of every
-    bracket in one call and keeps the section that holds the solution.
+    fn maps a 1-d array of points to (values, slopes). Each point starts at
+    the middle of its bracket and takes Newton steps, moving the end of the
+    bracket on the side its value shows; it bisects instead whenever a step
+    would leave the bracket or would not halve the step before last (rtsafe
+    of Press et al., Numerical Recipes), so it converges wherever fn is
+    monotone. A point stops where fn hits the target or its Newton step
+    rounds to nothing, or once a step is within eps (|lo| + |hi|) of its
+    initial bracket, which is never below an ulp of a point inside it.
+    Points iterate independently, so a point's root has the same bits in
+    any array.
     """
-    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    rows = np.arange(lo.size)
-    for _ in range(_ROUNDS):
-        inner = lo[:, None] + (hi - lo)[:, None] * frac
-        below = fn(inner.ravel()).reshape(inner.shape) < target[:, None]
-        grid = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
-        k = below.sum(axis=1)
-        lo, hi = grid[rows, k], grid[rows, k + 1]
-    return lo, hi
+    lo, hi = lo.astype(float), hi.astype(float)
+    u = 0.5 * (lo + hi)
+    tol = np.finfo(float).eps * (np.abs(lo) + np.abs(hi))
+    step = hi - lo
+    before = step.copy()
+    active = np.arange(u.size)
+    for _ in range(_ROOT_STEPS):
+        if active.size == 0:
+            return u
+        x = u[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, slope = fn(x)
+            g = value - target[active]
+            newton = x - g / slope
+        below = g < 0.0
+        lo[active[below]] = x[below]
+        hi[active[~below]] = x[~below]
+        a, b = lo[active], hi[active]
+        bisect = ~((a < newton) & (newton < b))
+        bisect |= 2.0 * np.abs(newton - x) > np.abs(before[active])
+        nxt = np.where((g == 0.0) | (newton == x), x, np.where(bisect, 0.5 * (a + b), newton))
+        before[active], step[active] = step[active], nxt - x
+        u[active] = nxt
+        active = active[np.abs(nxt - x) > tol[active]]
+    raise SolverError(f"root of an increasing function not found in {_ROOT_STEPS} steps "
+                      f"at target {target[active[0]]!r}")
 
 
 def _biane_v2(nu: AtomicMeasure, t: float, u: np.ndarray) -> np.ndarray:
@@ -324,10 +349,10 @@ def _biane_psi(nu: AtomicMeasure, t: float, u: np.ndarray, s: np.ndarray) -> np.
 class DensityEstimate:
     """Density of the free convolution at x, from Biane's parametrisation.
 
-    ``error`` is the largest change of the density over the root-finding
-    bracket of the preimage u of x, widened to the u that rounding of psi_t
-    cannot tell from it. Fields are floats for a scalar x and arrays of its
-    shape otherwise.
+    ``error`` is the largest change of the density between the preimages of
+    x - slack and x + slack, slack a bound on the rounding of psi_t, so it
+    covers every u that rounding of psi_t cannot tell from the preimage of
+    x. Fields are floats for a scalar x and arrays of its shape otherwise.
     """
 
     x: float
@@ -335,16 +360,30 @@ class DensityEstimate:
     error: float
 
 
+def _psi_and_slope(nu: AtomicMeasure, t: float, u: np.ndarray):
+    """psi_t(u) and dpsi_t/du at every point of a 1-d array u: 2t ``_biane_slope``
+    where v_t(u) > 0, and 1 - t f(u), f(u) = sum_i w_i / (u - d_i)^2, off the support."""
+    s = _biane_v2(nu, t, u)
+    on = s > 0.0
+    slope = np.empty(u.size)
+    slope[on] = 2.0 * t * _biane_slope(nu, u[on], s[on])
+    slope[~on] = 1.0 - t * np.sum(nu.weights / (u[~on, None] - nu.locations) ** 2, axis=1)
+    return _biane_psi(nu, t, u, s), slope
+
+
 def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     """Density of nu boxplus sigma_v at real x (a float or an array).
 
     psi_t is an increasing bijection of the real line with
     |psi_t(u) - u| <= sqrt(t), and the density at psi_t(u) is v_t(u)/(pi t)
-    (P. Biane, Indiana Univ. Math. J. 46, 1997). The preimage of x is found
-    by bracketing on [x - sqrt(t), x + sqrt(t)], so the value is exact to
-    rounding in the bulk and vanishes outside the support. Near a cusp,
-    where the density grows like |x - x_c|^(1/3), rounding of psi_t leaves
-    u uncertain, and the error says by how much that moves the density.
+    (P. Biane, Indiana Univ. Math. J. 46, 1997). The preimage of x, and of
+    x -+ slack, is found by safeguarded Newton (``_newton``) on
+    [x - sqrt(t), x + sqrt(t)] with the analytic slope of psi_t, so the
+    value is exact to rounding in the bulk and vanishes outside the support.
+    Near a cusp, where the density grows like |x - x_c|^(1/3), rounding of
+    psi_t leaves u uncertain, and the error says by how much that moves the
+    density: its largest change over _SPREAD points from the preimage of
+    x - slack to that of x + slack.
     """
     if v <= 0:
         raise ValueError("v must be positive")
@@ -355,13 +394,9 @@ def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     # psi_t(u) = u + t S with |t S| <= sqrt(t), so its rounding is below slack
     slack = _PSI_ROUNDING * (np.abs(flat) + 2.0 * math.sqrt(v))
     targets = np.concatenate([flat - slack, flat, flat + slack])
-
-    def psi(u):
-        return _biane_psi(nu, v, u, _biane_v2(nu, v, u))
-
-    lo, hi = _bracket(psi, targets, targets - reach, targets + reach)
-    u = 0.5 * (lo[n:2 * n] + hi[n:2 * n])
-    spread = lo[:n, None] + (hi[2 * n:] - lo[:n])[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
+    roots = _newton(lambda u: _psi_and_slope(nu, v, u), targets, targets - reach, targets + reach)
+    low, u, high = roots[:n], roots[n:2 * n], roots[2 * n:]
+    spread = low[:, None] + (high - low)[:, None] * np.linspace(0.0, 1.0, _SPREAD)
     rho = np.sqrt(_biane_v2(nu, v, np.concatenate([u, spread.ravel()]))) / (math.pi * v)
     value = rho[:n].reshape(xs.shape)
     error = np.max(np.abs(rho[n:].reshape(n, -1) - rho[:n, None]), axis=1).reshape(xs.shape)
@@ -381,34 +416,36 @@ def _support_in_u(nu: AtomicMeasure, t: float) -> tuple[np.ndarray, np.ndarray, 
     roots around that minimum. Elsewhere the minimum lies inside the
     support; where it equals 1/t, v_t vanishes there, at a cusp of the
     density, and where it is close to 1/t, v_t has branch points close to
-    the real axis there.
+    the real axis there. Every root is found by ``_newton`` with the slopes
+    f' and f'': first the minima, where f' = 0, then the starts, where f
+    rises through 1/t, then the ends, where -f rises through -1/t.
     """
     d, w = nu.locations, nu.weights
     inv_t = 1.0 / t
     reach = math.sqrt(t) * (1.0 + 1e-9)
 
-    def f(u):
-        return np.sum(w / (u[:, None] - d) ** 2, axis=1)
+    def f_and_slope(u):
+        a = u[:, None] - d
+        return np.sum(w / a**2, axis=1), -2.0 * np.sum(w / a**3, axis=1)
 
-    def root(fn, target, lo, hi):
-        lo, hi = _bracket(fn, np.full(lo.size, target), lo, hi)
-        return 0.5 * (lo + hi)
+    def neg_f_and_slope(u):
+        f, f1 = f_and_slope(u)
+        return -f, -f1
 
-    def neg_f(u):
-        return -f(u)
+    def half_slope_and_slope(u):  # f'/2 and f''/2
+        a = u[:, None] - d
+        return -np.sum(w / a**3, axis=1), 3.0 * np.sum(w / a**4, axis=1)
 
-    first = root(f, inv_t, d[:1] - reach, d[:1])
-    last = root(neg_f, -inv_t, d[-1:], d[-1:] + reach)
     left, right = d[:-1], d[1:]
-    # f' = -2 sum_i w_i / (u - d_i)^3 increases across each gap
-    lowest = root(lambda u: -np.sum(w / (u[:, None] - d) ** 3, axis=1), 0.0, left, right)
-    f_lowest = f(lowest)
-    gap = f_lowest < inv_t
+    lowest = _newton(half_slope_and_slope, np.zeros(left.size), left, right)
+    gap = f_and_slope(lowest)[0] < inv_t
     minima = lowest[~gap]
     left, right, lowest = left[gap], right[gap], lowest[gap]
-    gap_start = root(neg_f, -inv_t, left, lowest)
-    gap_end = root(f, inv_t, lowest, right)
-    return np.concatenate([first, gap_end]), np.concatenate([gap_start, last]), minima
+    starts = _newton(f_and_slope, np.full(lowest.size + 1, inv_t),
+                     np.concatenate([d[:1] - reach, lowest]), np.concatenate([d[:1], right]))
+    ends = _newton(neg_f_and_slope, np.full(lowest.size + 1, -inv_t),
+                   np.concatenate([left, d[-1:]]), np.concatenate([lowest, d[-1:] + reach]))
+    return starts, ends, minima
 
 
 def _biane_v2_from_end(nu: AtomicMeasure, t: float, u: np.ndarray, end: np.ndarray,
@@ -437,42 +474,69 @@ def _biane_v2_from_end(nu: AtomicMeasure, t: float, u: np.ndarray, end: np.ndarr
     return s
 
 
-def support_nodes(nu: AtomicMeasure, t: float, s, flatten: bool = False):
-    """Boundary values of the subordination map at nodes of the support of nu boxplus sigma_t.
+@dataclass(frozen=True, eq=False)
+class SupportPieces:
+    """The support of nu boxplus sigma_t cut into pieces [a, b] in Biane's variable u.
 
-    The support is cut into pieces [a, b] in Biane's variable u: its
-    intervals, split at every minimum of f inside them, so that a cusp, or
-    the branch points of v_t near one, sit at an end of a piece. Node s in
-    [-1, 1] sits at u = a + (b - a) h(r), r = (1 + s) / 2, of each piece,
-    with h(r) = r. With ``flatten``, h' falls to 0 like 1 - (1 - r)^3 at an
-    end that is a minimum of f, so u meets it quadratically in s, as it
-    meets an edge quadratically in theta for s = cos theta: the midpoint
-    rule in theta then suits both. Returns (x, omega, omega1, dxds), each
-    with a row per piece and a column per node: x = psi_t(u),
-    omega = omega(x + i0) = u + i v_t(u), omega1 = omega'(x + i0) and
-    dxds = dpsi_t/du du/ds.
+    The pieces are the intervals of the support, split at every minimum of
+    f inside them (``minima``), so that a cusp, or the branch points of v_t
+    near one, sit at an end of a piece. ``SupportPieces.of(nu, t)`` finds
+    them, so a caller that needs nodes at several resolutions finds them
+    once; ``nodes`` places nodes on them.
     """
-    starts, ends, minima = _support_in_u(nu, t)
-    a = np.sort(np.concatenate([starts, minima]))
-    b = np.sort(np.concatenate([minima, ends]))
-    # 1.0 at the ends to flatten, 0.0 elsewhere
-    flat_a, flat_b = (float(flatten) * np.isin(e, minima)[:, None] for e in (a, b))
-    k, r = _FLAT_ORDER, 0.5 * (1.0 + np.asarray(s, dtype=float))
-    norm = 1.0 - (flat_a + flat_b) / (k + 1)
-    h = (r - flat_a * (1.0 - (1.0 - r) ** (k + 1)) / (k + 1) - flat_b * r ** (k + 1) / (k + 1)) / norm
-    duds = (0.5 * (b - a)[:, None] * (1.0 - flat_a * (1.0 - r) ** k - flat_b * r**k) / norm).ravel()
-    u = (a[:, None] + (b - a)[:, None] * h).ravel()
-    end = np.where(r < 0.5, a[:, None], b[:, None]).ravel()
-    v2 = _biane_v2_from_end(nu, t, u, end, _biane_v2(nu, t, u))
-    omega = u + 1j * np.sqrt(v2)
-    # 1 - t G_nu'(omega) = 2 i t v_t sum_i w_i / (|omega - d_i|^2 (omega - d_i)), since
-    # sum_i w_i / |omega - d_i|^2 = 1/t: no cancellation near an edge or a cusp.
-    # At an end itself (s = -1 or 1) v_t = 0 and omega' is infinite.
-    a_u = omega[:, None] - nu.locations
-    with np.errstate(divide="ignore", invalid="ignore"):
-        omega1 = 1.0 / (2j * t * omega.imag * np.sum(nu.weights / (abs(a_u) ** 2 * a_u), axis=1))
-    dxds = 2.0 * t * duds * _biane_slope(nu, u, v2)
-    return tuple(q.reshape(a.size, -1) for q in (_biane_psi(nu, t, u, v2), omega, omega1, dxds))
+
+    nu: AtomicMeasure
+    t: float
+    a: np.ndarray
+    b: np.ndarray
+    minima: np.ndarray
+
+    @classmethod
+    def of(cls, nu: AtomicMeasure, t: float) -> "SupportPieces":
+        starts, ends, minima = _support_in_u(nu, t)
+        return cls(nu=nu, t=t, a=np.sort(np.concatenate([starts, minima])),
+                   b=np.sort(np.concatenate([minima, ends])), minima=minima)
+
+    def nodes(self, s, flatten: bool = False):
+        """Boundary values of the subordination map at nodes s of every piece.
+
+        Node s in [-1, 1] sits at u = a + (b - a) h(r), r = (1 + s) / 2, of
+        each piece, with h(r) = r. With ``flatten``, h' falls to 0 like
+        1 - (1 - r)^3 at an end that is a minimum of f, so u meets it
+        quadratically in s, as it meets an edge quadratically in theta for
+        s = cos theta: the midpoint rule in theta then suits both. Returns
+        (x, omega, omega1, dxds), each with a row per piece and a column per
+        node: x = psi_t(u), omega = omega(x + i0) = u + i v_t(u),
+        omega1 = omega'(x + i0) and dxds = dpsi_t/du du/ds.
+        """
+        nu, t, a, b = self.nu, self.t, self.a, self.b
+        # 1.0 at the ends to flatten, 0.0 elsewhere
+        flat_a, flat_b = (float(flatten) * np.isin(e, self.minima)[:, None] for e in (a, b))
+        k, r = _FLAT_ORDER, 0.5 * (1.0 + np.asarray(s, dtype=float))
+        norm = 1.0 - (flat_a + flat_b) / (k + 1)
+        h = (r - flat_a * (1.0 - (1.0 - r) ** (k + 1)) / (k + 1)
+             - flat_b * r ** (k + 1) / (k + 1)) / norm
+        duds = 0.5 * (b - a)[:, None] * (1.0 - flat_a * (1.0 - r) ** k - flat_b * r**k) / norm
+        duds = duds.ravel()
+        u = (a[:, None] + (b - a)[:, None] * h).ravel()
+        end = np.where(r < 0.5, a[:, None], b[:, None]).ravel()
+        v2 = _biane_v2_from_end(nu, t, u, end, _biane_v2(nu, t, u))
+        omega = u + 1j * np.sqrt(v2)
+        # 1 - t G_nu'(omega) = 2 i t v_t sum_i w_i / (|omega - d_i|^2 (omega - d_i)), since
+        # sum_i w_i / |omega - d_i|^2 = 1/t: no cancellation near an edge or a cusp.
+        # At an end itself (s = -1 or 1) v_t = 0 and omega' is infinite.
+        a_u = omega[:, None] - nu.locations
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega1 = 1.0 / (2j * t * omega.imag
+                            * np.sum(nu.weights / (abs(a_u) ** 2 * a_u), axis=1))
+        dxds = 2.0 * t * duds * _biane_slope(nu, u, v2)
+        return tuple(q.reshape(a.size, -1) for q in (_biane_psi(nu, t, u, v2), omega, omega1, dxds))
+
+
+def support_nodes(nu: AtomicMeasure, t: float, s, flatten: bool = False):
+    """Boundary values of the subordination map at nodes s of the support of
+    nu boxplus sigma_t: ``SupportPieces.of(nu, t).nodes(s, flatten)``."""
+    return SupportPieces.of(nu, t).nodes(s, flatten)
 
 
 def support_window(nu: AtomicMeasure, v: float) -> tuple[float, float]:

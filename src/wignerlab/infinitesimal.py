@@ -11,34 +11,37 @@ n/2 + 1 - |pi gamma| is even, positive exactly for crossing pairings).
 Enumeration is exhaustive and exact; n is capped (default 16) since the
 point is correctness at desk scale, not asymptotic speed. A pairing is its
 partner tuple: ``p[t]`` is the letter that t is paired with. Each word
-enumerates its pairings and walks their cycles once
-(``PairedWord.cycle_classes``), sorting the pairings into classes by the
-separators along each cycle: all 10,395 pairings of w1^12 fall into 4. At
-every dimension each class's product is then formed once, and the sums add
-the class products pairing by pairing, so they keep the bits of a loop that
-multiplies out every pairing.
+enumerates its pairings once, as an integer array with a row per pairing,
+and walks the cycles of all rows together (``PairedWord.cycle_classes``),
+sorting the pairings into classes by the separators along each cycle: all
+10,395 pairings of w1^12 fall into 4. At every dimension each class's
+product is then formed once, and the sums add the class products pairing
+by pairing, so they keep the bits of a loop that multiplies out every
+pairing.
 
 The Monte Carlo cross-check draws each sample's GUE matrices once for all
-words, assembled by ``ensemble.hermitian`` as ``ensemble.sample`` assembles
-its matrices, and traces each word as Tr(L R) of the products L, R of its
-two halves. Halves share the products of common prefixes, and a diagonal
-separator scales columns instead of multiplying; each word still gets
-bitwise the value it would get if checked alone. Its samples run on the
-index-ordered map of ``parallel``, serially or on forked workers.
+words, each from one call for all its normals and assembled by
+``ensemble.hermitian`` as ``ensemble.sample`` assembles its matrices, and
+traces each word as Tr(L R) of the products L, R of its two halves. The
+distinct prefixes of all halves are listed once, in the order each is
+formed from the one before, and every sample forms that list, so halves
+share the products of common prefixes; a diagonal separator scales columns
+instead of multiplying, and each word still gets bitwise the value it
+would get if checked alone. Its samples run on the index-ordered map of
+``parallel``, serially or on forked workers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ensemble import hermitian, rng_for
+from .ensemble import hermitian, rng_for, strict_upper
 from .errors import ParameterError
 from .parallel import map_samples, mean_and_se
 
@@ -91,34 +94,38 @@ class PairedWord:
     def cycle_classes(self) -> tuple[tuple, tuple[int, ...]]:
         """(classes, class of each pairing), computed once per word.
 
-        Walks the cycles of pi*gamma, gamma: t -> t+1 mod n, of each
-        color-respecting pairing once, each cycle from its smallest t. A
-        cycle's key is the tuple of the non-empty separators along it, and a
-        class is (the keys of a pairing's cycles in cycle order,
-        non-crossing); ``classes`` lists the distinct ones, and the second
-        tuple gives each pairing's index into it, in ``enumerate_pairings``
-        order. Pairings of one class contribute equal products to both sums.
+        Walks the cycles of pi*gamma, gamma: t -> t+1 mod n, of all
+        color-respecting pairings at once (``_cycle_streams``), each cycle
+        from its smallest t. A cycle's key is the tuple of the non-empty
+        separators along it, and a class is (the keys of a pairing's cycles
+        in cycle order, non-crossing); ``classes`` lists the distinct ones
+        in order of first appearance, and the second tuple gives each
+        pairing's index into it, in ``enumerate_pairings`` order. Pairings
+        of one class contribute equal products to both sums.
         """
         n, seps = self.n, self.separators
-        classes: dict[tuple, int] = {}
-        of_pairing = []
-        for partner in enumerate_pairings(n, self.colors):
-            seen = [False] * n
-            keys = []
-            for start in range(n):
-                if seen[start]:
-                    continue
-                key = []
-                t = start
-                while not seen[t]:
-                    seen[t] = True
-                    if seps[t]:
-                        key.append(seps[t])
-                    t = partner[(t + 1) % n]
-                keys.append(tuple(key))
-            cls = (tuple(keys), n // 2 + 1 == len(keys))
-            of_pairing.append(classes.setdefault(cls, len(classes)))
-        return tuple(classes), tuple(of_pairing)
+        codes: dict[tuple[str, ...], int] = {}
+        for sep in seps:
+            if sep:
+                codes.setdefault(sep, len(codes) + 2)
+        streams = _cycle_streams(_pairing_array(n, self.colors),
+                                 np.array([codes.get(sep, 0) for sep in seps], dtype=np.uint8))
+        # a pairing's stream determines its class, and the class the stream
+        distinct, first, inverse = np.unique(streams.view(f"S{streams.shape[1]}").ravel(),
+                                             return_index=True, return_inverse=True)
+        names = {code: sep for sep, code in codes.items()}
+        classes = []
+        of_distinct = np.empty(distinct.size, dtype=np.intp)
+        for k in np.argsort(first):
+            keys: list[list] = []
+            for code in streams[first[k]].tolist():
+                if code == 1:
+                    keys.append([])
+                elif code:
+                    keys[-1].append(names[code])
+            of_distinct[k] = len(classes)
+            classes.append((tuple(map(tuple, keys)), n // 2 + 1 == len(keys)))
+        return tuple(classes), tuple(of_distinct[inverse.ravel()].tolist())
 
 
 def parse_word(text: str) -> PairedWord:
@@ -153,7 +160,7 @@ def _is_letter(tok: str) -> bool:
 
 def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[tuple[int, ...]]:
     """All fixed-point-free involutions of {0..n-1} pairing only equal
-    colors, as partner tuples.
+    colors, as partner tuples, in lexicographic order.
 
     Empty for odd n or color multisets with an odd count of some color.
     """
@@ -161,25 +168,64 @@ def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[tupl
         colors = [0] * n
     if len(colors) != n:
         raise ParameterError("colors must have length n")
+    return [tuple(p) for p in _pairing_array(n, colors).tolist()]
+
+
+def _pairing_array(n: int, colors: Sequence[int]) -> np.ndarray:
+    """``enumerate_pairings`` as one integer array with a row per pairing.
+
+    Pairs the smallest unpaired letter of every partial pairing with each
+    later unpaired letter of its color in turn, n/2 times; rows keep the
+    order of their parents, so the last round lists the pairings in
+    lexicographic order.
+    """
     if n % 2:
-        return []
-    out: list[tuple[int, ...]] = []
-    partner = [-1] * n
+        return np.empty((0, n), dtype=np.intp)
+    colors = np.asarray(colors)
+    letters = np.arange(n)
+    rows = np.full((1, n), -1, dtype=np.intp)
+    for _ in range(n // 2):
+        free = rows < 0
+        t = np.argmax(free, axis=1)
+        parent, s = np.nonzero(free & (letters > t[:, None]) & (colors == colors[t][:, None]))
+        rows, t = rows[parent], t[parent]
+        k = np.arange(parent.size)
+        rows[k, t] = s
+        rows[k, s] = t
+    return rows
 
-    def recurse():
-        try:
-            t = partner.index(-1)
-        except ValueError:
-            out.append(tuple(partner))
-            return
-        for s in range(t + 1, n):
-            if partner[s] == -1 and colors[s] == colors[t]:
-                partner[t], partner[s] = s, t
-                recurse()
-                partner[t] = partner[s] = -1
 
-    recurse()
-    return out
+def _cycle_streams(pairings: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Walk of the cycles of pi*gamma of every pairing (a row of partners), as
+    a uint8 row per pairing: 1 where a cycle starts, then the code of each
+    letter's separator along it (0 for an empty one is skipped), then zeros.
+
+    All rows step together, n steps: from t to pi(t + 1), or, where that
+    closes the cycle, to the smallest letter not yet visited.
+    """
+    m, n = pairings.shape
+    width = 2 * n  # at most n/2 + 1 cycle starts and n separators
+    after = pairings[:, (np.arange(n) + 1) % n].ravel()
+    seen = np.zeros((m, n), dtype=bool)
+    flat_seen = seen.ravel()
+    streams = np.zeros(m * width, dtype=np.uint8)
+    base = np.arange(m) * n
+    cursor = np.arange(m) * width  # where each row writes its next code
+    t = base.copy()
+    starts = np.arange(m)
+    for step in range(n):
+        if step:
+            t = base + after[t]
+            starts = np.flatnonzero(flat_seen[t])
+            t[starts] = base[starts] + np.argmin(seen[starts], axis=1)
+        streams[cursor[starts]] = 1
+        cursor[starts] += 1
+        code = codes[t - base]
+        named = np.flatnonzero(code)
+        streams[cursor[named]] = code[named]
+        cursor[named] += 1
+        flat_seen[t] = True
+    return streams.reshape(m, width)
 
 
 def _separator_matrices(word: PairedWord, generators: Mapping[str, np.ndarray], n_dim: int):
@@ -347,13 +393,18 @@ def sample_gue(n_dim: int, sigma_n2: float, rng: np.random.Generator) -> np.ndar
     """GUE matrix: complex Gaussian off-diagonal, real Gaussian diagonal,
     every entry with E|X_ij|^2 = sigma_n2.
 
-    Draws the real parts, the imaginary parts (both n x n, of which the
-    strict upper triangle is used) and then the diagonal, in that order.
+    Draws its 2n^2 + n normals in one call: the real parts and the imaginary
+    parts (each n x n in row-major order, of which the strict upper triangle
+    is used) and then the diagonal. Only the strict upper triangle enters
+    the arithmetic.
     """
     scale = math.sqrt(sigma_n2)
-    re = rng.standard_normal((n_dim, n_dim))
-    im = rng.standard_normal((n_dim, n_dim))
-    return hermitian(scale * (re + 1j * im) / math.sqrt(2.0), scale * rng.standard_normal(n_dim))
+    size = n_dim * n_dim
+    normals = rng.standard_normal(2 * size + n_dim)
+    upper = strict_upper(n_dim)
+    re = normals[:size].reshape(n_dim, n_dim)[upper]
+    im = normals[size:2 * size].reshape(n_dim, n_dim)[upper]
+    return hermitian(scale * (re + 1j * im) / math.sqrt(2.0), scale * normals[2 * size:])
 
 
 @dataclass(frozen=True)
@@ -395,32 +446,51 @@ def monte_carlo_cross_checks(
 
     Sample m draws its GUE matrices from ``ensemble.rng_for(seed, m)``; a
     word takes the i-th draw for its i-th color in sorted order, so its
-    result does not depend on the other words. A word's
-    factors (draws and separator products) split at ceil(k/2) into two
-    halves, each folded left to right into L and R, and its trace is
-    ``sum(L * R.T)``, which is Tr(L R) in O(N^2); a one-factor word is
-    ``trace(L)``. Each sample's draws are shared by all words, and so are
-    the products of common prefixes (same draw slots, same separators) of
-    the halves. A separator that is a diagonal matrix multiplies a product
-    as a column scaling ``prod * d``, which gives the bits of ``prod @ D``.
-    The means and SEs can differ in their last digits from a fold of the
-    whole word, as the sum is taken in another order.
-    One sample gives one row, its traces of every word, and the rows run
-    on ``parallel.map_samples`` with ``threads`` as in ``montecarlo.run``:
-    the results are bitwise the same for every worker count.
+    result does not depend on the other words. A word's factors (draws and
+    separator products) split at ceil(k/2) into two halves, each folded
+    left to right into L and R, and its trace is ``sum(L * R.T)``, which is
+    Tr(L R) in O(N^2); a one-factor word is ``trace(L)``. Before sampling,
+    the distinct prefixes of all halves (same draw slots, same separators)
+    are listed once in dependency order, each a leaf (a draw or a separator
+    product), a column scaling of an earlier prefix by a separator that is
+    a diagonal matrix (``prod * d``, which gives the bits of ``prod @ D``)
+    or a matmul of an earlier prefix by its last factor; every sample forms
+    that list and traces each word from it, so each word gets bitwise the
+    value of its own fold. The means and SEs can differ in their last
+    digits from a fold of the whole word, as the sum is taken in another
+    order. One sample gives one row, its traces of every word, and the rows
+    run on ``parallel.map_samples`` with ``threads`` as in
+    ``montecarlo.run``: the results are bitwise the same for every worker
+    count.
     """
     if n_samples < 1000:
         raise ParameterError("cross-check needs at least 1000 samples")
     gens = generators or {}
     separators: dict[tuple[str, ...], np.ndarray] = {}
     diagonals: dict[tuple[str, ...], np.ndarray] = {}  # of the separators that are diagonal
-    halves = []  # per word: its factors, a draw slot or separator names, split in two
     for word in words:
         for names, mat in _separator_matrices(word, gens, n_dim).items():
             separators[names] = mat
             d = np.diagonal(mat)
             if np.array_equal(mat, np.diag(d)):
                 diagonals[names] = d.copy()
+    # every distinct half prefix, by its factors (a draw slot or separator
+    # names), as (index of the prefix one shorter or None, its last factor)
+    index: dict[tuple, int] = {}
+    steps: list[tuple] = []
+
+    def prefix(half: tuple) -> int | None:
+        if not half:
+            return None
+        known = index.get(half)
+        if known is None:
+            parent = prefix(half[:-1])
+            known = index[half] = len(steps)
+            steps.append((parent, half[-1]))
+        return known
+
+    traced = []  # per word: the list indices of its halves' products
+    for word in words:
         slot = {c: i for i, c in enumerate(sorted(set(word.colors)))}
         factors: list = []
         for color, names in zip(word.colors, word.separators):
@@ -428,41 +498,28 @@ def monte_carlo_cross_checks(
             if names:
                 factors.append(names)
         mid = (len(factors) + 1) // 2
-        halves.append((tuple(factors[:mid]), tuple(factors[mid:])))
-    # only prefixes that more than one half starts with are kept
-    uses = Counter(half[:k] for pair in halves for half in pair for k in range(1, len(half) + 1))
+        traced.append((prefix(tuple(factors[:mid])), prefix(tuple(factors[mid:]))))
     exacts = [xi_exact(word, n_dim, sigma_n2, gens) for word in words]
     n_draws = max((len(set(word.colors)) for word in words), default=0)
 
     def per_sample(m: int) -> np.ndarray:
         rng = rng_for(seed, m)
         draws = [sample_gue(n_dim, sigma_n2, rng) for _ in range(n_draws)]
-        prefixes: dict[tuple, np.ndarray] = {}
-
-        def fold(half: tuple) -> np.ndarray:
-            prod = None
-            for k, factor in enumerate(half):
-                key = half[: k + 1]
-                known = prefixes.get(key)
-                if known is None:
-                    mat = draws[factor] if isinstance(factor, int) else separators[factor]
-                    if prod is None:
-                        known = mat
-                    elif factor in diagonals:
-                        known = prod * diagonals[factor]
-                    else:
-                        known = prod @ mat
-                    if uses[key] > 1:
-                        prefixes[key] = known
-                prod = known
-            return prod
-
-        row = np.empty(len(halves), dtype=complex)
-        for j, (left, right) in enumerate(halves):
-            if right:
-                row[j] = np.sum(fold(left) * fold(right).T) / n_dim
+        products: list[np.ndarray] = []
+        for parent, factor in steps:
+            mat = draws[factor] if isinstance(factor, int) else separators[factor]
+            if parent is None:
+                products.append(mat)
+            elif factor in diagonals:
+                products.append(products[parent] * diagonals[factor])
             else:
-                row[j] = np.trace(fold(left)) / n_dim
+                products.append(products[parent] @ mat)
+        row = np.empty(len(traced), dtype=complex)
+        for j, (left, right) in enumerate(traced):
+            if right is None:
+                row[j] = np.trace(products[left]) / n_dim
+            else:
+                row[j] = np.sum(products[left] * products[right].T) / n_dim
         return row
 
     rows = map_samples(per_sample, n_samples, threads)

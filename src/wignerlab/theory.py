@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, ParameterError, RepresentationError,
                      SingularityError)
-from .freeconv import AtomicMeasure, SubordinationSolution, solve_pastur_array, support_nodes
+from .freeconv import AtomicMeasure, SubordinationSolution, SupportPieces, solve_pastur_array
 
 __all__ = [
     "FluctuationParams",
@@ -327,16 +327,16 @@ def extend_bias(params: FluctuationParams, phi,
     b(phi) = (1/pi) integral over the spectral support S of
     phi'(x) Im B(x + i0) dx, where B (``_bias_primitive``) has dB/dz = beta
     and is real off S, so the edge masses of the bias are included. On each
-    support piece of ``freeconv.support_nodes``, s = cos theta; the
+    piece of ``freeconv.SupportPieces``, found once per call, s = cos theta; the
     integral runs over theta by n-point Gauss-Legendre, and
     phi'(x) dx = d(phi o psi_t) comes from the Chebyshev interpolant of
     phi o psi_t at n points, so ``phi`` (called on arrays of points) needs
     no derivative. n doubles as ``_doubling`` says. ``window``, if given,
     sets no range: it must contain S, else DomainError is raised.
     """
-    nu, t = params.nu, params.sigma2
+    pieces = SupportPieces.of(params.nu, params.sigma2)
     if window is not None:
-        x = support_nodes(nu, t, [-1.0, 1.0])[0]
+        x = pieces.nodes([-1.0, 1.0])[0]
         lo, hi = x[0, 0], x[-1, -1]
         if not (window[0] <= lo and hi <= window[1]):
             raise DomainError(f"window {tuple(window)} does not contain the support [{lo}, {hi}]")
@@ -346,7 +346,7 @@ def extend_bias(params: FluctuationParams, phi,
         cheb = np.pi * (m + 0.5) / n
         g, w = np.polynomial.legendre.leggauss(n)
         theta = 0.5 * np.pi * (g + 1.0)
-        x, omega, _, _ = support_nodes(nu, t, np.cos(np.concatenate([cheb, theta])))
+        x, omega, _, _ = pieces.nodes(np.cos(np.concatenate([cheb, theta])))
         # phi o psi_t = sum_j c_j cos(j theta) at s = cos theta;
         # up the piece theta runs from pi to 0, so d(phi o psi_t) there is
         # sum_j j c_j sin(j theta) d theta over theta from 0 to pi
@@ -368,8 +368,8 @@ def extend_variance(params: FluctuationParams, phi) -> ExtensionValue:
         V = (1/4 pi^2) integral over S x S of (phi(x) - phi(y))^2
             Re[Gamma(x + i0, y + i0) - Gamma(x + i0, y - i0)] dx dy,
 
-    S the spectral support. On each support piece of
-    ``freeconv.support_nodes``, flattened at the ends that are not edges,
+    S the spectral support. On each piece of ``freeconv.SupportPieces``,
+    found once per call and flattened at the ends that are not edges,
     s = cos theta, and the midpoint rule in theta takes x on n nodes and y
     on n + 2, which share no node: the diagonal, where the kernel is
     singular, is never evaluated. At a flattened end the rule converges
@@ -379,7 +379,8 @@ def extend_variance(params: FluctuationParams, phi) -> ExtensionValue:
     """
     exact = getattr(phi, "poles", None)
     if exact is None:
-        return _doubling(lambda n: _axis_variance(params, phi, n), rate=1.0 / 16.0)
+        pieces = SupportPieces.of(params.nu, params.sigma2)
+        return _doubling(lambda n: _axis_variance(params, pieces, phi, n), rate=1.0 / 16.0)
     zs, cs = np.array(exact, dtype=complex).T
     kv = gamma_kernel(params, zs[:, None], zs[None, :])
     invalid = ~kv.valid
@@ -397,13 +398,14 @@ def extend_variance(params: FluctuationParams, phi) -> ExtensionValue:
     return ExtensionValue(value=total.real, error=0.0)
 
 
-def _axis_variance(params: FluctuationParams, phi, n: int) -> tuple[float, float]:
+def _axis_variance(params: FluctuationParams, pieces: SupportPieces, phi,
+                   n: int) -> tuple[float, float]:
     """``extend_variance``'s double integral with x on n nodes per support
     piece, and the sum of the absolute values of its terms."""
 
     def grid(k):
         theta = np.pi * (np.arange(k) + 0.5) / k
-        x, omega, omega1, dxds = support_nodes(params.nu, params.sigma2, np.cos(theta), flatten=True)
+        x, omega, omega1, dxds = pieces.nodes(np.cos(theta), flatten=True)
         dx = np.sin(theta) * dxds / (2.0 * k)  # each measure carries 1/(2 pi)
         side = _side(params, omega.ravel(), omega1.ravel())
         return np.real(phi(x)).ravel(), side, dx.ravel()

@@ -812,8 +812,8 @@ GOLDEN = {
     'compare/compare.json': 'a650c7d7256c0545',
     'compare/compare_bias.csv': '30ca97f3e4b0f175',
     'compare/compare_cov.csv': '744e346325e82324',
-    'density/density.csv': '465cc64f66d131cb',
-    'density/density.json': 'b488e912336e8fbd',
+    'density/density.csv': 'bacd8917974aabbb',
+    'density/density.json': '26df506fbe119f1b',
     'infinitesimal/moments.csv': 'd1fbad612492a416',
     'infinitesimal/moments.json': 'cfb06ed2326e102d',
     'identities/identities.csv': '53db4e50908af04d',

@@ -517,7 +517,7 @@ def test_triangle_mask_is_built_once_per_n(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
-    ensemble._strict_upper.cache_clear()
+    ensemble.strict_upper.cache_clear()
     for n in (17, 23):
         p = make_params(n, "gaussian_real", atoms=np.linspace(-1, 1, n))
         for i in range(20):

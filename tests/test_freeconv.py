@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import wignerlab.freeconv as freeconv
@@ -411,6 +411,70 @@ class TestBianeDensity:
         for x, value, error in zip(xs, est.value, est.error):
             scalar = density(CUSP, 0.5, x)
             assert (scalar.value, scalar.error) == (value, error)
+
+
+def bisected_density(nu, t, x):
+    """Density of nu boxplus sigma_t at a float x by plain-float bisection:
+    v_t(u)^2 as the root s in [0, t] of t sum_i w_i / ((u - d_i)^2 + s) = 1
+    and u as the root of psi_t(u) = x in [x - sqrt t, x + sqrt t], each to
+    rounding by 64 halvings."""
+    d, w = nu.locations.tolist(), nu.weights.tolist()
+
+    def v2(u):
+        a2 = [(u - di) ** 2 for di in d]
+        if min(a2) > 0.0 and t * sum(wi / ai for wi, ai in zip(w, a2)) <= 1.0:
+            return 0.0
+        lo, hi = 0.0, t
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if t * sum(wi / (ai + mid) for wi, ai in zip(w, a2)) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def psi(u):
+        s = v2(u)
+        return u + t * sum(wi * (u - di) / ((u - di) ** 2 + s) for wi, di in zip(w, d))
+
+    reach = math.sqrt(t) * (1.0 + 1e-9)
+    lo, hi = x - reach, x + reach
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if psi(mid) < x:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(v2(0.5 * (lo + hi))) / (math.pi * t)
+
+
+@st.composite
+def density_cases(draw):
+    """1 to 4 atoms, a variance, and points across and beyond the support."""
+    n = draw(st.integers(1, 4))
+    locations = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    nu = AtomicMeasure(np.array(locations), weights / weights.sum())
+    t = draw(st.floats(0.05, 2.0))
+    lo, hi = support_window(nu, t)
+    xs = draw(st.lists(st.floats(lo - 0.5, hi + 0.5), min_size=1, max_size=6))
+    return nu, t, xs
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(CUSP, 1.0, [0.0, 1e-12, -1e-9, 1e-6, -0.03, 0.5, 2.598]))
+@example(case=(CUSP, 1.0005, [0.0, 1e-9, -1e-6, 0.01, -2.6]))
+@example(case=(CUSP, 0.9995, [0.0, 1e-6, -0.01, 0.05]))
+@given(case=density_cases())
+def test_density_within_its_error_of_bisection(case):
+    # the error covers how far the preimage can move; the value itself is
+    # rounded, which the allowance of 16 eps of the value covers
+    nu, t, xs = case
+    est = density(nu, t, np.array(xs))
+    for x, value, error in zip(xs, est.value, est.error):
+        oracle = bisected_density(nu, t, x)
+        rounding = 16 * np.finfo(float).eps * oracle
+        assert abs(value - oracle) <= error + rounding, (x, value, oracle)
 
 
 class TestSupportNodes:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import wignerlab.infinitesimal as infinitesimal
 from wignerlab.errors import ParameterError
+from wignerlab.parallel import mean_and_se
 from wignerlab.infinitesimal import (
     MAX_LETTERS,
     PairedWord,
@@ -160,6 +162,72 @@ class TestPairingEnumeration:
         expected = 0 if any(c % 2 for c in counts) else math.prod(
             double_factorial(c - 1) for c in counts)
         assert len(pairings) == expected
+
+
+def reference_enumerate_pairings(n, colors):
+    """The recursive enumeration that ``enumerate_pairings`` replaced."""
+    out = []
+    partner = [-1] * n
+
+    def recurse():
+        try:
+            t = partner.index(-1)
+        except ValueError:
+            out.append(tuple(partner))
+            return
+        for s in range(t + 1, n):
+            if partner[s] == -1 and colors[s] == colors[t]:
+                partner[t], partner[s] = s, t
+                recurse()
+                partner[t] = partner[s] = -1
+
+    if n % 2 == 0:
+        recurse()
+    return out
+
+
+def reference_cycle_classes(word):
+    """The per-pairing cycle walk that ``PairedWord.cycle_classes`` replaced."""
+    n, seps = word.n, word.separators
+    classes = {}
+    of_pairing = []
+    for partner in reference_enumerate_pairings(n, word.colors):
+        seen = [False] * n
+        keys = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            key = []
+            t = start
+            while not seen[t]:
+                seen[t] = True
+                if seps[t]:
+                    key.append(seps[t])
+                t = partner[(t + 1) % n]
+            keys.append(tuple(key))
+        cls = (tuple(keys), n // 2 + 1 == len(keys))
+        of_pairing.append(classes.setdefault(cls, len(classes)))
+    return tuple(classes), tuple(of_pairing)
+
+
+@st.composite
+def _coloured_words(draw):
+    """Up to 12 letters of up to three colors, odd counts included, with
+    separators from two generators or with none."""
+    colors = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=12))
+    pool = draw(st.sampled_from([[()], [(), ("a",), ("b",), ("a", "b"), ("b", "a")]]))
+    seps = draw(st.lists(st.sampled_from(pool), min_size=len(colors), max_size=len(colors)))
+    return PairedWord(colors=tuple(colors), separators=tuple(seps))
+
+
+@settings(max_examples=150, deadline=None)
+@example(word=PairedWord(colors=(1,) * 12, separators=((),) * 12))
+@example(word=parse_word("w1 a w2 b w1 a w2 b w1 a b w2 b a w1 w2 w1 a w2 w1 b w2"))
+@given(word=_coloured_words())
+def test_cycle_classes_match_the_per_pairing_walk(word):
+    assert enumerate_pairings(word.n, word.colors) == reference_enumerate_pairings(
+        word.n, word.colors)
+    assert word.cycle_classes == reference_cycle_classes(word)
 
 
 class TestCycles:
@@ -491,6 +559,12 @@ def _reference_fold(mats):
 def reference_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
     """One word on its own: its factors split at ceil(k/2), each half folded
     with @, and the trace of the product of the halves as sum(L * R.T)."""
+    values = reference_cross_check_values(word, n_dim, n_samples, sigma_n2, generators, seed)
+    return _reference_result(word, n_dim, sigma_n2, generators, values)
+
+
+def reference_cross_check_values(word, n_dim, n_samples, sigma_n2, generators, seed):
+    """The per-sample traces of ``reference_cross_check``."""
     mats = _reference_separators(word, generators)
     values = np.empty(n_samples, dtype=complex)
     for m in range(n_samples):
@@ -506,7 +580,7 @@ def reference_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
             values[m] = np.sum(left * _reference_fold(factors[mid:]).T) / n_dim
         else:
             values[m] = np.trace(left) / n_dim
-    return _reference_result(word, n_dim, sigma_n2, generators, values)
+    return values
 
 
 def reference_whole_word_cross_check(word, n_dim, n_samples, sigma_n2, generators, seed):
@@ -592,13 +666,13 @@ class TestReferenceEquivalence:
 
     def test_pairings_enumerated_once_per_word(self, monkeypatch):
         calls = []
-        original = infinitesimal.enumerate_pairings
+        original = infinitesimal._pairing_array
 
-        def counting(n, colors=None):
+        def counting(n, colors):
             calls.append(n)
             return original(n, colors)
 
-        monkeypatch.setattr(infinitesimal, "enumerate_pairings", counting)
+        monkeypatch.setattr(infinitesimal, "_pairing_array", counting)
         factory = lambda n: {"a": diag_pm1(n)}
         for _ in range(2):
             word = parse_word("w1 a w1 w1 a w1")
@@ -697,9 +771,20 @@ def _cross_check_words(draw):
        n_dim=st.integers(min_value=1, max_value=4),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_cross_checks_match_reference_at_any_worker_count(words, n_dim, seed):
+    # every sample's trace of every word, not only the means, has the bits
+    # of that word's own fold
     rng = np.random.default_rng(seed)
     gens = {"a": random_hermitian(n_dim, rng), "d": np.diag(rng.standard_normal(n_dim))}
-    refs = [reference_cross_check(word, n_dim, 1000, 0.3, gens, seed) for word in words]
+    values = [reference_cross_check_values(word, n_dim, 1000, 0.3, gens, seed) for word in words]
+    refs = [_reference_result(word, n_dim, 0.3, gens, v) for word, v in zip(words, values)]
     for threads in (1, 2):
-        assert monte_carlo_cross_checks(words, n_dim, 1000, 0.3, gens, seed,
-                                        threads=threads) == refs
+        columns = []
+
+        def recording(vals):
+            columns.append(vals.copy())
+            return mean_and_se(vals)
+
+        with mock.patch.object(infinitesimal, "mean_and_se", recording):
+            got = monte_carlo_cross_checks(words, n_dim, 1000, 0.3, gens, seed, threads=threads)
+        assert got == refs
+        assert [c.tobytes() for c in columns] == [v.tobytes() for v in values]
