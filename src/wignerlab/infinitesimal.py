@@ -11,13 +11,13 @@ n/2 + 1 - |pi gamma| is even, positive exactly for crossing pairings).
 Enumeration is exhaustive and exact; n is capped (default 16) since the
 point is correctness at desk scale, not asymptotic speed. A pairing is its
 partner tuple: ``p[t]`` is the letter that t is paired with. Each word
-enumerates its pairings once, as an integer array with a row per pairing,
-and walks the cycles of all rows together (``PairedWord.cycle_classes``),
-sorting the pairings into classes by the separators along each cycle: all
-10,395 pairings of w1^12 fall into 4. At every dimension each class's
-product is then formed once, and the sums add the class products pairing
-by pairing, so they keep the bits of a loop that multiplies out every
-pairing.
+enumerates its pairings once, depth first in blocks of at most
+``BLOCK_ROWS`` int8 rows, walks the cycles of each block's rows together
+and counts its pairings into classes by the separators along each cycle
+(``PairedWord.cycle_classes``): all 10,395 pairings of w1^12 fall into 4,
+and no per-pairing array outlives its block, so the 2,027,025 pairings of
+w1^16 take a few MB. At every dimension each class's product is then
+formed once, and each sum adds count * product over the classes.
 
 The Monte Carlo cross-check draws each sample's GUE matrices once for all
 words, each from one call for all its normals and assembled by
@@ -92,40 +92,48 @@ class PairedWord:
 
     @cached_property
     def cycle_classes(self) -> tuple[tuple, tuple[int, ...]]:
-        """(classes, class of each pairing), computed once per word.
+        """(classes, number of pairings in each class), computed once per word.
 
-        Walks the cycles of pi*gamma, gamma: t -> t+1 mod n, of all
-        color-respecting pairings at once (``_cycle_streams``), each cycle
-        from its smallest t. A cycle's key is the tuple of the non-empty
-        separators along it, and a class is (the keys of a pairing's cycles
-        in cycle order, non-crossing); ``classes`` lists the distinct ones
-        in order of first appearance, and the second tuple gives each
-        pairing's index into it, in ``enumerate_pairings`` order. Pairings
-        of one class contribute equal products to both sums.
+        Walks the cycles of pi*gamma, gamma: t -> t+1 mod n, of the
+        color-respecting pairings block by block (``_pairing_blocks``,
+        ``_cycle_streams``), each cycle from its smallest t. A cycle's key is
+        the tuple of the non-empty separators along it, and a class is (the
+        keys of a pairing's cycles in cycle order, non-crossing); ``classes``
+        lists the distinct ones in order of first appearance in
+        ``enumerate_pairings`` order, and the second tuple counts the
+        pairings of each. Pairings of one class contribute equal products to
+        both sums, and no per-pairing array outlives its block.
         """
         n, seps = self.n, self.separators
         codes: dict[tuple[str, ...], int] = {}
         for sep in seps:
             if sep:
                 codes.setdefault(sep, len(codes) + 2)
-        streams = _cycle_streams(_pairing_array(n, self.colors),
-                                 np.array([codes.get(sep, 0) for sep in seps], dtype=np.uint8))
-        # a pairing's stream determines its class, and the class the stream
-        distinct, first, inverse = np.unique(streams.view(f"S{streams.shape[1]}").ravel(),
-                                             return_index=True, return_inverse=True)
+        sep_codes = np.array([codes.get(sep, 0) for sep in seps], dtype=np.uint8)
         names = {code: sep for sep, code in codes.items()}
-        classes = []
-        of_distinct = np.empty(distinct.size, dtype=np.intp)
-        for k in np.argsort(first):
-            keys: list[list] = []
-            for code in streams[first[k]].tolist():
-                if code == 1:
-                    keys.append([])
-                elif code:
-                    keys[-1].append(names[code])
-            of_distinct[k] = len(classes)
-            classes.append((tuple(map(tuple, keys)), n // 2 + 1 == len(keys)))
-        return tuple(classes), tuple(of_distinct[inverse.ravel()].tolist())
+        # a pairing's stream determines its class, and the class the stream
+        index: dict[bytes, int] = {}
+        classes: list[tuple] = []
+        counts: list[int] = []
+        for block in _pairing_blocks(n, self.colors):
+            streams = _cycle_streams(block, sep_codes)
+            distinct, first, count = np.unique(streams.view(f"S{streams.shape[1]}").ravel(),
+                                               return_index=True, return_counts=True)
+            for k in np.argsort(first).tolist():
+                known = index.get(distinct[k])
+                if known is not None:
+                    counts[known] += int(count[k])
+                    continue
+                keys: list[list] = []
+                for code in streams[first[k]].tolist():
+                    if code == 1:
+                        keys.append([])
+                    elif code:
+                        keys[-1].append(names[code])
+                index[distinct[k]] = len(classes)
+                classes.append((tuple(map(tuple, keys)), n // 2 + 1 == len(keys)))
+                counts.append(int(count[k]))
+        return tuple(classes), tuple(counts)
 
 
 def parse_word(text: str) -> PairedWord:
@@ -147,8 +155,6 @@ def parse_word(text: str) -> PairedWord:
                 current = []
             colors.append(int(tok[1:]))
         else:
-            if not colors:
-                raise ParameterError("separator before the first Gaussian letter")
             current.append(tok)
     separators.append(tuple(current))
     return PairedWord(colors=tuple(colors), separators=tuple(separators))
@@ -168,23 +174,59 @@ def enumerate_pairings(n: int, colors: Sequence[int] | None = None) -> list[tupl
         colors = [0] * n
     if len(colors) != n:
         raise ParameterError("colors must have length n")
-    return [tuple(p) for p in _pairing_array(n, colors).tolist()]
+    return [tuple(p) for block in _pairing_blocks(n, colors) for p in block.tolist()]
 
 
-def _pairing_array(n: int, colors: Sequence[int]) -> np.ndarray:
-    """``enumerate_pairings`` as one integer array with a row per pairing.
+BLOCK_ROWS = 2**14  # most pairings in one block of ``_pairing_blocks``
 
-    Pairs the smallest unpaired letter of every partial pairing with each
-    later unpaired letter of its color in turn, n/2 times; rows keep the
-    order of their parents, so the last round lists the pairings in
+
+def _pairing_blocks(n: int, colors: Sequence[int]):
+    """``enumerate_pairings`` as arrays of at most ``BLOCK_ROWS`` rows, a row
+    of partners per pairing (int8 up to 128 letters), depth first in
     lexicographic order.
+
+    A run of partial pairings (all with the same number of pairs) whose
+    completions fit in one block is completed at once; a partial pairing
+    with more completions is extended by one pair and its children are
+    split in the same way. Completions are counted with Python ints, as
+    (n - 1)!! outgrows int64 from n = 36 on.
     """
     if n % 2:
-        return np.empty((0, n), dtype=np.intp)
+        return
     colors = np.asarray(colors)
-    letters = np.arange(n)
-    rows = np.full((1, n), -1, dtype=np.intp)
-    for _ in range(n // 2):
+    # (f - 1)!! completions of f free letters of one color, none for odd f
+    pairings_of = [math.prod(range(f - 1, 0, -2)) if f % 2 == 0 else 0 for f in range(n + 1)]
+
+    def blocks(rows: np.ndarray):
+        free = rows < 0
+        sizes = [1] * len(rows)
+        for color in set(colors.tolist()):  # np.unique here would import numpy.ma
+            of_color = np.count_nonzero(free & (colors == color), axis=1).tolist()
+            sizes = [size * pairings_of[f] for size, f in zip(sizes, of_color)]
+        rounds = np.count_nonzero(free[0]) // 2
+        start, total = 0, 0
+        for i, size in enumerate(sizes):
+            if total + size > BLOCK_ROWS:
+                if total:
+                    yield _extend(rows[start:i], colors, rounds)
+                start, total = i, 0
+            if size > BLOCK_ROWS:
+                yield from blocks(_extend(rows[i:i + 1], colors, 1))
+                start = i + 1
+            else:
+                total += size
+        if total:
+            yield _extend(rows[start:], colors, rounds)
+
+    yield from blocks(np.full((1, n), -1, dtype=np.int8 if n <= 128 else np.intp))
+
+
+def _extend(rows: np.ndarray, colors: np.ndarray, rounds: int) -> np.ndarray:
+    """Pairs the smallest unpaired letter of every row with each later
+    unpaired letter of its color in turn, ``rounds`` times; rows keep the
+    order of their parents, so lexicographic order is kept."""
+    letters = np.arange(rows.shape[1])
+    for _ in range(rounds):
         free = rows < 0
         t = np.argmax(free, axis=1)
         parent, s = np.nonzero(free & (letters > t[:, None]) & (colors == colors[t][:, None]))
@@ -278,15 +320,13 @@ def _sum_over_pairings(word: PairedWord, cycle_value, noncrossing_only: bool) ->
     the cycles of pi*gamma.
 
     Each cycle key is evaluated once and each class's product is formed
-    once, in cycle order; the products are then added pairing by pairing in
-    enumeration order, so the sum has the bits of a per-pairing loop.
+    once, in cycle order; the sum is that of count * product over the
+    classes in their order, with plain ``*`` and ``+``.
     """
-    classes, of_pairing = word.cycle_classes
     values: dict[tuple, complex] = {}
-    products = []
-    for keys, noncrossing in classes:
+    total = 0.0 + 0.0j
+    for (keys, noncrossing), count in zip(*word.cycle_classes):
         if noncrossing_only and not noncrossing:
-            products.append(None)
             continue
         contrib = 1.0 + 0.0j
         for key in keys:
@@ -294,11 +334,7 @@ def _sum_over_pairings(word: PairedWord, cycle_value, noncrossing_only: bool) ->
             if value is None:
                 value = values[key] = cycle_value(key)
             contrib *= value
-        products.append(contrib)
-    total = 0.0 + 0.0j
-    for k in of_pairing:
-        if products[k] is not None:
-            total += products[k]
+        total += count * contrib
     return total
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -139,15 +141,30 @@ class TestPairingEnumeration:
     def test_unpairable_colors_empty(self):
         assert enumerate_pairings(4, (1, 1, 1, 2)) == []
 
+    def test_long_words_with_one_pairing(self):
+        # 35!! completions of 36 letters outgrow int64, and partners past 127
+        # outgrow int8; the colours leave one pairing either way
+        assert enumerate_pairings(36, [c for c in range(18) for _ in (0, 1)]) == [
+            tuple(t ^ 1 for t in range(36))]
+        assert enumerate_pairings(130, list(range(65)) * 2) == [
+            tuple((t + 65) % 130 for t in range(130))]
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_noncrossing_counts_are_catalan(self, n):
         pairings = enumerate_pairings(n)
         assert len(pairings) == double_factorial(n - 1)
         word = PairedWord(colors=(1,) * n, separators=((),) * n)
-        classes, of_pairing = word.cycle_classes
-        flags = [classes[k][1] for k in of_pairing]
-        assert flags == [not crossing(p) for p in pairings]
-        assert sum(flags) == catalan(n // 2)
+        classes, counts = word.cycle_classes
+        assert sum(counts) == len(pairings)
+        # without separators a class is its number of cycles, and its flag is
+        # that of every pairing in it
+        flag = {len(keys): noncrossing for keys, noncrossing in classes}
+        assert len(flag) == len(classes)
+        assert [flag[len(cycles(p))] for p in pairings] == [not crossing(p) for p in pairings]
+        assert Counter(len(cycles(p)) for p in pairings) == {
+            len(keys): count for (keys, _), count in zip(classes, counts)}
+        assert sum(count for (_, noncrossing), count in zip(classes, counts)
+                   if noncrossing) == catalan(n // 2)
 
     @settings(max_examples=200, deadline=None)
     @given(colors=st.lists(st.integers(min_value=1, max_value=3), max_size=10))
@@ -186,28 +203,32 @@ def reference_enumerate_pairings(n, colors):
     return out
 
 
+def reference_class(partner, seps):
+    """A pairing's class by a walk of its own cycles: the keys (separators
+    along each cycle, from its smallest t) and whether it is non-crossing."""
+    n = len(partner)
+    seen = [False] * n
+    keys = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        key = []
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            if seps[t]:
+                key.append(seps[t])
+            t = partner[(t + 1) % n]
+        keys.append(tuple(key))
+    return tuple(keys), n // 2 + 1 == len(keys)
+
+
 def reference_cycle_classes(word):
-    """The per-pairing cycle walk that ``PairedWord.cycle_classes`` replaced."""
-    n, seps = word.n, word.separators
-    classes = {}
-    of_pairing = []
-    for partner in reference_enumerate_pairings(n, word.colors):
-        seen = [False] * n
-        keys = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            key = []
-            t = start
-            while not seen[t]:
-                seen[t] = True
-                if seps[t]:
-                    key.append(seps[t])
-                t = partner[(t + 1) % n]
-            keys.append(tuple(key))
-        cls = (tuple(keys), n // 2 + 1 == len(keys))
-        of_pairing.append(classes.setdefault(cls, len(classes)))
-    return tuple(classes), tuple(of_pairing)
+    """The classes of the per-pairing walk in order of first appearance, and
+    how many pairings each has, counted pairing by pairing."""
+    counts = Counter(reference_class(partner, word.separators)
+                     for partner in reference_enumerate_pairings(word.n, word.colors))
+    return tuple(counts), tuple(counts.values())
 
 
 @st.composite
@@ -225,9 +246,32 @@ def _coloured_words(draw):
 @example(word=parse_word("w1 a w2 b w1 a w2 b w1 a b w2 b a w1 w2 w1 a w2 w1 b w2"))
 @given(word=_coloured_words())
 def test_cycle_classes_match_the_per_pairing_walk(word):
-    assert enumerate_pairings(word.n, word.colors) == reference_enumerate_pairings(
-        word.n, word.colors)
-    assert word.cycle_classes == reference_cycle_classes(word)
+    pairings = reference_enumerate_pairings(word.n, word.colors)
+    reference = reference_cycle_classes(word)
+    assert enumerate_pairings(word.n, word.colors) == pairings
+    assert word.cycle_classes == reference
+    # blocks of at most five pairings split the longer words, and the
+    # classes and counts merged across the blocks are the same
+    with mock.patch.object(infinitesimal, "BLOCK_ROWS", 5):
+        assert enumerate_pairings(word.n, word.colors) == pairings
+        assert PairedWord(word.colors, word.separators).cycle_classes == reference
+        assert all(len(block) <= 5 for block in infinitesimal._pairing_blocks(word.n, word.colors))
+
+
+def test_classes_of_w1_14_in_bounded_memory():
+    # the 135,135 pairings are classified block by block; holding every
+    # pairing's row, stream and class index at once takes about 44 MB
+    word = PairedWord(colors=(1,) * 14, separators=((),) * 14)
+    tracemalloc.start()
+    try:
+        classes, counts = word.cycle_classes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert sum(counts) == double_factorial(13) == 135135
+    assert sum(count for (_, noncrossing), count in zip(classes, counts)
+               if noncrossing) == catalan(7) == 429
 
 
 class TestCycles:
@@ -403,6 +447,17 @@ class TestInfinitesimalCheck:
         with pytest.raises(ParameterError, match="distinct"):
             infinitesimal_check(parse_word("w1 w1 w1 w1"), dims, 1.0)
 
+    @pytest.mark.parametrize("nonzero_at", [(16,), (16, 32)])
+    def test_fewer_than_three_nonzero_corrections_fit_no_slope(self, nonzero_at):
+        # with a = 0 every moment of (XA)^4 vanishes, with a = diag(+-1) its
+        # correction does not: one or two points leave no slope to fit
+        def factory(n):
+            return {"a": diag_pm1(n) if n in nonzero_at else np.zeros((n, n))}
+
+        rep = infinitesimal_check(parse_word("w1 a w1 a w1 a w1 a"), [8, 16, 32], 1.0, factory)
+        assert [r.n_dim for r in rep.results if r.correction != 0] == list(nonzero_at)
+        assert rep.slope is None and not rep.exact and not rep.ok
+
 
 class TestMonteCarloCrossCheck:
     def test_gue_sampler_moments(self):
@@ -463,6 +518,31 @@ class TestWordGrammar:
             parse_word(text)
 
 
+def test_word_without_letters_rejected():
+    with pytest.raises(ParameterError, match="at least one Gaussian letter"):
+        PairedWord(colors=(), separators=())
+
+
+def test_mismatched_separators_rejected():
+    with pytest.raises(ParameterError, match="equal length"):
+        PairedWord(colors=(1, 1), separators=((),))
+
+
+def test_colours_of_the_wrong_length_rejected():
+    with pytest.raises(ParameterError, match="length n"):
+        enumerate_pairings(4, (1, 1))
+
+
+def test_generator_of_the_wrong_shape_rejected():
+    with pytest.raises(ParameterError, match=r"shape \(2, 2\), expected \(3, 3\)"):
+        xi_exact(parse_word("w1 a w1 a"), 3, 0.1, {"a": np.eye(2)})
+
+
+def test_concrete_free_moment_needs_the_dimension():
+    with pytest.raises(ParameterError, match="n_dim"):
+        free_moment(parse_word("w1 a w1 a"), 1.0, {"a": np.eye(3)})
+
+
 def test_missing_generator_raises():
     with pytest.raises(ParameterError):
         xi_exact(parse_word("w1 a w1 a"), 4, 0.1, {})
@@ -499,27 +579,90 @@ def _reference_cycle_trace(cycle, mats, n_dim):
     return complex(n_dim) if prod is None else complex(np.trace(prod))
 
 
-def reference_xi_exact(word, n_dim, sigma_n2, generators):
-    mats = _reference_separators(word, generators)
-    total = 0.0 + 0.0j
-    for pairing in enumerate_pairings(word.n, word.colors):
-        contrib = 1.0 + 0.0j
-        for cycle in cycles(pairing):
-            contrib *= _reference_cycle_trace(cycle, mats, n_dim)
-        total += contrib
-    return sigma_n2 ** (word.n / 2) / n_dim * total
+def _reference_key_trace(key, generators, n_dim):
+    """Trace of the product of the separators a cycle key names, in order."""
+    mats = [_reference_fold([generators[name] for name in names]) for names in key]
+    return complex(n_dim) if not mats else complex(np.trace(_reference_fold(mats)))
 
 
-def reference_free_moment(word, v, phi_cycle):
-    total = 0.0 + 0.0j
+def reference_terms(word, cycle_value, noncrossing_only):
+    """Per pairing, in enumeration order, the product of ``cycle_value`` over
+    the cycles of pi*gamma."""
+    terms = []
     for pairing in enumerate_pairings(word.n, word.colors):
-        if crossing(pairing):
+        if noncrossing_only and crossing(pairing):
             continue
         contrib = 1.0 + 0.0j
         for cycle in cycles(pairing):
-            contrib *= phi_cycle(cycle)
-        total += contrib
-    return v ** (word.n / 2) * total
+            contrib *= cycle_value(cycle)
+        terms.append(contrib)
+    return terms
+
+
+def sequential_sum(terms):
+    total = 0.0 + 0.0j
+    for term in terms:
+        total += term
+    return total
+
+
+def reference_class_sum(word, key_value, noncrossing_only):
+    """Sum of count * product of ``key_value`` over the keys of each class of
+    the per-pairing walk, in order of first appearance."""
+    total = 0.0 + 0.0j
+    for (keys, noncrossing), count in zip(*reference_cycle_classes(word)):
+        if noncrossing_only and not noncrossing:
+            continue
+        contrib = 1.0 + 0.0j
+        for key in keys:
+            contrib *= key_value(key)
+        total += count * contrib
+    return total
+
+
+def reference_xi_exact(word, n_dim, sigma_n2, generators):
+    """The per-pairing sum, added pairing by pairing in enumeration order."""
+    mats = _reference_separators(word, generators)
+    terms = reference_terms(word, lambda cycle: _reference_cycle_trace(cycle, mats, n_dim), False)
+    return sigma_n2 ** (word.n / 2) / n_dim * sequential_sum(terms)
+
+
+def assert_class_sums_match_references(word, n_dim, generators, table):
+    """xi_exact and free_moment (concrete and with the trace functional
+    ``table`` on generator words) equal scale * the count * product sum
+    bitwise, and agree with scale * the per-pairing sum in enumeration order
+    to within 2 P eps |scale| sum |terms| for P terms.
+
+    The bound: each product is the same float in both, and each sum adds the
+    same exact total in another order, to within sqrt(2) (P - 1) u sum |terms|
+    for the P pairings one by one and sqrt(2) K u sum |terms| for the K
+    classes, a rounding of count * product included (u = eps / 2, K <= P).
+    The two scalings by the same ``scale`` add sqrt(2) u each, and the total
+    stays below 2 P eps sum |terms| |scale| for P >= 3; for P <= 2 the sums are
+    exactly equal.
+    """
+    mats = _reference_separators(word, generators)
+    eps = np.finfo(float).eps
+
+    def cycle_table(cycle):
+        return complex(table(tuple(g for t in cycle for g in word.separators[t])))
+
+    cases = [
+        (xi_exact(word, n_dim, 0.3, generators), 0.3 ** (word.n / 2) / n_dim, False,
+         lambda key: _reference_key_trace(key, generators, n_dim),
+         lambda cycle: _reference_cycle_trace(cycle, mats, n_dim)),
+        (free_moment(word, 1.7, generators, n_dim), 1.7 ** (word.n / 2), True,
+         lambda key: _reference_key_trace(key, generators, n_dim) / n_dim,
+         lambda cycle: _reference_cycle_trace(cycle, mats, n_dim) / n_dim),
+        (free_moment(word, 1.7, trace_functional=table), 1.7 ** (word.n / 2), True,
+         lambda key: complex(table(tuple(name for names in key for name in names))),
+         cycle_table),
+    ]
+    for value, scale, noncrossing_only, key_value, cycle_value in cases:
+        assert value == scale * reference_class_sum(word, key_value, noncrossing_only)
+        terms = reference_terms(word, cycle_value, noncrossing_only)
+        bound = 2 * len(terms) * eps * abs(scale) * sum(abs(term) for term in terms)
+        assert abs(value - scale * sequential_sum(terms)) <= bound
 
 
 def reference_sample_gue(n_dim, sigma_n2, rng):
@@ -666,13 +809,13 @@ class TestReferenceEquivalence:
 
     def test_pairings_enumerated_once_per_word(self, monkeypatch):
         calls = []
-        original = infinitesimal._pairing_array
+        original = infinitesimal._pairing_blocks
 
         def counting(n, colors):
             calls.append(n)
             return original(n, colors)
 
-        monkeypatch.setattr(infinitesimal, "_pairing_array", counting)
+        monkeypatch.setattr(infinitesimal, "_pairing_blocks", counting)
         factory = lambda n: {"a": diag_pm1(n)}
         for _ in range(2):
             word = parse_word("w1 a w1 w1 a w1")
@@ -701,46 +844,26 @@ def _words(draw):
 def test_exact_sums_match_reference(word, n_dim, seed):
     rng = np.random.default_rng(seed)
     gens = {"a": random_hermitian(n_dim, rng), "b": random_hermitian(n_dim, rng)}
-    mats = _reference_separators(word, gens)
-    assert xi_exact(word, n_dim, 0.3, gens) == reference_xi_exact(word, n_dim, 0.3, gens)
-    assert free_moment(word, 1.7, gens, n_dim) == reference_free_moment(
-        word, 1.7, lambda cycle: _reference_cycle_trace(cycle, mats, n_dim) / n_dim
-    )
 
     def table(names):
         return complex(len(names) % 3, names.count("a"))
 
-    def phi_table(cycle):
-        return complex(table(tuple(g for t in cycle for g in word.separators[t])))
-
-    assert free_moment(word, 1.7, trace_functional=table) == reference_free_moment(
-        word, 1.7, phi_table
-    )
+    assert_class_sums_match_references(word, n_dim, gens, table)
 
 
 @pytest.mark.parametrize("text", [" ".join(["w1"] * 12), "w1 a w2 b w1 a w2 b"])
 @pytest.mark.parametrize("n_dim", [3, 8])
 def test_class_sums_match_reference_with_non_integer_values(text, n_dim):
     # with non-integer separator moments the class products are inexact, so
-    # the sums keep the reference's bits only if added pairing by pairing
+    # count * product and the per-pairing sum differ in their last bits; the
+    # sums must have the bits of the first and lie within rounding of the second
     rng = np.random.default_rng(n_dim)
     gens = {"a": random_hermitian(n_dim, rng), "b": random_hermitian(n_dim, rng)}
-    word = parse_word(text)
-    mats = _reference_separators(word, gens)
-    assert xi_exact(word, n_dim, 0.3, gens) == reference_xi_exact(word, n_dim, 0.3, gens)
-    assert free_moment(word, 1.7, gens, n_dim) == reference_free_moment(
-        word, 1.7, lambda cycle: _reference_cycle_trace(cycle, mats, n_dim) / n_dim
-    )
 
     def table(names):
         return complex(0.7 + 0.1 * len(names), 0.3 * names.count("a") - 0.2)
 
-    def phi_table(cycle):
-        return table(tuple(g for t in cycle for g in word.separators[t]))
-
-    assert free_moment(word, 1.7, trace_functional=table) == reference_free_moment(
-        word, 1.7, phi_table
-    )
+    assert_class_sums_match_references(parse_word(text), n_dim, gens, table)
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 7, 16, 50, 101, 200])
