@@ -11,13 +11,12 @@ Every output file embeds (config digest, seed, version) in comment/meta
 fields, so tables are regenerable bit-exactly; Monte Carlo samples run their
 BLAS calls on one thread, so their tables keep their bits under any BLAS
 thread setting. Exit codes: 0 success, 1 acceptance violation (or a failure
-while computing), 2 configuration error.
+while computing, a float overflow too), 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleParams, sample
+from .ensemble import EnsembleParams, config_digest, sample
 from .errors import (
     ConfigError,
     ParameterError,
@@ -144,14 +143,9 @@ def _block(cfg: dict, key: str, optional: bool = False) -> dict:
     return {} if optional and block is None else check_block(block, key)
 
 
-def _config_digest(cfg: dict) -> str:
-    payload = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _meta(cfg: dict, seed) -> dict:
     """The stamp every output file carries: config digest, seed, version."""
-    return {"config_digest": _config_digest(cfg), "seed": seed, "version": __version__}
+    return {"config_digest": config_digest(cfg), "seed": seed, "version": __version__}
 
 
 @dataclass
@@ -556,8 +550,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except WignerlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WignerlabError, ArithmeticError) as exc:
+        text = exc if isinstance(exc, WignerlabError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

@@ -51,6 +51,17 @@ MOMENT_RTOL = 1e-12
 DEFORMATION_BOUND = 100.0
 
 
+def canonical_json(value) -> str:
+    """``value`` as JSON with sorted keys and no spaces: the one format of
+    ``config_digest``, ``EnsembleParams.digest`` and ``report.json``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def config_digest(value) -> str:
+    """First 16 hex digits of the SHA-256 of ``canonical_json(value)``."""
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:16]
+
+
 def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -118,9 +129,9 @@ class Discrete:
     support of v. ``weights`` is the pair (offdiag weights, diag weights),
     which must give E u = 0, E|u|^2 = 1, real E u^2, E v = 0 and E v^2 = 1.
     ``weights=None`` marks a named preset: uniform weights on points of
-    modulus 1, drawn with ``rng.choice(support)`` and truncated in closed
-    form. Moments, truncated moments and ``is_complex`` all come from the
-    support and the weights.
+    modulus 1, drawn by ``rng.choice`` without ``p`` (so its stream is not that
+    of uniform ``p``) and truncated in closed form. Moments, truncated moments
+    and ``is_complex`` all come from the support and the weights.
     """
 
     def __init__(self, name: str, offdiag: Iterable, diag: Iterable, weights=None):
@@ -162,17 +173,12 @@ class Discrete:
     def offdiag_abs4(self) -> float:
         return float(np.sum(self.off_weights * np.abs(self.offdiag) ** 4))
 
-    def _draw(self, rng, support, weights, size) -> np.ndarray:
-        if not self.weighted:
-            return rng.choice(support, size=size)
-        return support[rng.choice(support.size, size=size, p=weights)]
-
     def sample_offdiag(self, rng: np.random.Generator, size) -> np.ndarray:
-        vals = self._draw(rng, self.offdiag, self.off_weights, size)
+        vals = rng.choice(self.offdiag, size=size, p=self.off_weights if self.weighted else None)
         return vals if self.is_complex else vals.real
 
     def sample_diag(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self._draw(rng, self.diag, self.diag_weights, size)
+        return rng.choice(self.diag, size=size, p=self.diag_weights if self.weighted else None)
 
     def _truncated(self, support, weights, scale, delta):
         if not self.weighted:
@@ -299,9 +305,6 @@ class EnsembleParams:
             raise ParameterError(f"deformation atoms exceed the bound {DEFORMATION_BOUND}")
         object.__setattr__(self, "deformation", d)
         self.deformation.setflags(write=False)
-        # every sample carries the digest; hash the config once, not per draw
-        payload = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
-        object.__setattr__(self, "_digest", hashlib.sha256(payload.encode()).hexdigest()[:16])
 
     @classmethod
     def create(
@@ -387,8 +390,8 @@ class EnsembleParams:
         return params
 
     def digest(self) -> str:
-        """First 16 hex digits of the SHA-256 of the canonical config JSON."""
-        return self._digest
+        """``config_digest(self.config())``, hashed at each call, not cached."""
+        return config_digest(self.config())
 
 
 def _implied_tau_kappa(law: Gaussian | Discrete, sigma2: float) -> tuple[float, float]:
@@ -403,11 +406,10 @@ def _close(a: float, b: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class WignerSample:
-    """One realization X = W + D with its provenance."""
+    """One realization X = W + D, drawn with ``params`` at ``seed_path``."""
 
     matrix: np.ndarray
     seed_path: tuple[int, int]
-    params_hash: str
     params: EnsembleParams
 
     @property
@@ -464,7 +466,6 @@ def sample(params: EnsembleParams, master_seed: int, index: int = 0) -> WignerSa
     return WignerSample(
         matrix=hermitian(off, diag + params.deformation),
         seed_path=(int(master_seed), int(index)),
-        params_hash=params.digest(),
         params=params,
     )
 
@@ -535,6 +536,5 @@ def truncate_center_homogenize(smp: WignerSample, delta_n: float) -> WignerSampl
     return WignerSample(
         matrix=hermitian(w, diag + params.deformation),
         seed_path=smp.seed_path,
-        params_hash=smp.params_hash,
         params=params,
     )

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__ as _version
 from .ensemble import (
     EnsembleParams,
+    canonical_json,
     choose_delta,
     sample,
     truncate_center_homogenize,
@@ -197,7 +198,8 @@ class EstimatorReport:
         return tuple(out)
 
     def to_json(self) -> str:
-        return json.dumps(_encode(self), sort_keys=True, separators=(",", ":"))
+        """``canonical_json`` of the encoded fields: ``report.json``'s bytes."""
+        return canonical_json(_encode(self))
 
     @classmethod
     def from_json(cls, text: str) -> "EstimatorReport":

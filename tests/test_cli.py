@@ -956,6 +956,31 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, reports, command, pa
     assert not out.exists()
 
 
+# finite inputs whose computation overflows a Python float (a float ** power),
+# as edits of a small config: key path -> value
+OVERFLOWS = [
+    ("simulate", {("plan", "z_grid", 0, 1): 1e300}),  # montecarlo.crude_variance_bound
+    ("theory", {("fluctuation", "sigma2"): 1e300}),  # theory.bias_bound
+    ("theory", {("fluctuation", "tau"): 1e300}),     # theory's bias bracket
+    ("infinitesimal", {("infinitesimal", "words"): ["w1 w1 w1 w1"],  # xi_exact: v**2
+                       ("infinitesimal", "v"): 1e300}),
+]
+
+
+@pytest.mark.parametrize("command,edits", OVERFLOWS,
+                         ids=[f"{c}-{'.'.join(map(str, [*e][-1]))}" for c, e in OVERFLOWS])
+def test_overflow_while_computing_is_one_error_line(tmp_path, capsys, command, edits):
+    payload = SMALL_CONFIGS[command]
+    for path, value in edits.items():
+        payload = mutate(payload, path, value)
+    cfg = write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # the CSV stems and the JSON file of each command; simulate writes report.json
 # under every format and has no other JSON file
 OUTPUT_FILES = {

@@ -16,6 +16,7 @@ from wignerlab.ensemble import (
     law_from_config,
     sample,
     truncate_center_homogenize,
+    truncated_moments,
 )
 from wignerlab.errors import DegenerateTruncationError, ParameterError
 from wignerlab.theory import FluctuationParams, beta, gamma_kernel
@@ -81,6 +82,19 @@ class TestEntryLawMoments:
         with pytest.raises(ParameterError):
             custom_law([[1.0, 0.0, 1.0]], PM1_HALVES)
 
+    @pytest.mark.parametrize("offdiag,diag,match", [
+        ([[1.0, 0.0, 0.6], [-1.0, 0.0, 0.6]], PM1_HALVES, "weights must be positive"),
+        ([[1.0, 0.0, 1.5], [-1.0, 0.0, -0.5]], PM1_HALVES, "weights must be positive"),
+        ([[2.0, 0.0, 0.5], [-2.0, 0.0, 0.5]], PM1_HALVES, "second moment"),
+        # u = +-e^{i pi/4}: E u^2 = i
+        ([[0.5**0.5, 0.5**0.5, 0.5], [-0.5**0.5, -0.5**0.5, 0.5]], PM1_HALVES, "must be real"),
+        ([[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]], [[2.0, 0.5], [-2.0, 0.5]], "diagonal law"),
+        ([[1.0, 0.0, 0.5], [-1.0, 0.0, 0.5]], [[1.0, 1.0]], "diagonal law"),
+    ])
+    def test_custom_discrete_rejects_bad_weights_and_moments(self, offdiag, diag, match):
+        with pytest.raises(ParameterError, match=match):
+            custom_law(offdiag, diag)
+
     def test_weightless_law_needs_unit_modulus_support(self):
         # the preset truncation closed form assumes every point has modulus 1
         with pytest.raises(ParameterError):
@@ -112,7 +126,7 @@ class TestSampling:
         b = sample(p, 123, 7)
         assert np.array_equal(a.matrix, b.matrix)
         assert a.seed_path == (123, 7)
-        assert a.params_hash == p.digest()
+        assert a.params is p
 
     def test_different_indices_differ(self):
         p = make_params(24)
@@ -174,6 +188,21 @@ class TestSampling:
     def test_deformation_bound(self):
         with pytest.raises(ParameterError):
             make_params(4, atoms=np.array([0.0, 0.0, 0.0, 1e6]))
+
+    @pytest.mark.parametrize("n,atoms,match", [
+        (0, [], "n must be a positive integer"),
+        (-3, [], "n must be a positive integer"),
+        (2, [0.0, np.nan], "must be finite"),
+        (2, [-np.inf, 0.0], "must be finite"),
+    ])
+    def test_invalid_params_rejected(self, n, atoms, match):
+        with pytest.raises(ParameterError, match=match):
+            make_params(n, atoms=np.array(atoms))
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, np.nan])
+    def test_truncation_level_must_be_positive(self, delta):
+        with pytest.raises(ParameterError, match="delta_n must be positive"):
+            truncated_moments(make_params(8), delta)
 
 
 class TestTruncation:

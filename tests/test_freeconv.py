@@ -45,6 +45,17 @@ def semicircle_g(z, v=1.0):
     return (z - sq) / (2.0 * v)
 
 
+@pytest.mark.parametrize("v", [0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda v: solve_pastur_array(CUSP, v, np.array([1j])),
+    lambda v: density(CUSP, v, [0.0]),
+    lambda v: integrate_against_rho(CUSP, v, testfn.smooth_bump(0.0, 1.0, 3)),
+], ids=["solve_pastur_array", "density", "integrate_against_rho"])
+def test_nonpositive_variance_rejected(call, v):
+    with pytest.raises(ValueError, match="must be positive"):
+        call(v)
+
+
 class TestAtomicMeasure:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

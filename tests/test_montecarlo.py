@@ -63,6 +63,10 @@ class TestPlanValidation:
         with pytest.raises(ParameterError):
             small_plan(m=1)
 
+    def test_empty_z_grid_rejected(self):
+        with pytest.raises(ParameterError, match="nonempty"):
+            ExperimentPlan(params=two_point_params(10), n_samples=5, z_grid=(), master_seed=0)
+
     def test_z_floor(self):
         with pytest.raises(ParameterError):
             ExperimentPlan(

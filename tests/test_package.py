@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import json
 import importlib.util
@@ -37,16 +38,20 @@ EXAMPLE_COMMANDS = {"plan": "simulate", "compare": "compare", "density": "densit
                     "fluctuation": "theory"}
 
 
+def readme_examples() -> list[tuple[str, dict]]:
+    """(command, config) of each JSON example of the README, in its order."""
+    configs = [json.loads(text) for text in
+               re.findall(r"^```json\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)]
+    return [(next(EXAMPLE_COMMANDS[key] for key in EXAMPLE_COMMANDS if key in cfg), cfg)
+            for cfg in configs]
+
+
 def test_readme_json_examples_are_read_by_their_commands(tmp_path, monkeypatch):
     # simulate runs first, into out/, whose report.json the compare example reads
     monkeypatch.chdir(tmp_path)
-    configs = [json.loads(text) for text in
-               re.findall(r"^```json\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)]
-    commands = [next(EXAMPLE_COMMANDS[key] for key in EXAMPLE_COMMANDS if key in cfg)
-                for cfg in configs]
-    assert {"simulate", "compare"} <= set(commands)
-    for i, (command, cfg) in sorted(enumerate(zip(commands, configs)),
-                                    key=lambda item: item[1][0] != "simulate"):
+    examples = readme_examples()
+    assert {"simulate", "compare"} <= {command for command, _ in examples}
+    for i, (command, cfg) in sorted(enumerate(examples), key=lambda item: item[1][0] != "simulate"):
         if command == "simulate":
             cfg["plan"]["n_samples"] = 20
         if command == "infinitesimal" and "mc" in cfg["infinitesimal"]:
@@ -55,6 +60,44 @@ def test_readme_json_examples_are_read_by_their_commands(tmp_path, monkeypatch):
         out = "out" if command == "simulate" else f"out-{i}"
         code = main([command, "--config", f"{i}.json", "--out-dir", out, "--threads", "1"])
         assert code != EXIT_CONFIG, f"README example {i} ({command})"
+
+
+def number_paths(node, path=()):
+    """Key paths to the numbers in a JSON value."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from number_paths(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def test_readme_examples_at_extreme_numbers_keep_the_exit_codes(tmp_path, monkeypatch, capsys):
+    # each number of each example but compare's, in turn, huge and then
+    # subnormal: a finite input ends in exit 0, 1 or 2, and a failure in one
+    # error line, never a traceback. The Monte Carlo runs are cut short.
+    monkeypatch.chdir(tmp_path)
+    for command, cfg in readme_examples():
+        if command == "compare":
+            continue
+        if command == "simulate":
+            cfg["plan"]["n_samples"] = 2
+        if command == "infinitesimal" and "mc" in cfg["infinitesimal"]:
+            cfg["infinitesimal"]["mc"].update(n_dim=6, n_samples=1000)
+        for path in list(number_paths(cfg)):
+            for value in (1e300, 1e-320):
+                edited = copy.deepcopy(cfg)
+                node = edited
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                Path("cfg.json").write_text(json.dumps(edited))
+                code = main([command, "--config", "cfg.json", "--out-dir", "out", "--threads", "1"])
+                err = capsys.readouterr().err
+                where = f"{command} with {'.'.join(map(str, path))} = {value}: {err}"
+                assert code in (0, 1, 2), where
+                if code:
+                    assert "Traceback" not in err, where
+                    assert err.splitlines()[-1].startswith(("error:", "config error:")), where
 
 
 def test_package_imports_cleanly():

@@ -45,6 +45,16 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("values,match", [
+        ([], "nonempty 1-d"),
+        ([[0.0, 1.0]], "nonempty 1-d"),
+        ([0.0, np.inf], "must be finite"),
+        ([np.nan], "must be finite"),
+    ])
+    def test_spectrum_rejects_bad_eigenvalues(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            Spectrum(np.array(values))
+
     def test_trace_consistency(self):
         smp = gue_sample(80)
         spec = eigenvalues(smp)
@@ -168,6 +178,12 @@ class TestResolventIdentity:
     def test_same_matrix_same_point(self):
         m = np.diag([1.0, 2.0, 3.0])
         assert verify_resolvent_identity(m, m, 1j, 1j) == 0.0
+
+    @pytest.mark.parametrize("z1,z2", [(1.0, 1j), (1j, -2.0)])
+    def test_real_z_rejected(self, z1, z2):
+        m = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="requires Im z1, Im z2 != 0"):
+            verify_resolvent_identity(m, m, z1, z2)
 
     def test_zero_matrices_scalar_case(self):
         # both sides equal (z2 - z1)/(z1 z2) I

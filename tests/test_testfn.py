@@ -42,6 +42,22 @@ class TestEvaluation:
         assert float(phi(0.5)) == pytest.approx(0.25, abs=5e-3)
         assert float(phi(3.0)) == 0.0
 
+    @pytest.mark.parametrize("make,match", [
+        (lambda: testfn.real_resolvent_pair(1.0), "requires Im z"),
+        (lambda: testfn.smooth_bump(0.0, 0.0, 3), "width must be positive"),
+        (lambda: testfn.smooth_bump(0.0, 1.0, -1), "order must be nonnegative"),
+        (lambda: testfn.capped_polynomial([1.0], (1.0, -1.0)), "window must be increasing"),
+        (lambda: testfn.capped_polynomial([1.0], (-1.0, 1.0), order=-1),
+         "order must be nonnegative"),
+        (lambda: testfn.capped_polynomial([], (-1.0, 1.0)), "coeffs must be a nonempty"),
+        (lambda: testfn.from_grid([0.0], [1.0], "one"), "at least two samples"),
+        (lambda: testfn.from_grid([0.0, 1.0], [1.0], "short"), "at least two samples"),
+    ], ids=["pair-real-z", "bump-width", "bump-order", "poly-window", "poly-order",
+            "poly-coeffs", "grid-one-point", "grid-mismatch"])
+    def test_invalid_arguments_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     @pytest.mark.parametrize("xs", [[1.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 1.0]])
     def test_grid_x_must_increase_strictly(self, xs):
         with pytest.raises(ValueError, match="strictly increasing"):

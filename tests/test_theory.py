@@ -310,6 +310,29 @@ class TestNonFiniteParameters:
             FluctuationParams(**kw)
 
 
+@pytest.mark.parametrize("edit,match", [
+    ({"sigma2": 0.0}, "sigma2 must be positive"),
+    ({"s2": -1.0}, "s2 must be positive"),
+    ({"mode": "asymptotic"}, "mode must be"),
+    ({"mode": "finite_N"}, "requires the dimension"),
+    ({"mode": "finite_N", "n": 0}, "requires the dimension"),
+])
+def test_fluctuation_params_reject_invalid_values(edit, match):
+    kw = {"sigma2": 1.0, "s2": 1.0, "tau": 0.0, "kappa": 0.0, "nu": DELTA0, **edit}
+    with pytest.raises(ParameterError, match=match):
+        FluctuationParams(**kw)
+
+
+@pytest.mark.parametrize("z,order,match", [
+    (1.0, 0, "off the real axis"),
+    (np.array([2j, -0.5]), 1, "off the real axis"),
+    (2j, 2, "order must be 0 or 1"),
+])
+def test_semicircle_transform_domain(z, order, match):
+    with pytest.raises(ValueError, match=match):
+        semicircle_transform(z, 1.0, order)
+
+
 class TestExtendVariance:
     def test_exact_pair_formula(self):
         p = rademacher_params(AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)]))
