@@ -28,7 +28,6 @@ __all__ = [
     "integrate_against_rho",
     "gauss_kronrod",
     "SupportPieces",
-    "support_nodes",
     "support_window",
 ]
 
@@ -204,7 +203,8 @@ def solve_pastur_array(nu: AtomicMeasure, v: float, z) -> SubordinationSolution:
     halving it and warm-starting each solve from the last, so the iteration
     never leaves the basin near a spectral edge. Any failing point raises:
     SolverError when its iteration does not converge, EdgeSingularityError
-    when 1 + v*G_nu'(omega) vanishes there.
+    when 1 + v*G_nu'(omega) vanishes there, and SolverError also when a
+    field overflows to a value that is not finite.
     """
     if v <= 0:
         raise ValueError("semicircular variance v must be positive")
@@ -238,6 +238,10 @@ def solve_pastur_array(nu: AtomicMeasure, v: float, z) -> SubordinationSolution:
     g2_nu = 2.0 * _transform(nu, omega, 3)
     omega2 = -v * g2_nu * omega1**3
     g2 = g2_nu * omega1**2 + g1_nu * omega2
+    for field in (g, omega, g1, g2, omega1, omega2):
+        if not np.isfinite(field).all():
+            k = np.argmin(np.isfinite(field))
+            raise SolverError(f"the fixed point or its derivatives are not finite at z={z[k]}")
 
     def reflect(a):
         return np.where(lower, a.conj(), a).reshape(shape)
@@ -383,7 +387,8 @@ def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     Near a cusp, where the density grows like |x - x_c|^(1/3), rounding of
     psi_t leaves u uncertain, and the error says by how much that moves the
     density: its largest change over _SPREAD points from the preimage of
-    x - slack to that of x + slack.
+    x - slack to that of x + slack. Raises AccuracyError when a value or an
+    error is not finite.
     """
     if v <= 0:
         raise ValueError("v must be positive")
@@ -400,6 +405,11 @@ def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     rho = np.sqrt(_biane_v2(nu, v, np.concatenate([u, spread.ravel()]))) / (math.pi * v)
     value = rho[:n].reshape(xs.shape)
     error = np.max(np.abs(rho[n:].reshape(n, -1) - rho[:n, None]), axis=1).reshape(xs.shape)
+    finite = np.isfinite(value) & np.isfinite(error)
+    if not finite.all():
+        k = np.flatnonzero(~finite.ravel())[0]
+        raise AccuracyError(f"density at x={flat[k].item()!r} is not finite: "
+                            f"{value.flat[k].item()!r} with error {error.flat[k].item()!r}")
     if xs.ndim == 0:
         return DensityEstimate(x=float(xs), value=float(value), error=float(error))
     return DensityEstimate(x=xs, value=value, error=error)
@@ -533,12 +543,6 @@ class SupportPieces:
         return tuple(q.reshape(a.size, -1) for q in (_biane_psi(nu, t, u, v2), omega, omega1, dxds))
 
 
-def support_nodes(nu: AtomicMeasure, t: float, s, flatten: bool = False):
-    """Boundary values of the subordination map at nodes s of the support of
-    nu boxplus sigma_t: ``SupportPieces.of(nu, t).nodes(s, flatten)``."""
-    return SupportPieces.of(nu, t).nodes(s, flatten)
-
-
 def support_window(nu: AtomicMeasure, v: float) -> tuple[float, float]:
     """Interval certainly containing the support of the free convolution."""
     lo, hi = nu.support
@@ -554,7 +558,7 @@ def integrate_against_rho(nu: AtomicMeasure, v: float, phi) -> float:
     rho(x) dx = (2/pi) v_t (v_t^2 S_2 + S_a^2 / S_2) du (``_biane_slope``).
     ``phi`` is called on arrays of points. Raises AccuracyError when the
     quadrature's error estimate is still above max(1e-8, 1e-8 |value|) at
-    2000 intervals.
+    2000 intervals, or when the value or the estimate is not finite.
     """
     if v <= 0:
         raise ValueError("v must be positive")
@@ -567,7 +571,7 @@ def integrate_against_rho(nu: AtomicMeasure, v: float, phi) -> float:
     starts, ends, _ = _support_in_u(nu, v)
     value, error = gauss_kronrod(integrand, starts, ends, epsabs=_RHO_TOL, epsrel=_RHO_TOL,
                                  limit=_RHO_INTERVALS)
-    if error > max(_RHO_TOL, _RHO_TOL * abs(value)):
+    if not (math.isfinite(value) and error <= max(_RHO_TOL, _RHO_TOL * abs(value))):
         raise AccuracyError(f"integral against rho did not converge: {value!r} with "
                             f"error estimate {error:.3g} at {_RHO_INTERVALS} intervals")
     return value

@@ -956,20 +956,32 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, reports, command, pa
     assert not out.exists()
 
 
-# finite inputs whose computation overflows a Python float (a float ** power),
-# as edits of a small config: key path -> value
+# finite inputs whose computation overflows, as edits of a small config
+# (key path -> value), and the start of the error line: a Python float's
+# overflow (a float ** power), or the refusal of a result that is not finite
+# (the fixed point's fields, a density, an integral against it), which would
+# otherwise be written at exit 0
+OVERFLOW = "error: OverflowError:"
+NOT_FINITE = "error: the fixed point or its derivatives are not finite at z="
+NAN_INTEGRAL = "error: integral against rho did not converge: nan"
 OVERFLOWS = [
-    ("simulate", {("plan", "z_grid", 0, 1): 1e300}),  # montecarlo.crude_variance_bound
-    ("theory", {("fluctuation", "sigma2"): 1e300}),  # theory.bias_bound
-    ("theory", {("fluctuation", "tau"): 1e300}),     # theory's bias bracket
+    ("simulate", {("plan", "z_grid", 0, 1): 1e300}, NOT_FINITE),
+    ("theory", {("fluctuation", "sigma2"): 1e300}, NOT_FINITE),
+    ("theory", {("fluctuation", "tau"): 1e300}, OVERFLOW),  # bias bracket
     ("infinitesimal", {("infinitesimal", "words"): ["w1 w1 w1 w1"],  # xi_exact: v**2
-                       ("infinitesimal", "v"): 1e300}),
+                       ("infinitesimal", "v"): 1e300}, OVERFLOW),
+    ("simulate", {("plan", "z_grid", 0, 0): 1e300}, NOT_FINITE),
+    ("theory", {("z_grid", 0, 0): 1e300}, NOT_FINITE),
+    ("theory", {("z_grid", 0, 1): 1e300}, NOT_FINITE),
+    ("theory", {("fluctuation", "nu", "atoms", 0, 0): 1e300}, NOT_FINITE),
+    ("density", {("density", "v"): 1e300}, "error: density at x=0.0 is not finite"),
+    ("density", {("density", "nu", "atoms", 0, 0): 1e300}, NAN_INTEGRAL),
 ]
 
 
-@pytest.mark.parametrize("command,edits", OVERFLOWS,
-                         ids=[f"{c}-{'.'.join(map(str, [*e][-1]))}" for c, e in OVERFLOWS])
-def test_overflow_while_computing_is_one_error_line(tmp_path, capsys, command, edits):
+@pytest.mark.parametrize("command,edits,start", OVERFLOWS,
+                         ids=[f"{c}-{'.'.join(map(str, [*e][-1]))}" for c, e, _ in OVERFLOWS])
+def test_overflow_while_computing_is_one_error_line(tmp_path, capsys, command, edits, start):
     payload = SMALL_CONFIGS[command]
     for path, value in edits.items():
         payload = mutate(payload, path, value)
@@ -977,7 +989,7 @@ def test_overflow_while_computing_is_one_error_line(tmp_path, capsys, command, e
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: OverflowError:") and err.count("\n") == 1
+    assert err.startswith(start) and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -1197,8 +1209,8 @@ print(len(rows), all(0.0 < r.ks_pvalue <= 1.0 for r in rows))
 
 
 def test_simulate_leaves_scipy_special_unloaded(tmp_path):
-    # scipy.special costs about 20 MB and 0.2 s at import; only the KS p-value
-    # of normality_check needs it
+    # scipy.special costs about 26 MB and 0.4 s at import; only the KS p-value
+    # of normality_check needs SciPy, through scipy.stats on its first call
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", SIMULATE_WITHOUT_SCIPY_SPECIAL,
                           str(tmp_path / "sim")], env=env, capture_output=True, text=True,

@@ -16,12 +16,12 @@ from wignerlab.freeconv import (
     _KRONROD,
     _NODES,
     AtomicMeasure,
+    SupportPieces,
     density,
     gauss_kronrod,
     integrate_against_rho,
     solve_pastur,
     solve_pastur_array,
-    support_nodes,
     support_window,
 )
 
@@ -132,6 +132,12 @@ class TestSolvePastur:
         for z in (2j, 1 + 1j, -3 + 0.2j, 0.5 + 0.1j):
             sol = solve_pastur(nu, 1.7, z)
             assert abs(sol.omega * sol.G - 1.0) < 1e-10
+
+    def test_fields_that_overflow_raise(self):
+        # G_nu''(omega) overflows to inf + nan j at the second z, which is named
+        with np.errstate(all="ignore"), pytest.raises(SolverError) as err:
+            solve_pastur_array(AtomicMeasure.point_mass(0.0), 1.0, [2j, 1e300 + 2j, 1e300j])
+        assert str(err.value).endswith("not finite at z=(1e+300+2j)")
 
     def test_reflection_exact(self):
         nu = AtomicMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
@@ -492,14 +498,14 @@ class TestSupportNodes:
     def test_semicircle_closed_forms(self):
         # at nu = delta_0, t = 1: u = x/2 on [-1, 1] and omega(x + i0) = (x + i sqrt(4 - x^2))/2
         s = np.linspace(-0.95, 0.95, 9)
-        x, omega, omega1, dxds = support_nodes(AtomicMeasure.point_mass(0.0), 1.0, s)
+        x, omega, omega1, dxds = SupportPieces.of(AtomicMeasure.point_mass(0.0), 1.0).nodes(s)
         np.testing.assert_allclose(x, [2.0 * s], atol=1e-12)
         np.testing.assert_allclose(omega, [s + 1j * np.sqrt(1.0 - s * s)], atol=1e-12)
         np.testing.assert_allclose(omega1, 1.0 / (1.0 - omega**-2), rtol=1e-12)
         np.testing.assert_allclose(dxds, 2.0, rtol=1e-12)
 
     def test_cusp_splits_the_support(self):
-        x, omega, _, _ = support_nodes(CUSP, 1.0, np.array([-1.0, 1.0]))
+        x, omega, _, _ = SupportPieces.of(CUSP, 1.0).nodes(np.array([-1.0, 1.0]))
         assert omega.shape == (2, 2)
         assert omega[0, 1].real == pytest.approx(0.0, abs=1e-12)
         assert omega[1, 0].real == pytest.approx(0.0, abs=1e-12)
@@ -511,7 +517,8 @@ class TestSupportNodes:
         [(-2.0, 0.3), (0.5, 0.2), (1.5, 0.5)]), 0.3)], ids=["gap", "cusp", "three_atoms"])
     def test_boundary_values_of_the_fixed_point(self, nu, t):
         s = np.linspace(-0.9, 0.9, 7)
-        x, omega, omega1, dxds = support_nodes(nu, t, s)
+        pieces = SupportPieces.of(nu, t)
+        x, omega, omega1, dxds = pieces.nodes(s)
         # omega(x + i0) solves x = omega + t G_nu(omega), and omega' = 1 / (1 + t G_nu'(omega));
         # the solver just above the axis picks the branch (near a cusp it is off by
         # omega' * 1e-10, which the nodes next to the cusp end make large)
@@ -524,7 +531,7 @@ class TestSupportNodes:
         # dx/ds against a central difference of x along the nodes, whose rounding
         # is about eps |x| / h
         h = 1e-6
-        slope = (support_nodes(nu, t, s + h)[0] - support_nodes(nu, t, s - h)[0]) / (2.0 * h)
+        slope = (pieces.nodes(s + h)[0] - pieces.nodes(s - h)[0]) / (2.0 * h)
         np.testing.assert_allclose(dxds, slope, rtol=1e-7, atol=1e-9)
 
 
@@ -601,6 +608,12 @@ class TestIntegrateAgainstRho:
         xs, phi = self.jagged(100)
         value = integrate_against_rho(CUSP, 1.0, phi)
         assert abs(value - self.oracle(xs, phi, 8, 1e-10)) <= 1e-8
+
+    def test_nan_integral_raises(self):
+        # the integrand overflows at this v, and its NaN sum once passed the
+        # error check, which a NaN estimate does not fail
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError, match="nan with error"):
+            integrate_against_rho(AtomicMeasure.point_mass(0.0), 1e-320, np.ones_like)
 
     def test_unresolved_kinks_raise(self):
         xs, phi = self.jagged(400)

@@ -226,6 +226,22 @@ class TestNormality:
             "re_tr_resolvent(0+2j)", "im_tr_resolvent(0+2j)", "re_tr_resolvent(1+1j)",
             "im_tr_resolvent(1+1j)", "bump"]
 
+    def test_ks_columns_are_kstest_against_the_fitted_normal(self):
+        # sd at ddof 1, formed as normality_check forms it
+        from scipy.stats import kstest
+
+        fns = (testfn.smooth_bump(0.0, 1.0, 3, "bump"),)
+        report = run(small_plan(n=10, m=NORMALITY_MIN_SAMPLES, test_functions=fns))
+        columns = [part(report.tr_samples[:, j]) for j in range(len(report.z_grid))
+                   for part in (np.real, np.imag)] + [report.fn_samples["bump"].real]
+        rows = normality_check(report)
+        assert len(rows) == len(columns) == 5
+        for row, x in zip(rows, columns):
+            m, mean = x.shape[0], float(x.mean())
+            sd = math.sqrt(float(np.mean((x - mean) ** 2)) * m / (m - 1))
+            ks = kstest(x, "norm", args=(mean, sd))
+            assert (row.ks_stat, row.ks_pvalue) == (ks.statistic, ks.pvalue), row.stat_id
+
     def test_gaussian_statistics_reasonable(self):
         plan = small_plan(n=100, m=600, seed=12)
         report = run(plan, threads=4)

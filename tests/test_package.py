@@ -3,9 +3,11 @@ import copy
 import importlib
 import json
 import importlib.util
+import math
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 
 import wignerlab
 from wignerlab.cli import EXIT_CONFIG, main
+from wignerlab.montecarlo import NORMALITY_MIN_SAMPLES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wignerlab.__path__))
@@ -71,10 +74,29 @@ def number_paths(node, path=()):
         yield path
 
 
+def csv_cells(out: Path) -> dict:
+    """Each column of the CSV tables in ``out``, keyed by (file name, header):
+    its cells as floats, None for a cell that is not a number."""
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    cells = {}
+    for path in sorted(out.glob("*.csv")):
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                         if not line.startswith("#")]
+        for j, name in enumerate(header):
+            cells[path.name, name] = [number(row[j]) for row in rows]
+    return cells
+
+
 def test_readme_examples_at_extreme_numbers_keep_the_exit_codes(tmp_path, monkeypatch, capsys):
     # each number of each example but compare's, in turn, huge and then
     # subnormal: a finite input ends in exit 0, 1 or 2, and a failure in one
-    # error line, never a traceback. The Monte Carlo runs are cut short.
+    # error line, never a traceback. At exit 0 no CSV column that is finite
+    # for the unedited example holds a NaN. The Monte Carlo runs are cut short.
     monkeypatch.chdir(tmp_path)
     for command, cfg in readme_examples():
         if command == "compare":
@@ -83,6 +105,11 @@ def test_readme_examples_at_extreme_numbers_keep_the_exit_codes(tmp_path, monkey
             cfg["plan"]["n_samples"] = 2
         if command == "infinitesimal" and "mc" in cfg["infinitesimal"]:
             cfg["infinitesimal"]["mc"].update(n_dim=6, n_samples=1000)
+        Path("cfg.json").write_text(json.dumps(cfg))
+        base = f"base-{command}"
+        assert main([command, "--config", "cfg.json", "--out-dir", base, "--threads", "1"]) == 0
+        finite = [key for key, cells in csv_cells(Path(base)).items()
+                  if all(c is not None and math.isfinite(c) for c in cells)]
         for path in list(number_paths(cfg)):
             for value in (1e300, 1e-320):
                 edited = copy.deepcopy(cfg)
@@ -91,6 +118,7 @@ def test_readme_examples_at_extreme_numbers_keep_the_exit_codes(tmp_path, monkey
                     node = node[key]
                 node[path[-1]] = value
                 Path("cfg.json").write_text(json.dumps(edited))
+                shutil.rmtree("out", ignore_errors=True)
                 code = main([command, "--config", "cfg.json", "--out-dir", "out", "--threads", "1"])
                 err = capsys.readouterr().err
                 where = f"{command} with {'.'.join(map(str, path))} = {value}: {err}"
@@ -98,6 +126,10 @@ def test_readme_examples_at_extreme_numbers_keep_the_exit_codes(tmp_path, monkey
                 if code:
                     assert "Traceback" not in err, where
                     assert err.splitlines()[-1].startswith(("error:", "config error:")), where
+                else:
+                    cells = csv_cells(Path("out"))
+                    assert [key for key in finite if any(c is not None and math.isnan(c)
+                                                         for c in cells[key])] == [], where
 
 
 def test_package_imports_cleanly():
@@ -144,27 +176,36 @@ def test_traced_names_exist(monkeypatch):
     assert missing == []
 
 
-SCIPY_STATS_GUARD = """
-import sys
-import numpy as np
-import wignerlab.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-from wignerlab.ensemble import EnsembleParams
-from wignerlab.montecarlo import NORMALITY_MIN_SAMPLES, ExperimentPlan, normality_check, run
-plan = ExperimentPlan(params=EnsembleParams.create(4, "gaussian_complex", np.zeros(4)),
-                      n_samples=NORMALITY_MIN_SAMPLES, z_grid=(2j,), master_seed=3)
-rows = normality_check(run(plan))
+CLI_TRAFFIC = """
+import json, sys
+from wignerlab import cli
+runs = json.loads(sys.argv[1])
+codes = [cli.main([command, "--config", path, "--out-dir", out, "--threads", "1"])
+         for command, path, out in runs]
+print(codes.count(cli.EXIT_CONFIG), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from wignerlab.montecarlo import EstimatorReport, normality_check
+with open("out/report.json") as f:
+    rows = normality_check(EstimatorReport.from_json(f.read()))
 print(len(rows), all(0.0 < r.ks_pvalue <= 1.0 for r in rows))
-print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
 """
 
 
-def test_normality_runs_without_scipy_stats():
-    # the KS p-value is ported (wignerlab._kolmogorov) on two scipy.special ufuncs
+def test_commands_leave_scipy_unloaded_until_normality_check(tmp_path):
+    # every README example, simulate first, in one fresh interpreter: no
+    # command loads any scipy module, and normality_check then runs on the
+    # simulated report (loading scipy.stats for its KS rows). The simulation
+    # is cut to the 500 samples normality_check needs, at N = 40.
+    runs = []
+    for i, (command, cfg) in sorted(enumerate(readme_examples()),
+                                    key=lambda item: item[1][0] != "simulate"):
+        if command == "simulate":
+            cfg["ensemble"]["n"] = 40
+            cfg["plan"]["n_samples"] = NORMALITY_MIN_SAMPLES
+        if command == "infinitesimal" and "mc" in cfg["infinitesimal"]:
+            cfg["infinitesimal"]["mc"]["n_samples"] = 1000  # the cross-check's minimum
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+        runs.append((command, f"{i}.json", "out" if command == "simulate" else f"out-{i}"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", SCIPY_STATS_GUARD], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n") == ["[]", "2 True", "True False", ""]
-    src = Path(__file__).resolve().parents[1] / "src"
-    named = [p.name for p in src.rglob("*.py") if "scipy.stats" in p.read_text()]
-    assert named == []
+    out = subprocess.run([sys.executable, "-c", CLI_TRAFFIC, json.dumps(runs)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n") == ["0 []", "7 True", ""]

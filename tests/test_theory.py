@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from wignerlab import testfn
 from wignerlab.errors import DomainError, ParameterError, RepresentationError, SingularityError
-from wignerlab.freeconv import AtomicMeasure, solve_pastur, solve_pastur_array, support_nodes
+from wignerlab.freeconv import AtomicMeasure, SupportPieces, solve_pastur, solve_pastur_array
 from wignerlab.theory import (
     FluctuationParams,
     bao_xie_b0,
@@ -284,7 +284,7 @@ def test_extend_bias_error_covers_quad_near_a_cusp(sigma2):
         omega = solve_pastur_array(p.nu, p.sigma2, np.array([x + 1e-12j])).omega
         return slope * _bias_primitive(p, omega)[0].imag
 
-    x = support_nodes(p.nu, p.sigma2, [-1.0, 1.0])[0]
+    x = SupportPieces.of(p.nu, p.sigma2).nodes([-1.0, 1.0])[0]
     breaks = sorted({-width, width, *(e for e in x.ravel() if abs(e) < width)})
     oracle = sum(quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
                  for a, b in zip(breaks, breaks[1:])) / math.pi
