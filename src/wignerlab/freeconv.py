@@ -321,15 +321,18 @@ def _biane_v2(nu: AtomicMeasure, t: float, u: np.ndarray) -> np.ndarray:
     # where s = 0 no atom sits at u, so the sum below is finite
     inside = (s > 0.0) | (np.sum(nu.weights / (a2 + s[:, None]), axis=1) > 1.0 / t)
     idx = np.flatnonzero(inside)
-    for _ in range(_MAX_NEWTON):
-        if idx.size == 0:
-            return s
-        r = a2[idx] + s[idx, None]
-        f = np.sum(nu.weights / r, axis=1)
-        step = f * (t * f - 1.0) / np.sum(nu.weights / (r * r), axis=1)
-        climbs = s[idx] + step > s[idx]
-        idx = idx[climbs]
-        s[idx] += step[climbs]
+    # at extreme scales a step overflows: s then stops, or climbs to inf;
+    # density and integrate_against_rho refuse a value that is not finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON):
+            if idx.size == 0:
+                return s
+            r = a2[idx] + s[idx, None]
+            f = np.sum(nu.weights / r, axis=1)
+            step = f * (t * f - 1.0) / np.sum(nu.weights / (r * r), axis=1)
+            climbs = s[idx] + step > s[idx]
+            idx = idx[climbs]
+            s[idx] += step[climbs]
     raise SolverError(f"v_t(u) did not converge at u={u[idx[0]]}")
 
 
@@ -404,7 +407,8 @@ def density(nu: AtomicMeasure, v: float, x) -> DensityEstimate:
     spread = low[:, None] + (high - low)[:, None] * np.linspace(0.0, 1.0, _SPREAD)
     rho = np.sqrt(_biane_v2(nu, v, np.concatenate([u, spread.ravel()]))) / (math.pi * v)
     value = rho[:n].reshape(xs.shape)
-    error = np.max(np.abs(rho[n:].reshape(n, -1) - rho[:n, None]), axis=1).reshape(xs.shape)
+    with np.errstate(invalid="ignore"):  # inf - inf: refused just below
+        error = np.max(np.abs(rho[n:].reshape(n, -1) - rho[:n, None]), axis=1).reshape(xs.shape)
     finite = np.isfinite(value) & np.isfinite(error)
     if not finite.all():
         k = np.flatnonzero(~finite.ravel())[0]

@@ -28,7 +28,8 @@ formed from the one before, and every sample forms that list, so halves
 share the products of common prefixes; a diagonal separator scales columns
 instead of multiplying, and each word still gets bitwise the value it
 would get if checked alone. Its samples run on the index-ordered map of
-``parallel``, serially or on forked workers.
+``parallel``, serially or on workers forked directly, each on a strided
+share of the sample indices.
 """
 
 from __future__ import annotations
@@ -496,8 +497,9 @@ def monte_carlo_cross_checks(
     digits from a fold of the whole word, as the sum is taken in another
     order. One sample gives one row, its traces of every word, and the rows
     run on ``parallel.map_samples`` with ``threads`` as in
-    ``montecarlo.run``: the results are bitwise the same for every worker
-    count.
+    ``montecarlo.run``, on workers forked directly, each on a strided share
+    of the sample indices: the results are bitwise the same for every
+    worker count.
     """
     if n_samples < 1000:
         raise ParameterError("cross-check needs at least 1000 samples")

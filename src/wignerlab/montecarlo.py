@@ -2,7 +2,8 @@
 
 The sample pipeline (draw -> eigensolve -> per-z statistics) is pure in the
 sample index, so it runs on ``parallel.map_samples``: ``threads`` asks for a
-worker count, and more than one forks a process pool. Every sample's BLAS
+worker count, and more than one forks that many workers directly, each on a
+strided share of the sample indices, with no process pool. Every sample's BLAS
 calls run on one thread whatever the caller's BLAS thread setting. Results
 land in index-ordered arrays and every reduction happens afterwards in a
 fixed order, which makes reports bitwise identical across worker counts and

@@ -958,8 +958,9 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, reports, command, pa
 
 # finite inputs whose computation overflows, as edits of a small config
 # (key path -> value), and the start of the error line: a Python float's
-# overflow (a float ** power), or the refusal of a result that is not finite
-# (the fixed point's fields, a density, an integral against it), which would
+# overflow (a float ** power, also in a Monte Carlo sample, which the line
+# names by its index), or the refusal of a result that is not finite (the
+# fixed point's fields, a density, an integral against it), which would
 # otherwise be written at exit 0
 OVERFLOW = "error: OverflowError:"
 NOT_FINITE = "error: the fixed point or its derivatives are not finite at z="
@@ -976,6 +977,9 @@ OVERFLOWS = [
     ("theory", {("fluctuation", "nu", "atoms", 0, 0): 1e300}, NOT_FINITE),
     ("density", {("density", "v"): 1e300}, "error: density at x=0.0 is not finite"),
     ("density", {("density", "nu", "atoms", 0, 0): 1e300}, NAN_INTEGRAL),
+    ("simulate", {("plan", "test_functions", 0): {"kind": "real_resolvent_pair",
+                                                "z": [0.0, 1e300]}},
+     "error: sample 0 failed: OverflowError:"),
 ]
 
 
@@ -991,6 +995,21 @@ def test_overflow_while_computing_is_one_error_line(tmp_path, capsys, command, e
     err = capsys.readouterr().err
     assert err.startswith(start) and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_refused_density_is_one_line_on_stderr_of_a_process(tmp_path):
+    # in-process tests capture numpy's warnings; a real process would print
+    # them on stderr before the error line
+    cfg = write(tmp_path, "cfg.json", {"density": {
+        "nu": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}, "v": 1e300, "points": 201,
+        "test_functions": [BUMP]}})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "wignerlab.cli", "density", "--config", cfg,
+                          "--out-dir", str(tmp_path / "out")], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == ("error: density at x=-1.9799999999999998e+150 is not finite: "
+                          "inf with error nan\n")
 
 
 # the CSV stems and the JSON file of each command; simulate writes report.json
@@ -1240,9 +1259,28 @@ def test_compare_reads_reports_with_normality_rows(tmp_path, monkeypatch, report
     assert written["old"] == written["new"] and "compare.json" in written["new"][1]
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # only a Monte Carlo run on more than one worker needs them
-    assert loaded_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == "[]"
+RUNS_ON_TWO_WORKERS = """
+import json, sys
+from wignerlab import cli
+out = sys.argv[1]
+for command in ("simulate", "infinitesimal"):
+    with open(f"{out}-{command}.json", "w") as f:
+        json.dump(json.loads(sys.argv[2])[command], f)
+    print(cli.main([command, "--config", f"{out}-{command}.json", "--out-dir",
+                    f"{out}-{command}", "--threads", "2"]))
+print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+"""
+
+
+def test_cli_import_leaves_process_pool_unloaded(tmp_path):
+    # map_samples forks its workers itself, so neither importing the CLI nor
+    # a Monte Carlo run on two workers loads multiprocessing
+    assert loaded_after_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", RUNS_ON_TWO_WORKERS, str(tmp_path / "run"),
+                          json.dumps(SMALL_CONFIGS)], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n") == ["0", "0", "[]", ""]
 
 
 def with_stored_statistics(text: str, edit: bool = False) -> str:

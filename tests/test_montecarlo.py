@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import pickle
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +55,14 @@ def patch_eigenvalues(monkeypatch, index, action):
         return original(smp, *a, **kw)
 
     monkeypatch.setattr(mc, "eigenvalues", patched)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """map_samples at 2 workers forks them, whatever the CPU count."""
+    if not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")):
+        pytest.skip("needs fork and /proc/self/fd")
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
 
 
 def synthetic_failure():
@@ -141,6 +152,105 @@ class TestDeterminism:
             assert get_threads() == caller
         finally:
             set_threads(before)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_forked_map_leaves_no_fd_and_no_child(self, two_cores, fail):
+        def per_sample(i):
+            if fail and i == 5:
+                raise ArithmeticError("synthetic failure")
+            return float(i)
+
+        before = set(os.listdir("/proc/self/fd"))
+        if fail:
+            with pytest.raises(SampleError) as err:
+                parallel.map_samples(per_sample, 8, 2)
+            assert err.value.index == 5
+        else:
+            assert parallel.map_samples(per_sample, 8, 2).tolist() == [float(i) for i in range(8)]
+        assert set(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_exits_without_its_rows_raises(self, two_cores):
+        def per_sample(i):
+            if i == 3:
+                os._exit(3)
+            return float(i)
+
+        with pytest.raises(SampleError) as err:
+            parallel.map_samples(per_sample, 8, 2)
+        assert err.value.index == 1 and "wait status 768" in str(err.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_in_a_worker_before_its_work_stays_in_the_worker(self, two_cores,
+                                                                       monkeypatch):
+        # Ctrl-C reaches every worker too; one that takes it before starting
+        # its share exits with 1 and signals no other process
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "_work", interrupted)
+        with pytest.raises(SampleError) as err:
+            parallel.map_samples(float, 8, 2)
+        assert err.value.index == 0 and "wait status 256" in str(err.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_in_the_caller_kills_and_reaps_the_workers(self, two_cores, monkeypatch):
+        # worker 0's rows arrive at once and their unpickling is interrupted
+        # while worker 1 still has a minute of samples to go
+        def per_sample(i):
+            if i % 2:
+                time.sleep(60.0)
+            return float(i)
+
+        def interrupted(data):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "pickle", SimpleNamespace(
+            dumps=pickle.dumps, loads=interrupted, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        before = set(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            parallel.map_samples(per_sample, 4, 2)
+        assert time.monotonic() - start < 30.0
+        assert set(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_lowest_failing_index_across_workers_is_raised(self, two_cores):
+        # at 2 workers sample 4 fails on worker 0, whose pipe is read first,
+        # and sample 3 on worker 1
+        def per_sample(i):
+            if i in (3, 4):
+                raise ArithmeticError(f"synthetic failure {i}")
+            return float(i)
+
+        with pytest.raises(SampleError) as err:
+            parallel.map_samples(per_sample, 8, 2)
+        assert err.value.index == 3
+        assert str(err.value) == "sample 3 failed: ArithmeticError: synthetic failure 3"
+        # chained, as in the serial path, to the worker's traceback of the cause
+        cause = str(err.value.__cause__)
+        assert cause.startswith("Traceback") and "in per_sample" in cause
+        assert cause.endswith("ArithmeticError: synthetic failure 3\n")
+
+    def test_worker_failure_outside_a_sample_prints_its_traceback(self, two_cores, capfd):
+        # rows of two shapes: the serial map's np.stack raises ValueError; a
+        # worker cannot send its rows, says why on stderr and exits with 1
+        def per_sample(i):
+            return np.zeros(1 + (i == 3))
+
+        with pytest.raises(ValueError):
+            parallel.map_samples(per_sample, 8, 1)
+        with pytest.raises(SampleError) as err:
+            parallel.map_samples(per_sample, 8, 2)
+        assert err.value.index == 1 and "wait status 256" in str(err.value)
+        err = capfd.readouterr().err
+        assert err.startswith("Traceback") and "ValueError: all input arrays" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_report_round_trip_lossless(self):
         report = run(small_plan(), threads=2)
@@ -404,7 +514,7 @@ class TestTruncationDrift:
         with pytest.raises(SampleError) as err:
             truncation_drift(params, phi, choose_delta(20), 8, 3, threads=threads)
         assert err.value.index == 5
-        assert str(err.value) == "sample 5 failed: synthetic failure"
+        assert str(err.value) == "sample 5 failed: ArithmeticError: synthetic failure"
 
     def test_identity_truncation_zero_drift(self):
         params = EnsembleParams.create(60, "rademacher_real", np.zeros(60))
